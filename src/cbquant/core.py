@@ -268,17 +268,21 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     first = arr[int(rng.integers(arr.size))]
     chosen = [first]
     d2 = np.square(arr - first)
+    cum = np.empty_like(d2)
+    tmp = np.empty_like(d2)
     while len(chosen) < n_clusters:
-        total = float(d2.sum())
-        if total == 0.0:
+        np.cumsum(d2, out=cum)
+        # The terms are non-negative, so the running total is 0 iff all are.
+        if cum[-1] == 0.0:
             break  # every element already coincides with a centroid
-        cum = np.cumsum(d2)
         r = rng.random() * cum[-1]
         idx = int(np.searchsorted(cum, r, side="right"))
         if idx >= arr.size:  # r rounded up onto the total
             idx = int(np.flatnonzero(d2 > 0)[-1])
         chosen.append(arr[idx])
-        np.minimum(d2, np.square(arr - arr[idx]), out=d2)
+        np.subtract(arr, arr[idx], out=tmp)
+        np.square(tmp, out=tmp)
+        np.minimum(d2, tmp, out=d2)
 
     out = np.empty(n_clusters, dtype=np.float64)
     out[: len(chosen)] = chosen
@@ -286,8 +290,8 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid labels; ties go to the lowest cluster index."""
+def _dense_assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``argmin_j |x - c_j|`` by brute force; ties go to the lowest index."""
     m = len(centroids)
     labels = np.empty(arr.size, dtype=np.int64)
     chunk = max(1, (2 << 20) // m)
@@ -295,6 +299,51 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         block = arr[start : start + chunk]
         dist = np.abs(block[:, None] - centroids[None, :])
         labels[start : start + chunk] = dist.argmin(axis=1)
+    return labels
+
+
+_ASSIGN_CHUNK = 1 << 16
+
+
+def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid labels; ties go to the lowest cluster index.
+
+    Equal to ``_dense_assign`` in O(n log m).  For a fixed x, the rounded
+    ``|x - c|`` never increases as c rises towards x and never decreases as
+    c moves away above it, so the minimum sits at one of the two sorted
+    neighbours of x.  A run of equal centroids answers with its lowest
+    original index.  Rounding can also give a farther, distinct centroid
+    the same distance as the nearest one (x=1 against 0 and 1e-20); when
+    the next distinct value beyond either neighbour ties the minimum, that
+    element is settled by ``_dense_assign``.
+    """
+    m = len(centroids)
+    order = np.argsort(centroids, kind="stable")
+    # Sorted centroids between -inf/+inf sentinels, which never win a label.
+    ext = np.concatenate(([-np.inf], centroids[order], [np.inf]))
+    run_start = np.searchsorted(ext, ext, side="left")
+    next_run = np.searchsorted(ext, ext, side="right")
+    # A position answers with the lowest original index of its run of equals.
+    rep = np.r_[m, order, m][run_start]
+    # The next distinct value below and above each position's run.
+    below = ext[np.maximum(run_start - 1, 0)]
+    above = ext[np.minimum(next_run, m + 1)]
+
+    labels = np.empty(arr.size, dtype=np.int64)
+    for start in range(0, arr.size, _ASSIGN_CHUNK):
+        x = arr[start : start + _ASSIGN_CHUNK]
+        left = np.searchsorted(ext, x, side="right") - 1  # ext[left] <= x < ext[left + 1]
+        right = left + 1
+        d_left = np.abs(x - ext[left])
+        d_right = np.abs(x - ext[right])
+        best = np.minimum(d_left, d_right)
+        lab = np.minimum(np.where(d_left == best, rep[left], m),
+                         np.where(d_right == best, rep[right], m))
+        ambiguous = np.flatnonzero((np.abs(x - below[left]) == best)
+                                   | (np.abs(x - above[right]) == best))
+        if ambiguous.size:
+            lab[ambiguous] = _dense_assign(x[ambiguous], centroids)
+        labels[start : start + _ASSIGN_CHUNK] = lab
     return labels
 
 

@@ -70,6 +70,11 @@ class TestLloydStep:
         state, _ = core.lloyd_step([1.0], core.LloydState(np.array([0.0, 2.0])))
         assert state.labels.tolist() == [0]
 
+    def test_rounding_tie_with_farther_centroid_goes_to_lowest_index(self):
+        # |1 - c| rounds to 1.0 for all three centroids, although 2e-20 is nearest by value.
+        state, _ = core.lloyd_step([1.0], core.LloydState(np.array([0.0, 2e-20, 1e-20])))
+        assert state.labels.tolist() == [0]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_sse_never_increases(self, seed):
         rng = np.random.default_rng(seed)

@@ -54,6 +54,35 @@ def test_lloyd_descent(values, bits, seed):
             break
 
 
+def dense_argmin(x, c):
+    return np.abs(x[:, None] - c[None, :]).argmin(1)
+
+
+# A small pool makes duplicate centroids common; the tiny values make
+# distinct centroids whose distances to a point round to the same double.
+centroid_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-20, 2e-20, 0.5, 1.0, -1.0, 3.0]), finite_values)
+
+
+@given(st.lists(centroid_values, min_size=1, max_size=24), st.data())
+@settings(max_examples=300, deadline=None)
+def test_assign_matches_dense_argmin(centroids, data):
+    c = np.asarray(centroids)
+    s = np.unique(c)
+    special = np.concatenate([c, (s[1:] + s[:-1]) / 2, [s[0] - 1.0, s[-1] + 1.0, 1.0]])
+    points = data.draw(st.lists(st.one_of(st.sampled_from(special.tolist()), finite_values),
+                                min_size=1, max_size=40))
+    x = np.asarray(points)
+    np.testing.assert_array_equal(core._assign(x, c), dense_argmin(x, c))
+
+
+def test_assign_matches_dense_argmin_across_chunks():
+    rng = np.random.default_rng(0)
+    c = np.repeat(rng.normal(size=40), 3)  # every centroid present three times
+    x = np.concatenate([rng.normal(scale=2.0, size=150_000), c])
+    np.testing.assert_array_equal(core._assign(x, c), dense_argmin(x, c))
+
+
 @given(st.binary(max_size=40).map(bytearray),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=150, deadline=None)
