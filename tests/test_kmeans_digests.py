@@ -1,10 +1,11 @@
-"""SHA-256 pins of k-means CBQ bytes.
+"""SHA-256 pins of k-means and linear CBQ bytes.
 
 Any change to k-means++ seeding, nearest-centroid assignment, the centroid
-update or the group split moves at least one of these digests.  The inputs
-cover distinct Gaussian values, heavy duplication (fewer distinct values than
-clusters, so k-means++ pads the codebook with copies), points exactly midway
-between integer-valued centroids, and constant spans that make whole groups
+update, linear binning, index packing or the group split moves at least one of
+these digests.  The inputs cover distinct Gaussian values, heavy duplication
+(fewer distinct values than clusters, so k-means++ pads the codebook with
+copies), points exactly midway between integer-valued centroids (which are
+exactly on linear bin edges), and constant spans that make whole groups
 constant.
 """
 
@@ -70,6 +71,38 @@ CASES = {
 }
 
 
+def signed_zeros():
+    # The first of two groups is all -0.0, whose sign the constant-group rule keeps.
+    return np.concatenate([np.full(10, -0.0), np.linspace(-1.0, 1.0, 10)])
+
+
+# id -> (tensor, bits, group_count, sha256); seed 0 and 3 iterations in the header.
+LINEAR_CASES = {
+    "lin-gauss-b1-g1": (gaussian(0), 1, 1,
+                       "b401d3e9da944562f473a84433b9d00603d467258ef0cf26392ad5fbfacc1099"),
+    "lin-gauss-b4-g1": (gaussian(0), 4, 1,
+                       "6fb2703f2b5ccec39fbe28c4193b6790f4a97a3edda387941b0a63c731c7272a"),
+    "lin-gauss-b8-g1": (gaussian(0), 8, 1,
+                       "2582901d86f0dd8ec67640424468fcc47cbe5481e98343c0e255f89699cf9c47"),
+    "lin-gauss-b4-g7": (gaussian(1), 4, 7,
+                       "02f2c27e4a0fb0beaa949357ea14349a04510bb866478252e3a28317df76c034"),
+    "lin-f32-b8-g7": (small_weights(), 8, 7,
+                     "d28d716b013f051b5e718282e172420eedf6d1019870c2b8a2f2384af1e3d8c2"),
+    "lin-gauss-b4-gn": (gaussian(2), 4, 1000,
+                       "6dc8f0614acff58a2814fc060b2128696aaf47401a1722cc6f7d1c513f1a6545"),
+    "lin-dup-b1-gn": (duplicates(0), 1, 500,
+                     "d03f887b9e2b53f9f5dfcd73622b9e444b83955f5324f92c694cc09777a5e118"),
+    "lin-const-b4-g7": (constant_spans(), 4, 7,
+                       "0f9c5d66e69f94514394b2cdbce5345e3414254f8a878baf4f3fe79413aef9de"),
+    "lin-edges-b4-g1": (midpoint_ties(), 4, 1,
+                       "256978cb3a870e9e12792fabbef2b7dcf2e2e5808895de9e6d2073d35099a6d2"),
+    "lin-edges-b3-g7": (midpoint_ties(), 3, 7,
+                       "84b5988091b8e8cdb2e4cb1354de6acb3365549765662f3648f9732cd26fa79e"),
+    "lin-zeros-b2-g2": (signed_zeros(), 2, 2,
+                       "dd477d7c982419c92c7f8ca3543fd2f0a1a396ac4de9a4f98b6353ec19fe5435"),
+}
+
+
 def quantized(case):
     tensor, bits, seed, groups, iterations, _, _ = CASES[case]
     cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=bits, seed=seed,
@@ -87,3 +120,11 @@ def test_cbq_digest(case):
 def test_case_leaves_padded_centroids(case):
     g = quantized(case)
     assert any(len(set(qv.codebook.centroids.tolist())) < len(qv.codebook) for qv in g.groups)
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+def test_linear_cbq_digest(case):
+    tensor, bits, groups, expected = LINEAR_CASES[case]
+    cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=bits, group_count=groups)
+    g = grouping.quantize_grouped(tensor, cfg, tensor_name="w")
+    assert hashlib.sha256(tensorio.write_cbq(g)).hexdigest() == expected
