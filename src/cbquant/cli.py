@@ -10,6 +10,7 @@ arranges inputs and formats reports.
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -105,9 +106,10 @@ def cmd_quantize(args) -> int:
     def work(name):
         tensor = tensors[name]
         if exclude is not None and exclude.search(name):
-            return name, None, tensor
+            return name, tensor, None, None
         g = grouping.quantize_grouped(tensor, cfg, tensor_name=name)
-        return name, tensorio.write_cbq(g), tensor
+        mse = _tensor_stats(tensor, grouping.reconstruct_grouped(g))[1]
+        return name, tensor, tensorio.write_cbq(g), mse
 
     results = _parallel_map(work, names)
 
@@ -118,7 +120,7 @@ def cmd_quantize(args) -> int:
     entries = []
     rows = []
     try:
-        for i, (name, blob, tensor) in enumerate(results):
+        for i, (name, tensor, blob, mse) in enumerate(results):
             if blob is None:
                 path = out_dir / f"t{i:05d}.f32"
                 path.write_bytes(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
@@ -131,10 +133,8 @@ def cmd_quantize(args) -> int:
                 path.write_bytes(blob)
                 written.append(path)
                 entries.append({"name": name, "file": path.name, "kind": "cbq"})
-                g = tensorio.read_cbq(blob)
-                stats = _tensor_stats(tensor, grouping.reconstruct_grouped(g))
                 ratio = (32.0 * tensor.size) / (8.0 * len(blob))
-                rows.append([name, tensor.size, f"{stats[1]:.6g}", f"{ratio:.3f}", "quantized"])
+                rows.append([name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"])
         manifest_path = out_dir / QUANTIZED_MANIFEST
         manifest_path.write_text(json.dumps(
             {"format": "cbq-bundle", "version": 1, "tensors": entries}, indent=2) + "\n")
@@ -170,7 +170,10 @@ def cmd_reconstruct(args) -> int:
     for entry, path in _read_quantized_dir(args.quantized):
         if entry["kind"] == "raw":
             shape = tuple(int(d) for d in entry["shape"])
-            tensors[entry["name"]] = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(shape)
+            raw = path.read_bytes()
+            if min(shape, default=0) < 0 or len(raw) != 4 * math.prod(shape):
+                raise ManifestMismatchError(f"raw entry {entry['name']!r} does not match its shape")
+            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         else:
             g = tensorio.read_cbq(path.read_bytes())
             tensors[entry["name"]] = grouping.reconstruct_grouped(g)
@@ -180,11 +183,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def _tensor_stats(reference, candidate):
-    a = np.asarray(reference, dtype=np.float64).reshape(-1)
-    b = np.asarray(candidate, dtype=np.float64).reshape(-1)
-    diff = a - b
-    sse = float(np.sum(np.square(diff)))
-    return sse, sse / a.size, float(np.max(np.abs(diff)))
+    # One float64 buffer: the difference, then its square in place.
+    diff = np.subtract(np.reshape(reference, -1), np.reshape(candidate, -1), dtype=np.float64)
+    max_err = float(max(diff.max(), -diff.min()))
+    sse = float(np.sum(np.square(diff, out=diff)))
+    return sse, sse / diff.size, max_err
 
 
 def cmd_stats(args) -> int:
@@ -270,24 +273,6 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
-def cmd_bench_groups(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    tensor = rng.normal(size=(args.rows, args.cols))
-    rows = []
-    baseline = None
-    for group_count in args.groups:
-        cfg = core.QuantConfig(scheme=core.Scheme[args.scheme.upper()], bits=args.bits,
-                               max_iterations=args.iters, seed=args.seed,
-                               group_count=group_count)
-        g = grouping.quantize_grouped(tensor, cfg, tensor_name="bench")
-        _, seconds = grouping.timed_reconstruct_grouped(g, repeats=args.repeats)
-        if baseline is None:
-            baseline = seconds
-        rows.append([group_count, tensor.size, f"{seconds:.6g}", f"{seconds / baseline:.3f}"])
-    _emit(["groups", "n", "reconstruct_seconds", "vs_first"], rows, args.format)
-    return 0
-
-
 def _add_quant_flags(p, need_bits=True):
     p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
     p.add_argument("--bits", type=_bits_arg, required=need_bits)
@@ -347,17 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=cmd_train_toy)
 
-    p = sub.add_parser("bench-groups", help="time grouped reconstruction on a fixture")
-    p.add_argument("--rows", type=_positive_int, default=256)
-    p.add_argument("--cols", type=_positive_int, default=1024)
-    p.add_argument("--groups", type=_positive_int, nargs="+", default=[1, 128])
-    p.add_argument("--scheme", choices=["linear", "kmeans"], default="linear")
-    p.add_argument("--bits", type=_bits_arg, default=4)
-    p.add_argument("--iters", type=_nonneg_int, default=3)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--repeats", type=_positive_int, default=10)
-    p.add_argument("--format", choices=["table", "csv"], default="table")
-    p.set_defaults(func=cmd_bench_groups)
     return parser
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "LloydResult",
     "derive_stream_seed",
     "linear_quantize",
+    "linear_quantize_rows",
     "kmeanspp_init",
     "lloyd_step",
     "kmeans_cluster",
@@ -142,28 +143,14 @@ class IndexVector:
 
 @dataclass(frozen=True)
 class QuantizedVector:
-    """A quantized vector: codebook + index vector + source value range.
-
-    ``source_min``/``source_max`` record the range of the original data; they
-    are informational and not needed for reconstruction.
-    """
+    """A quantized vector: codebook + index vector."""
 
     codebook: Codebook
     indices: IndexVector
-    source_min: float
-    source_max: float
-
-    def __post_init__(self):
-        if self.source_min > self.source_max:
-            raise BadConfigError("source_min exceeds source_max")
 
     @property
     def n(self) -> int:
         return len(self.indices)
-
-    @property
-    def bits(self) -> int:
-        return int(len(self.codebook)).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -210,16 +197,6 @@ def _validate_input(v) -> np.ndarray:
     return arr
 
 
-def _finalize(v: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> QuantizedVector:
-    occupancy = np.bincount(labels, minlength=len(centroids))
-    return QuantizedVector(
-        codebook=Codebook(centroids.astype(np.float32), occupancy.astype(np.uint32)),
-        indices=IndexVector(labels.astype(np.uint8)),
-        source_min=float(v.min()),
-        source_max=float(v.max()),
-    )
-
-
 def linear_quantize(v, cfg: QuantConfig) -> QuantizedVector:
     """Quantize ``v`` into ``2**bits`` equal-width bins over [min, max].
 
@@ -230,25 +207,40 @@ def linear_quantize(v, cfg: QuantConfig) -> QuantizedVector:
     """
     if cfg.scheme is not Scheme.LINEAR:
         raise BadConfigError("linear_quantize requires cfg.scheme == Scheme.LINEAR")
-    arr = _validate_input(v)
-    m = cfg.n_levels
-    v_min = float(arr.min())
-    v_max = float(arr.max())
+    labels, centroids, occupancy = linear_quantize_rows(np.reshape(v, (1, -1)), cfg.n_levels)
+    return QuantizedVector(Codebook(centroids[0], occupancy[0]), IndexVector(labels[0]))
 
-    if v_min == v_max:
-        labels = np.zeros(arr.size, dtype=np.int64)
-        centroids = np.full(m, v_min, dtype=np.float64)
-        return _finalize(arr, labels, centroids)
 
-    width = (v_max - v_min) / m
-    labels = np.floor((arr - v_min) / width).astype(np.int64)
+def linear_quantize_rows(rows, n_levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``linear_quantize`` of each row of a 2-D array, bit for bit.
+
+    Returns uint8 labels shaped like ``rows`` and float32 centroids and
+    uint32 occupancy shaped ``(len(rows), n_levels)``.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    _validate_input(x)
+    m = n_levels
+    lo = x.min(axis=1, keepdims=True)
+    hi = x.max(axis=1, keepdims=True)
+    constant = lo == hi
+    width = (hi - lo) / m
+    # A constant row divides its zero offsets by 1, so all its labels are 0.
+    scaled = np.subtract(x, lo)
+    np.divide(scaled, np.where(constant, 1.0, width), out=scaled)
+    np.floor(scaled, out=scaled)
+    labels = scaled.astype(np.int64)
+    del scaled
     np.clip(labels, 0, m - 1, out=labels)
-
-    occupancy = np.bincount(labels, minlength=m)
-    sums = np.bincount(labels, weights=arr, minlength=m)
-    midpoints = v_min + (np.arange(m) + 0.5) * width
-    centroids = np.divide(sums, occupancy, out=midpoints, where=occupancy > 0)
-    return _finalize(arr, labels, centroids)
+    out_labels = labels.astype(np.uint8)
+    # One bincount over every row: row i's bins are i*m ... i*m + m - 1.
+    labels += m * np.arange(len(x))[:, None]
+    occupancy = np.bincount(labels.reshape(-1), minlength=len(x) * m).reshape(-1, m)
+    sums = np.bincount(labels.reshape(-1), weights=x.reshape(-1), minlength=len(x) * m)
+    midpoints = lo + (np.arange(m) + 0.5) * width
+    centroids = np.divide(sums.reshape(-1, m), occupancy, out=midpoints, where=occupancy > 0)
+    # A constant row keeps its exact value (and sign of zero) in every slot.
+    centroids = np.where(constant, lo, centroids)
+    return out_labels, centroids.astype(np.float32), occupancy.astype(np.uint32)
 
 
 def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
@@ -419,9 +411,10 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:
     """Quantize ``v`` by k-means clustering into ``2**bits`` clusters."""
-    arr = _validate_input(v)
-    result = kmeans_cluster(arr, cfg, tensor_name, group_index)
-    return _finalize(arr, result.labels, result.centroids)
+    result = kmeans_cluster(v, cfg, tensor_name, group_index)
+    occupancy = np.bincount(result.labels, minlength=len(result.centroids))
+    return QuantizedVector(Codebook(result.centroids.astype(np.float32), occupancy.astype(np.uint32)),
+                           IndexVector(result.labels.astype(np.uint8)))
 
 
 def quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:

@@ -10,6 +10,9 @@ CBQ container layout (all integers little-endian):
              occupancy  u32 * 2**bits
              indices    ceil(len * bits / 8) bytes, fixed-width packed
 
+Equal-length groups have equal-width records, so each block of them
+(``grouping.group_blocks``) is read and written as one 2-D byte array.
+
 Index packing is little-endian within bytes: the first label occupies the
 least-significant bits of the first byte, and each group's stream is padded
 with zero bits to a byte boundary so groups stay independently addressable.
@@ -37,7 +40,7 @@ from .errors import (
     NonzeroPaddingError,
     UnsupportedVersionError,
 )
-from .grouping import GroupedQuantizedTensor, split_groups
+from .grouping import GroupedQuantizedTensor, group_blocks
 
 __all__ = [
     "CBQ_MAGIC",
@@ -58,6 +61,38 @@ _HEADER_FIXED = struct.Struct("<4sHBBIB")  # magic, version, scheme, bits, group
 _HEADER_TAIL = struct.Struct("<QI")  # seed, max_iterations
 
 
+def _pack_rows(labels: np.ndarray, bits: int) -> np.ndarray:
+    """Pack each row of 2-D uint8 labels into its own zero-padded byte stream.
+
+    Eight labels fill ``bits`` bytes: each run of eight is shifted into one
+    little-endian u64, whose low ``bits`` bytes are the stream.
+    """
+    rows, length = labels.shape
+    lanes = np.zeros((rows, -(-length // 8), 8), dtype=np.uint8)
+    lanes.reshape(rows, -1)[:, :length] = labels
+    words = lanes[..., 0].astype("<u8")
+    for k in range(1, 8):
+        words |= lanes[..., k].astype("<u8") << (k * bits)
+    stream = words.view(np.uint8).reshape(rows, -1, 8)[..., :bits].reshape(rows, -1)
+    return stream[:, : (length * bits + 7) // 8]
+
+
+def _unpack_rows(packed: np.ndarray, length: int, bits: int) -> np.ndarray:
+    """Inverse of ``_pack_rows``; rejects nonzero pad bits."""
+    rows, nbytes = packed.shape
+    tail = length * bits % 8
+    if tail and (packed[:, -1] >> tail).any():
+        raise NonzeroPaddingError("pad bits beyond the last label are not zero")
+    lanes = np.zeros((rows, -(-length // 8), 8), dtype=np.uint8)
+    stream = np.pad(packed, ((0, 0), (0, lanes.shape[1] * bits - nbytes)))
+    lanes[..., :bits] = stream.reshape(rows, -1, bits)
+    words = lanes.view("<u8")[..., 0]
+    labels = np.empty_like(lanes)
+    for k in range(8):
+        labels[..., k] = (words >> (k * bits)) & ((1 << bits) - 1)
+    return labels.reshape(rows, -1)[:, :length]
+
+
 def pack_indices(labels, bits: int) -> bytes:
     """Pack labels into a fixed-width little-endian bit stream.
 
@@ -66,13 +101,10 @@ def pack_indices(labels, bits: int) -> bytes:
     """
     if not 1 <= bits <= 8:
         raise BadConfigError(f"bits must be in [1, 8], got {bits}")
-    lab = np.asarray(labels).reshape(-1)
-    if lab.size == 0:
-        return b""
-    if lab.min() < 0 or lab.max() >= (1 << bits):
+    lab = np.asarray(labels).reshape(1, -1)
+    if lab.size and (lab.min() < 0 or lab.max() >= (1 << bits)):
         raise LabelOverflowError(f"labels do not fit in {bits} bits")
-    bitmat = np.unpackbits(lab.astype(np.uint8)[:, None], axis=1, count=bits, bitorder="little")
-    return np.packbits(bitmat.reshape(-1), bitorder="little").tobytes()
+    return _pack_rows(lab.astype(np.uint8), bits).tobytes()
 
 
 def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
@@ -82,21 +114,19 @@ def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     expected = (n * bits + 7) // 8
     if len(data) != expected:
         raise LengthMismatchError(f"expected {expected} packed bytes for n={n}, got {len(data)}")
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
-    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if stream[n * bits :].any():
-        raise NonzeroPaddingError("pad bits beyond the last label are not zero")
-    bitmat = stream[: n * bits].reshape(n, bits).astype(np.int64)
-    return (bitmat @ (1 << np.arange(bits, dtype=np.int64))).astype(np.uint8)
+    return _unpack_rows(np.frombuffer(data, dtype=np.uint8).reshape(1, -1), n, bits)[0]
+
+
+def _group_row_bytes(bits: int, length: int) -> int:
+    """Bytes of one group's record: centroids, occupancy, packed labels."""
+    return (1 << bits) * (4 + 4) + (length * bits + 7) // 8
 
 
 def cbq_size_bytes(n: int, rank: int, bits: int, group_count: int) -> int:
     """Exact byte size of the CBQ serialization of an n-element tensor."""
     header = _HEADER_FIXED.size + 8 * rank + _HEADER_TAIL.size
-    codebooks = group_count * (1 << bits) * (4 + 4)  # f32 centroid + u32 occupancy
-    indices = sum((length * bits + 7) // 8 for _, length in split_groups(n, group_count))
-    return header + codebooks + indices
+    return header + sum((groups.stop - groups.start) * _group_row_bytes(bits, length)
+                        for groups, _, length in group_blocks(n, group_count))
 
 
 def write_cbq(g: GroupedQuantizedTensor) -> bytes:
@@ -107,51 +137,33 @@ def write_cbq(g: GroupedQuantizedTensor) -> bytes:
         struct.pack(f"<{len(g.shape)}Q", *g.shape),
         _HEADER_TAIL.pack(cfg.seed, cfg.max_iterations),
     ]
-    for qv in g.groups:
-        if len(qv.codebook) != cfg.n_levels:
-            raise BadConfigError("group codebook size disagrees with cfg.bits")
-        parts.append(qv.codebook.centroids.astype("<f4").tobytes())
-        parts.append(qv.codebook.occupancy.astype("<u4").tobytes())
-        parts.append(pack_indices(qv.indices.labels, cfg.bits))
+    for groups, elements, length in group_blocks(g.n, cfg.group_count):
+        parts.append(np.hstack([g.centroids[groups].astype("<f4").view(np.uint8),
+                                g.occupancy[groups].astype("<u4").view(np.uint8),
+                                _pack_rows(g.labels[elements].reshape(-1, length), cfg.bits)]).tobytes())
     return b"".join(parts)
-
-
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise LengthMismatchError(
-                f"truncated CBQ data: wanted {count} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
 
 
 def read_cbq(data: bytes) -> GroupedQuantizedTensor:
     """Parse CBQ bytes back into a grouped quantized tensor.
 
-    Validates the magic, version, label bounds, occupancy consistency, pad
-    bits, and total length.  Source min/max per group are restored from the
-    reconstructed values (the container does not store the original range).
+    Validates the magic, version and total length before reading any group,
+    then the occupancy counts and pad bits of every group.
     """
     if data[:4] != CBQ_MAGIC:
         raise BadMagicError("not a CBQ blob")
-    cur = _Cursor(data)
-    magic, version, scheme_id, bits, group_count, rank = _HEADER_FIXED.unpack(cur.take(_HEADER_FIXED.size))
+    try:
+        _, version, scheme_id, bits, group_count, rank = _HEADER_FIXED.unpack_from(data)
+        shape = struct.unpack_from(f"<{rank}Q", data, _HEADER_FIXED.size)
+        seed, max_iterations = _HEADER_TAIL.unpack_from(data, _HEADER_FIXED.size + 8 * rank)
+    except struct.error:
+        raise LengthMismatchError(f"truncated CBQ header: {len(data)} bytes") from None
     if version != CBQ_VERSION:
         raise UnsupportedVersionError(f"CBQ version {version} not supported")
     try:
         scheme = core.Scheme(scheme_id)
     except ValueError:
         raise UnsupportedVersionError(f"unknown scheme id {scheme_id}") from None
-    shape = struct.unpack(f"<{rank}Q", cur.take(8 * rank))
-    seed, max_iterations = _HEADER_TAIL.unpack(cur.take(_HEADER_TAIL.size))
-
     cfg = core.QuantConfig(
         scheme=scheme,
         bits=bits,
@@ -160,28 +172,28 @@ def read_cbq(data: bytes) -> GroupedQuantizedTensor:
         group_count=group_count,
     )
     n = math.prod(shape)
-    spans = split_groups(n, group_count)
+    expected = cbq_size_bytes(n, rank, bits, group_count)
+    if len(data) != expected:
+        raise LengthMismatchError(f"CBQ data is {len(data)} bytes; its header describes {expected}")
 
-    groups = []
-    n_levels = 1 << bits
-    for _, length in spans:
-        centroids = np.frombuffer(cur.take(4 * n_levels), dtype="<f4").astype(np.float32)
-        occupancy = np.frombuffer(cur.take(4 * n_levels), dtype="<u4").astype(np.uint32)
-        labels = unpack_indices(cur.take((length * bits + 7) // 8), length, bits)
-        if not np.array_equal(np.bincount(labels, minlength=n_levels), occupancy):
+    m = cfg.n_levels
+    pos = _HEADER_FIXED.size + 8 * rank + _HEADER_TAIL.size
+    centroids = np.empty((group_count, m), dtype=np.float32)
+    occupancy = np.empty((group_count, m), dtype=np.uint32)
+    labels = np.empty(n, dtype=np.uint8)
+    for groups, elements, length in group_blocks(n, group_count):
+        width = _group_row_bytes(bits, length)
+        rows = np.frombuffer(data, np.uint8, (groups.stop - groups.start) * width, pos).reshape(-1, width)
+        pos += rows.size
+        centroids[groups] = rows[:, : 4 * m].copy().view("<f4")
+        occupancy[groups] = rows[:, 4 * m : 8 * m].copy().view("<u4")
+        block_labels = _unpack_rows(rows[:, 8 * m :], length, bits)
+        labels[elements] = block_labels.reshape(-1)
+        index = block_labels + m * np.arange(len(rows))[:, None]
+        if not np.array_equal(np.bincount(index.reshape(-1), minlength=len(rows) * m),
+                              occupancy[groups].reshape(-1)):
             raise CorruptIndexError("stored occupancy disagrees with decoded labels")
-        values = centroids[labels]
-        groups.append(
-            core.QuantizedVector(
-                codebook=core.Codebook(centroids, occupancy),
-                indices=core.IndexVector(labels),
-                source_min=float(values.min()),
-                source_max=float(values.max()),
-            )
-        )
-    if cur.pos != len(data):
-        raise LengthMismatchError(f"{len(data) - cur.pos} trailing bytes after the last group")
-    return GroupedQuantizedTensor(shape=tuple(int(d) for d in shape), groups=tuple(groups), spans=spans, cfg=cfg)
+    return GroupedQuantizedTensor(shape, cfg, centroids, occupancy, labels)
 
 
 def write_bundle(manifest_path, tensors: dict) -> None:

@@ -157,12 +157,8 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
 
 def _updated_codebook(qv: core.QuantizedVector, grad: np.ndarray, lr: float) -> core.QuantizedVector:
     centroids = qv.codebook.centroids.astype(np.float64) - lr * grad
-    return core.QuantizedVector(
-        codebook=core.Codebook(centroids.astype(np.float32), qv.codebook.occupancy),
-        indices=qv.indices,  # labels frozen
-        source_min=qv.source_min,
-        source_max=qv.source_max,
-    )
+    # Labels stay frozen; only the centroid values move.
+    return replace(qv, codebook=core.Codebook(centroids.astype(np.float32), qv.codebook.occupancy))
 
 
 def train_step(model: ToyModel, batch: tuple[np.ndarray, np.ndarray],

@@ -132,6 +132,18 @@ class TestPipelineIdentity:
         code, _ = run_cli(capsys, "stats", str(gaussian_bundle), str(golden_bundle))
         assert code == 3
 
+    def test_reconstruct_rejects_raw_entry_of_wrong_length(self, gaussian_bundle, tmp_path, capsys):
+        out = tmp_path / "q"
+        assert run_cli(capsys, "quantize", str(gaussian_bundle), "-o", str(out), "--bits", "2",
+                       "--exclude", "classifier")[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        raw = next(e for e in manifest["tensors"] if e["kind"] == "raw")
+        path = out / raw["file"]
+        path.write_bytes(path.read_bytes()[:-2])
+        code, _ = run_cli(capsys, "reconstruct", str(out), "-o", str(tmp_path / "out.json"))
+        assert code == 3
+        assert not (tmp_path / "out.json").exists()
+
     def test_reconstruct_rejects_broken_manifest(self, tmp_path, capsys):
         qdir = tmp_path / "q"
         qdir.mkdir()
@@ -179,12 +191,3 @@ class TestTrainToyCommand:
         assert len(first) == 5
         assert first[1] in ("linear", "kmeans")
 
-
-class TestBenchGroupsCommand:
-    def test_reports_rows_per_group_count(self, capsys):
-        code, text = run_cli(capsys, "bench-groups", "--rows", "32", "--cols", "64",
-                             "--groups", "1", "4", "--repeats", "2", "--format", "csv")
-        assert code == 0
-        rows = read_csv(text)
-        assert [int(r["groups"]) for r in rows] == [1, 4]
-        assert all(float(r["reconstruct_seconds"]) > 0 for r in rows)

@@ -172,21 +172,18 @@ class TestReconstruct:
     def test_table_lookup(self):
         q = core.QuantizedVector(
             codebook=core.Codebook(np.array([0.25, 1.25], np.float32), np.array([2, 2])),
-            indices=core.IndexVector(np.array([0, 0, 1, 1], np.uint8)),
-            source_min=0.0, source_max=1.5)
+            indices=core.IndexVector(np.array([0, 0, 1, 1], np.uint8)))
         np.testing.assert_allclose(core.reconstruct(q), [0.25, 0.25, 1.25, 1.25])
 
     def test_all_labels_zero_gives_constant_vector(self):
         q = core.QuantizedVector(
             codebook=core.Codebook(np.array([3.0, 9.0], np.float32), np.array([4, 0])),
-            indices=core.IndexVector(np.zeros(4, np.uint8)),
-            source_min=3.0, source_max=3.0)
+            indices=core.IndexVector(np.zeros(4, np.uint8)))
         np.testing.assert_array_equal(core.reconstruct(q), np.full(4, 3.0, np.float32))
 
     def test_out_of_range_label_on_hand_built_input(self):
         q = core.QuantizedVector(
             codebook=core.Codebook(np.array([0.0, 1.0], np.float32), np.array([1, 1])),
-            indices=core.IndexVector(np.array([0, 3], np.uint8)),
-            source_min=0.0, source_max=1.0)
+            indices=core.IndexVector(np.array([0, 3], np.uint8)))
         with pytest.raises(CorruptIndexError):
             core.reconstruct(q)

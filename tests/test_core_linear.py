@@ -23,7 +23,6 @@ class TestLinearExamples:
         np.testing.assert_array_equal(q.indices.labels, [0, 0, 1, 1])
         np.testing.assert_allclose(q.codebook.centroids, [0.25, 1.25])
         np.testing.assert_allclose(core.reconstruct(q), [0.25, 0.25, 1.25, 1.25])
-        assert (q.source_min, q.source_max) == (0.0, 1.5)
 
     def test_two_bit_ramp_clamps_top_value(self):
         # width = 1.75; v=7 lands on the upper edge and clamps into bin 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cbquant import core, grouping
-from cbquant.errors import TooManyGroupsError
+from cbquant.errors import CorruptIndexError, ShapeMismatchError, TooManyGroupsError
 
 
 def cfg_for(scheme, bits, groups=1, **kw):
@@ -79,16 +79,20 @@ class TestQuantizeGrouped:
 
 
 class TestReconstructGrouped:
+    def test_label_outside_the_codebook_is_rejected(self):
+        cfg = cfg_for(core.Scheme.LINEAR, 1, groups=2)
+        codebooks = np.zeros((2, 2))
+        with pytest.raises(CorruptIndexError):
+            grouping.GroupedQuantizedTensor((4,), cfg, codebooks, codebooks, [0, 1, 2, 0])
+
+    def test_codebooks_must_match_the_group_count(self):
+        cfg = cfg_for(core.Scheme.LINEAR, 1, groups=2)
+        with pytest.raises(ShapeMismatchError):
+            grouping.GroupedQuantizedTensor((4,), cfg, np.zeros((1, 2)), np.zeros((1, 2)), [0] * 4)
+
     def test_shape_and_length(self):
         tensor = np.random.default_rng(2).normal(size=(12, 5))
         g = grouping.quantize_grouped(tensor, cfg_for(core.Scheme.LINEAR, 3, groups=4))
         out = grouping.reconstruct_grouped(g)
         assert out.shape == (12, 5)
         assert out.dtype == np.float32
-
-    def test_timed_variant_returns_same_values(self):
-        tensor = np.random.default_rng(3).normal(size=(8, 8))
-        g = grouping.quantize_grouped(tensor, cfg_for(core.Scheme.LINEAR, 2, groups=2))
-        timed, seconds = grouping.timed_reconstruct_grouped(g, repeats=2)
-        np.testing.assert_array_equal(timed, grouping.reconstruct_grouped(g))
-        assert seconds > 0

@@ -1,5 +1,8 @@
 """Bit packing, CBQ container round-trips, golden fixtures, tensor bundles."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from cbquant.errors import (
     LabelOverflowError,
     LengthMismatchError,
     ManifestMismatchError,
+    NonFiniteInputError,
     NonzeroPaddingError,
     UnsupportedVersionError,
 )
@@ -129,6 +133,26 @@ class TestCbqFormat:
     def test_trailing_garbage(self):
         with pytest.raises(LengthMismatchError):
             tensorio.read_cbq(bytes.fromhex(GOLDEN_CBQ_HEX) + b"\x00")
+
+    def test_header_claiming_many_groups_is_rejected_before_any_group(self):
+        # 33 bytes: a linear 4-bit header for shape (10**6,) in 10**6 groups, no body.
+        header = (struct.pack("<4sHBBIB", b"CBQ1", 1, 0, 4, 10**6, 1)
+                  + struct.pack("<Q", 10**6) + struct.pack("<QI", 0, 3))
+        assert len(header) == 33
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthMismatchError):
+                tensorio.read_cbq(header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_non_finite_centroid_is_rejected(self):
+        blob = bytearray(bytes.fromhex(GOLDEN_CBQ_HEX))
+        blob[33:37] = struct.pack("<f", float("nan"))  # first centroid
+        with pytest.raises(NonFiniteInputError):
+            tensorio.read_cbq(bytes(blob))
 
     def test_occupancy_mismatch_is_corrupt(self):
         blob = bytearray(bytes.fromhex(GOLDEN_CBQ_HEX))

@@ -14,8 +14,7 @@ def constant_quantized(value, n, bits=1):
     occupancy[0] = n
     return core.QuantizedVector(
         codebook=core.Codebook(centroids, occupancy),
-        indices=core.IndexVector(np.zeros(n, dtype=np.uint8)),
-        source_min=value, source_max=value)
+        indices=core.IndexVector(np.zeros(n, dtype=np.uint8)))
 
 
 def small_quantized_model(task_seed=0, bits=2, scheme=core.Scheme.KMEANS):
@@ -98,7 +97,7 @@ def _centroid_loss_slope(model, q, key, j, step, x, y):
         centroids[j] = value
         patched = core.QuantizedVector(
             codebook=core.Codebook(centroids.astype(np.float32), q.codebook.occupancy),
-            indices=q.indices, source_min=q.source_min, source_max=q.source_max)
+            indices=q.indices)
         from dataclasses import replace
         return training.model_loss(replace(model, **{("q1" if key == "w1" else "q2"): patched}), x, y)
 
