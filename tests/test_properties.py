@@ -83,6 +83,45 @@ def test_assign_matches_dense_argmin_across_chunks():
     np.testing.assert_array_equal(core._assign(x, c), dense_argmin(x, c))
 
 
+def scalar_linear(v, m):
+    """Linear quantization of one vector with scalar bounds: the reference for the row kernel."""
+    v_min, v_max = float(v.min()), float(v.max())
+    if v_min == v_max:
+        return np.zeros(v.size, dtype=np.int64), np.full(m, v_min)
+    width = (v_max - v_min) / m
+    labels = np.clip(np.floor((v - v_min) / width).astype(np.int64), 0, m - 1)
+    occupancy = np.bincount(labels, minlength=m)
+    sums = np.bincount(labels, weights=v, minlength=m)
+    midpoints = v_min + (np.arange(m) + 0.5) * width
+    return labels, np.divide(sums, occupancy, out=midpoints, where=occupancy > 0)
+
+
+# A small pool makes constant rows, signed zeros and values on bin edges common.
+row_values = st.one_of(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 6.0]), finite_values)
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_linear_rows_match_scalar_reference(rows, length, bits, data):
+    x = np.asarray(data.draw(st.lists(row_values, min_size=rows * length,
+                                      max_size=rows * length))).reshape(rows, length)
+    labels, centroids, occupancy = core.linear_quantize_rows(x, 2**bits)
+    for i, row in enumerate(x):
+        ref_labels, ref_centroids = scalar_linear(row, 2**bits)
+        assert labels[i].tolist() == ref_labels.tolist()
+        assert centroids[i].tobytes() == ref_centroids.astype(np.float32).tobytes()
+        assert occupancy[i].tolist() == np.bincount(ref_labels, minlength=2**bits).tolist()
+
+
+@given(st.binary(max_size=40), st.integers(min_value=1, max_value=8))
+@settings(max_examples=150, deadline=None)
+def test_pack_matches_bitwise_reference(raw, bits):
+    labels = np.frombuffer(raw, dtype=np.uint8) >> (8 - bits)
+    bitmat = np.unpackbits(labels[:, None], axis=1, count=bits, bitorder="little")
+    assert tensorio.pack_indices(labels, bits) == np.packbits(bitmat.reshape(-1), bitorder="little").tobytes()
+
+
 @given(st.binary(max_size=40).map(bytearray),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=150, deadline=None)
