@@ -9,8 +9,6 @@ arranges inputs and formats reports.
 
 import argparse
 import csv
-import json
-import math
 import os
 import re
 import sys
@@ -21,8 +19,6 @@ import numpy as np
 
 from . import core, grouping, tensorio, training
 from .errors import CbqError, EmptyInputError, ManifestMismatchError, ShapeMismatchError
-
-QUANTIZED_MANIFEST = "manifest.json"
 
 
 def _bits_arg(value: str) -> int:
@@ -84,99 +80,35 @@ def _emit(header, rows, fmt, out=None):
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
 
 
-def _quant_config(args, scheme=None) -> core.QuantConfig:
-    return core.QuantConfig(
-        scheme=scheme if scheme is not None else core.Scheme[args.scheme.upper()],
-        bits=args.bits,
-        max_iterations=args.iters,
-        seed=args.seed,
-        convergence_epsilon=args.epsilon,
-        group_count=args.groups,
-    )
-
-
 def cmd_quantize(args) -> int:
     tensors = tensorio.read_bundle(args.bundle)
     if not tensors:
         raise EmptyInputError("bundle contains no tensors")
-    cfg = _quant_config(args)
+    cfg = core.QuantConfig(scheme=core.Scheme[args.scheme.upper()], bits=args.bits,
+                           max_iterations=args.iters, seed=args.seed,
+                           convergence_epsilon=args.epsilon, group_count=args.groups)
     exclude = re.compile(args.exclude) if args.exclude else None
     names = sorted(tensors)
 
     def work(name):
         tensor = tensors[name]
         if exclude is not None and exclude.search(name):
-            return name, tensor, None, None
+            return tensor, [name, tensor.size, "", "", "excluded"]
         g = grouping.quantize_grouped(tensor, cfg, tensor_name=name)
         mse = _tensor_stats(tensor, grouping.reconstruct_grouped(g))[1]
-        return name, tensor, tensorio.write_cbq(g), mse
+        blob = tensorio.write_cbq(g)
+        ratio = (32.0 * tensor.size) / (8.0 * len(blob))
+        return blob, [name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"]
 
     results = _parallel_map(work, names)
-
-    out_dir = Path(args.output)
-    created_dir = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    entries = []
-    rows = []
-    try:
-        for i, (name, tensor, blob, mse) in enumerate(results):
-            if blob is None:
-                path = out_dir / f"t{i:05d}.f32"
-                path.write_bytes(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
-                written.append(path)
-                entries.append({"name": name, "file": path.name, "kind": "raw",
-                                "shape": [int(d) for d in tensor.shape]})
-                rows.append([name, tensor.size, "", "", "excluded"])
-            else:
-                path = out_dir / f"t{i:05d}.cbq"
-                path.write_bytes(blob)
-                written.append(path)
-                entries.append({"name": name, "file": path.name, "kind": "cbq"})
-                ratio = (32.0 * tensor.size) / (8.0 * len(blob))
-                rows.append([name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"])
-        manifest_path = out_dir / QUANTIZED_MANIFEST
-        manifest_path.write_text(json.dumps(
-            {"format": "cbq-bundle", "version": 1, "tensors": entries}, indent=2) + "\n")
-        written.append(manifest_path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        if created_dir and not any(out_dir.iterdir()):
-            out_dir.rmdir()
-        raise
-    _emit(["tensor", "n", "mse", "ratio", "status"], rows, args.format)
+    tensorio.write_quantized(args.output, {name: out for name, (out, _) in zip(names, results)})
+    _emit(["tensor", "n", "mse", "ratio", "status"], [row for _, row in results], args.format)
     return 0
 
 
-def _read_quantized_dir(path):
-    path = Path(path)
-    manifest_path = path / QUANTIZED_MANIFEST if path.is_dir() else path
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestMismatchError(f"cannot read quantized manifest: {exc}") from exc
-    if manifest.get("format") != "cbq-bundle":
-        raise ManifestMismatchError("not a quantized-bundle manifest")
-    for entry in manifest.get("tensors", []):
-        missing = {"name", "file", "kind"} - set(entry)
-        if missing or (entry["kind"] == "raw" and "shape" not in entry):
-            raise ManifestMismatchError(f"manifest entry for {entry.get('name')!r} is incomplete")
-        yield entry, manifest_path.parent / entry["file"]
-
-
 def cmd_reconstruct(args) -> int:
-    tensors = {}
-    for entry, path in _read_quantized_dir(args.quantized):
-        if entry["kind"] == "raw":
-            shape = tuple(int(d) for d in entry["shape"])
-            raw = path.read_bytes()
-            if min(shape, default=0) < 0 or len(raw) != 4 * math.prod(shape):
-                raise ManifestMismatchError(f"raw entry {entry['name']!r} does not match its shape")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        else:
-            g = tensorio.read_cbq(path.read_bytes())
-            tensors[entry["name"]] = grouping.reconstruct_grouped(g)
+    tensors = {name: grouping.reconstruct_grouped(t) if isinstance(t, grouping.GroupedQuantizedTensor) else t
+               for name, t in tensorio.read_quantized(args.quantized).items()}
     tensorio.write_bundle(args.output, tensors)
     print(f"wrote {len(tensors)} tensors to {args.output}")
     return 0
@@ -257,7 +189,7 @@ def cmd_train_toy(args) -> int:
     )
     quant_cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=args.bits,
                                  max_iterations=args.iters, seed=args.seed,
-                                 convergence_epsilon=args.epsilon, group_count=args.groups)
+                                 convergence_epsilon=args.epsilon)
     result = training.run_experiment(train_cfg, quant_cfg, task_seed=args.task_seed,
                                      pretrain_epochs=args.pretrain_epochs)
     if args.curves:
@@ -273,10 +205,8 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
-def _add_quant_flags(p, need_bits=True):
-    p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
-    p.add_argument("--bits", type=_bits_arg, required=need_bits)
-    p.add_argument("--groups", type=_positive_int, default=1, metavar="G")
+def _add_quant_flags(p):
+    p.add_argument("--bits", type=_bits_arg, required=True)
     p.add_argument("--iters", type=_nonneg_int, default=3, metavar="N")
     p.add_argument("--seed", type=_nonneg_int, default=0, metavar="S")
     p.add_argument("--epsilon", type=_nonneg_float, default=0.0, metavar="E")
@@ -290,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quantize", help="quantize a tensor bundle into CBQ files")
     p.add_argument("bundle", help="bundle manifest (.json)")
     p.add_argument("-o", "--output", required=True, help="output directory")
+    p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
+    p.add_argument("--groups", type=_positive_int, default=1, metavar="G")
     _add_quant_flags(p)
     p.add_argument("--exclude", metavar="PATTERN",
                    help="regex of tensor names to pass through unquantized")

@@ -18,11 +18,18 @@ least-significant bits of the first byte, and each group's stream is padded
 with zero bits to a byte boundary so groups stay independently addressable.
 
 A tensor bundle is a JSON manifest next to a raw payload file of row-major
-little-endian float32 blobs; unknown manifest fields are ignored.
+little-endian float32 blobs; unknown manifest fields are ignored.  A quantized
+directory is ``manifest.json`` plus one ``tNNNNN.cbq`` (CBQ blob) or
+``tNNNNN.f32`` (raw float32) file per tensor.  In both formats every file a
+manifest names must be a bare name in the manifest's directory, and writes
+are all or nothing: files are staged under temporary names, then renamed
+into place with the manifest last.
 """
 
+import contextlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -52,6 +59,8 @@ __all__ = [
     "read_cbq",
     "write_bundle",
     "read_bundle",
+    "write_quantized",
+    "read_quantized",
 ]
 
 CBQ_MAGIC = b"CBQ1"
@@ -59,6 +68,7 @@ CBQ_VERSION = 1
 
 _HEADER_FIXED = struct.Struct("<4sHBBIB")  # magic, version, scheme, bits, groups, rank
 _HEADER_TAIL = struct.Struct("<QI")  # seed, max_iterations
+_QUANTIZED_MANIFEST = "manifest.json"
 
 
 def _pack_rows(labels: np.ndarray, bits: int) -> np.ndarray:
@@ -144,13 +154,13 @@ def write_cbq(g: GroupedQuantizedTensor) -> bytes:
     return b"".join(parts)
 
 
-def read_cbq(data: bytes) -> GroupedQuantizedTensor:
-    """Parse CBQ bytes back into a grouped quantized tensor.
+def read_cbq(data) -> GroupedQuantizedTensor:
+    """Parse CBQ bytes (or a uint8 array) back into a grouped quantized tensor.
 
     Validates the magic, version and total length before reading any group,
     then the occupancy counts and pad bits of every group.
     """
-    if data[:4] != CBQ_MAGIC:
+    if bytes(data[:4]) != CBQ_MAGIC:
         raise BadMagicError("not a CBQ blob")
     try:
         _, version, scheme_id, bits, group_count, rank = _HEADER_FIXED.unpack_from(data)
@@ -196,70 +206,162 @@ def read_cbq(data: bytes) -> GroupedQuantizedTensor:
     return GroupedQuantizedTensor(shape, cfg, centroids, occupancy, labels)
 
 
+def _manifest_entries(manifest_path: Path) -> tuple[dict, list]:
+    """Load a manifest: a JSON object whose ``tensors`` are objects with distinct string names."""
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except OSError as exc:
+        raise IOFailureError(f"cannot read manifest: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ManifestMismatchError(f"manifest is not valid JSON: {exc}") from exc
+    entries = manifest.get("tensors") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ManifestMismatchError("manifest must be an object whose 'tensors' is a list of objects")
+    names = [e.get("name") for e in entries]
+    if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+        raise ManifestMismatchError("manifest tensor names must be distinct strings")
+    return manifest, entries
+
+
+def _read_member(directory: Path, name) -> np.ndarray:
+    """The bytes of file ``name`` in ``directory``, read once into one uint8 array.
+
+    ``name`` must be a bare file name: no separators, no ``..``, not absolute.
+    """
+    if not (isinstance(name, str) and name.isprintable() and name not in ("", ".", "..")
+            and "/" not in name and "\\" not in name):
+        raise ManifestMismatchError(f"file name {name!r} is not a bare name inside {directory}")
+    try:
+        return np.fromfile(directory / name, dtype=np.uint8)
+    except OSError as exc:
+        raise IOFailureError(f"cannot read {directory / name}: {exc}") from exc
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _tensor_view(data: np.ndarray, offset, length, entry: dict) -> np.ndarray:
+    """The float32 tensor ``entry`` describes, stored in ``data[offset:offset + length]``, as a view."""
+    name, shape = entry["name"], entry.get("shape")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise ManifestMismatchError(f"shape of {name!r} is not a list of non-negative integers")
+    if not (_is_count(offset) and _is_count(length)):
+        raise ManifestMismatchError(f"offset and length of {name!r} must be non-negative integers")
+    if length != 4 * math.prod(shape):
+        raise ManifestMismatchError(f"length of {name!r} disagrees with its shape")
+    if offset + length > len(data):
+        raise ManifestMismatchError(f"blob of {name!r} extends past the payload")
+    try:
+        return data[offset : offset + length].view("<f4").reshape(shape)
+    except ValueError as exc:
+        raise ManifestMismatchError(f"shape of {name!r} is not a valid array shape: {exc}") from exc
+
+
+def _publish(directory: Path, files: dict, manifest_name: str, manifest: dict) -> None:
+    """Write ``{file name: buffers}`` and then the manifest into ``directory``, all or nothing.
+
+    Every file is written to a temporary name first, then renamed into place,
+    the manifest last, so a manifest appears only once all its files have.
+    On any failure, every file this call staged or renamed is removed.
+    """
+    files = {**files, manifest_name: [(json.dumps(manifest, indent=2) + "\n").encode()]}
+    touched = []
+    done = False
+    try:
+        for name, chunks in files.items():
+            touched.append(directory / f".{name}.tmp")
+            with open(touched[-1], "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for name in files:
+            os.replace(directory / f".{name}.tmp", directory / name)
+            touched.append(directory / name)
+        done = True
+    except OSError as exc:
+        raise IOFailureError(f"cannot write into {directory}: {exc}") from exc
+    finally:
+        if not done:
+            for path in touched:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
+
 def write_bundle(manifest_path, tensors: dict) -> None:
     """Write named float32 tensors as a JSON manifest plus a raw payload file."""
     manifest_path = Path(manifest_path)
     payload_path = manifest_path.with_suffix(".bin")
     entries = []
-    blobs = []
+    blobs = [np.ascontiguousarray(tensor, dtype="<f4") for tensor in tensors.values()]
     offset = 0
-    for name, tensor in tensors.items():
-        blob = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
-        entries.append(
-            {
-                "name": name,
-                "shape": [int(d) for d in np.shape(tensor)],
-                "dtype": "f4",
-                "offset": offset,
-                "length": len(blob),
-            }
-        )
-        blobs.append(blob)
-        offset += len(blob)
-    manifest = {
-        "format": "tensor-bundle",
-        "version": 1,
-        "payload": payload_path.name,
-        "tensors": entries,
-    }
-    try:
-        payload_path.write_bytes(b"".join(blobs))
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        raise IOFailureError(f"cannot write bundle: {exc}") from exc
+    for (name, tensor), blob in zip(tensors.items(), blobs):
+        entries.append({"name": name, "shape": [int(d) for d in np.shape(tensor)], "dtype": "f4",
+                        "offset": offset, "length": blob.nbytes})
+        offset += blob.nbytes
+    manifest = {"format": "tensor-bundle", "version": 1, "payload": payload_path.name, "tensors": entries}
+    _publish(manifest_path.parent, {payload_path.name: blobs}, manifest_path.name, manifest)
 
 
 def read_bundle(manifest_path) -> dict:
-    """Read a tensor bundle back as an ordered ``{name: float32 ndarray}`` dict."""
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except OSError as exc:
-        raise IOFailureError(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ManifestMismatchError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or "tensors" not in manifest or "payload" not in manifest:
-        raise ManifestMismatchError("manifest lacks required fields 'payload' and 'tensors'")
-    try:
-        payload = (manifest_path.parent / manifest["payload"]).read_bytes()
-    except OSError as exc:
-        raise IOFailureError(f"cannot read payload: {exc}") from exc
+    """Read a tensor bundle back as an ordered ``{name: float32 ndarray}`` dict.
 
+    The payload is read once; the tensors are views into it.
+    """
+    manifest_path = Path(manifest_path)
+    manifest, entries = _manifest_entries(manifest_path)
+    payload = _read_member(manifest_path.parent, manifest.get("payload"))
     tensors = {}
-    for entry in manifest["tensors"]:
-        try:
-            name = entry["name"]
-            if name in tensors:
-                raise ManifestMismatchError(f"duplicate tensor name {name!r}")
-            if entry.get("dtype", "f4") != "f4":
-                raise ManifestMismatchError(f"unsupported dtype {entry.get('dtype')!r} for {name!r}")
-            shape = tuple(int(d) for d in entry["shape"])
-            offset, length = int(entry["offset"]), int(entry["length"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestMismatchError(f"malformed manifest entry: {exc}") from exc
-        if length != 4 * math.prod(shape):
-            raise ManifestMismatchError(f"length of {name!r} disagrees with its shape")
-        if offset < 0 or offset + length > len(payload):
-            raise ManifestMismatchError(f"blob of {name!r} extends past the payload")
-        tensors[name] = np.frombuffer(payload[offset : offset + length], dtype="<f4").reshape(shape).copy()
+    for entry in entries:
+        name = entry["name"]
+        if entry.get("dtype", "f4") != "f4":
+            raise ManifestMismatchError(f"unsupported dtype {entry.get('dtype')!r} for {name!r}")
+        tensors[name] = _tensor_view(payload, entry.get("offset"), entry.get("length"), entry)
+    return tensors
+
+
+def write_quantized(out_dir, tensors: dict) -> None:
+    """Write ``{name: CBQ bytes | float32 array}`` as a quantized directory.
+
+    The directory holds ``manifest.json`` plus one ``tNNNNN.cbq`` or
+    ``tNNNNN.f32`` file per tensor, numbered in the dict's order.  It is
+    created if missing, and removed again if the write fails.
+    """
+    out_dir = Path(out_dir)
+    entries = []
+    files = {}
+    for i, (name, value) in enumerate(tensors.items()):
+        if isinstance(value, bytes):
+            entries.append({"name": name, "file": f"t{i:05d}.cbq", "kind": "cbq"})
+            files[entries[-1]["file"]] = [value]
+        else:
+            entries.append({"name": name, "file": f"t{i:05d}.f32", "kind": "raw",
+                            "shape": [int(d) for d in np.shape(value)]})
+            files[entries[-1]["file"]] = [np.ascontiguousarray(value, dtype="<f4")]
+    created = not out_dir.exists()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _publish(out_dir, files, _QUANTIZED_MANIFEST, {"format": "cbq-bundle", "version": 1, "tensors": entries})
+    except BaseException as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+        if isinstance(exc, OSError):
+            raise IOFailureError(f"cannot create {out_dir}: {exc}") from exc
+        raise
+
+
+def read_quantized(path) -> dict:
+    """Read a quantized directory (or its manifest) as ``{name: GroupedQuantizedTensor | array}``."""
+    path = Path(path)
+    manifest_path = path / _QUANTIZED_MANIFEST if path.is_dir() else path
+    manifest, entries = _manifest_entries(manifest_path)
+    if manifest.get("format") != "cbq-bundle":
+        raise ManifestMismatchError("not a quantized-bundle manifest")
+    tensors = {}
+    for entry in entries:
+        name, kind = entry["name"], entry.get("kind")
+        if kind not in ("cbq", "raw"):
+            raise ManifestMismatchError(f"unknown kind {kind!r} for {name!r}")
+        data = _read_member(manifest_path.parent, entry.get("file"))
+        tensors[name] = read_cbq(data) if kind == "cbq" else _tensor_view(data, 0, len(data), entry)
     return tensors

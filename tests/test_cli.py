@@ -191,3 +191,73 @@ class TestTrainToyCommand:
         assert len(first) == 5
         assert first[1] in ("linear", "kmeans")
 
+
+
+def _raw_entry(manifest):
+    return next(e for e in manifest["tensors"] if e["kind"] == "raw")
+
+
+# Each edit turns a valid quantized manifest (written by `quantize --exclude
+# classifier`) into one that `reconstruct` must reject.
+QUANTIZED_MANIFEST_EDITS = {
+    "raw_shape_not_integer": lambda m, q: _raw_entry(m).update(shape=["x"]),
+    "non_object_entry": lambda m, q: m["tensors"].append(7),
+    "tensors_is_string": lambda m, q: m.update(tensors="t00000.cbq"),
+    "manifest_is_list": lambda m, q: m["tensors"],
+    "file_in_parent_directory": lambda m, q: _raw_entry(m).update(file=f"../q/{_raw_entry(m)['file']}"),
+    "absolute_file": lambda m, q: _raw_entry(m).update(file=str(q / _raw_entry(m)["file"])),
+    "duplicate_names": lambda m, q: m["tensors"][1].update(name=m["tensors"][0]["name"]),
+    "unknown_kind": lambda m, q: m["tensors"][0].update(kind="zzz"),
+}
+
+
+class TestHostileManifests:
+    @pytest.mark.parametrize("edit", sorted(QUANTIZED_MANIFEST_EDITS))
+    def test_reconstruct_rejects_and_writes_nothing(self, edit, gaussian_bundle, tmp_path, capsys):
+        q = tmp_path / "q"
+        assert run_cli(capsys, "quantize", str(gaussian_bundle), "-o", str(q), "--bits", "2",
+                       "--exclude", "classifier")[0] == 0
+        manifest = json.loads((q / "manifest.json").read_text())
+        edited = QUANTIZED_MANIFEST_EDITS[edit](manifest, q)
+        (q / "manifest.json").write_text(json.dumps(manifest if edited is None else edited))
+        code = cli.main(["reconstruct", str(q), "-o", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.bin").exists()
+        if edit == "unknown_kind":
+            assert "'zzz'" in err
+
+    @pytest.mark.parametrize("edit", ["negative_shape", "rank_beyond_numpy", "absolute_payload"])
+    def test_stats_rejects_bundle(self, edit, tmp_path, capsys):
+        bundle = tmp_path / "model.json"
+        tensorio.write_bundle(bundle, {"w": np.ones((4, 4), np.float32)})
+        manifest = json.loads(bundle.read_text())
+        if edit == "negative_shape":
+            manifest["tensors"][0]["shape"] = [-4, -4]
+        elif edit == "rank_beyond_numpy":
+            manifest["tensors"][0]["shape"] = [1] * 65
+            manifest["tensors"][0]["length"] = 4
+        else:
+            manifest["payload"] = str(tmp_path / "model.bin")
+        bundle.write_text(json.dumps(manifest))
+        code, out = run_cli(capsys, "stats", str(bundle), str(bundle))
+        assert (code, out) == (3, "")
+
+
+class TestQuantizeOutput:
+    def test_failed_write_removes_the_created_directory(self, golden_bundle, tmp_path,
+                                                        capsys, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tensorio.os, "replace", fail)
+        out = tmp_path / "q"
+        code, _ = run_cli(capsys, "quantize", str(golden_bundle), "-o", str(out), "--bits", "1")
+        assert code == 3
+        assert not out.exists()
+
+
+def test_train_toy_rejects_groups_flag():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-toy", "--bits", "2", "--groups", "4"])
+    assert exc.value.code == 2

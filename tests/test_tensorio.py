@@ -196,3 +196,38 @@ class TestBundles:
         path.with_suffix(".bin").unlink()
         with pytest.raises(IOFailureError):
             tensorio.read_bundle(path)
+
+
+class TestDirectoryWrites:
+    def test_bundle_onto_directory_fails_and_leaves_no_file(self, tmp_path):
+        (tmp_path / "out.json").mkdir()
+        with pytest.raises(IOFailureError):
+            tensorio.write_bundle(tmp_path / "out.json", {"w": np.ones(3, np.float32)})
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert not any((tmp_path / "out.json").iterdir())
+
+    def test_bundle_payload_is_held_once(self, tmp_path):
+        tensor = np.random.default_rng(0).normal(size=1 << 20).astype(np.float32)  # 4 MiB
+        path = tmp_path / "big.json"
+        for call in (lambda: tensorio.write_bundle(path, {"w": tensor}),
+                     lambda: tensorio.read_bundle(path)):
+            tracemalloc.start()
+            try:
+                result = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * tensor.nbytes
+            del result
+        np.testing.assert_array_equal(tensorio.read_bundle(path)["w"], tensor)
+
+    def test_quantized_round_trip(self, tmp_path):
+        blob = tensorio.write_cbq(golden_tensor())
+        raw = np.arange(6, dtype=np.float32).reshape(2, 3)
+        tensorio.write_quantized(tmp_path / "q", {"b": blob, "a": raw})
+        assert sorted(p.name for p in (tmp_path / "q").iterdir()) == [
+            "manifest.json", "t00000.cbq", "t00001.f32"]
+        loaded = tensorio.read_quantized(tmp_path / "q")
+        assert list(loaded) == ["b", "a"]
+        assert tensorio.write_cbq(loaded["b"]) == blob
+        np.testing.assert_array_equal(loaded["a"], raw)
