@@ -100,3 +100,13 @@ class TestOracleErrors:
     def test_bad_cluster_count(self, k):
         with pytest.raises(BadKError):
             oracle.dp_optimal_quantize([1.0], k)
+
+
+class TestDpPin:
+    def test_n4000_k16_gaussian(self):
+        # The benchmark's oracle size: K=16 on 4000 N(0, 0.02^2) weights.
+        v = np.random.default_rng(2020).normal(0.0, 0.02, size=4000)
+        opt = oracle.dp_optimal_quantize(v, 16)
+        assert opt.sse.hex() == "0x1.d6fe11db1a375p-7"
+        assert opt.boundaries == (73, 201, 394, 681, 1033, 1389, 1795, 2211,
+                                  2605, 2918, 3245, 3507, 3712, 3872, 3965)
