@@ -45,6 +45,7 @@ from .errors import (
     LengthMismatchError,
     ManifestMismatchError,
     NonzeroPaddingError,
+    ShapeMismatchError,
     UnsupportedVersionError,
 )
 from .grouping import GroupedQuantizedTensor, group_blocks
@@ -157,8 +158,8 @@ def write_cbq(g: GroupedQuantizedTensor) -> bytes:
 def read_cbq(data) -> GroupedQuantizedTensor:
     """Parse CBQ bytes (or a uint8 array) back into a grouped quantized tensor.
 
-    Validates the magic, version and total length before reading any group,
-    then the occupancy counts and pad bits of every group.
+    Validates the magic, version, rank and total length before reading any
+    group, then the occupancy counts and pad bits of every group.
     """
     if bytes(data[:4]) != CBQ_MAGIC:
         raise BadMagicError("not a CBQ blob")
@@ -174,6 +175,10 @@ def read_cbq(data) -> GroupedQuantizedTensor:
         scheme = core.Scheme(scheme_id)
     except ValueError:
         raise UnsupportedVersionError(f"unknown scheme id {scheme_id}") from None
+    try:
+        np.empty((0,) * rank)  # numpy's rank limit: 32 before numpy 2, 64 since
+    except ValueError:
+        raise ShapeMismatchError(f"CBQ rank {rank} exceeds numpy's array rank limit") from None
     cfg = core.QuantConfig(
         scheme=scheme,
         bits=bits,
@@ -288,9 +293,15 @@ def _publish(directory: Path, files: dict, manifest_name: str, manifest: dict) -
 
 
 def write_bundle(manifest_path, tensors: dict) -> None:
-    """Write named float32 tensors as a JSON manifest plus a raw payload file."""
+    """Write named float32 tensors as a JSON manifest plus a raw payload file.
+
+    The payload is the manifest path with the suffix ``.bin``, so a manifest
+    path ending in ``.bin`` is rejected.
+    """
     manifest_path = Path(manifest_path)
     payload_path = manifest_path.with_suffix(".bin")
+    if payload_path == manifest_path:
+        raise ManifestMismatchError(f"manifest {manifest_path} would be its own payload; name it other than *.bin")
     entries = []
     blobs = [np.ascontiguousarray(tensor, dtype="<f4") for tensor in tensors.values()]
     offset = 0

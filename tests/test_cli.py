@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -226,6 +227,16 @@ class TestHostileManifests:
         assert not (tmp_path / "out.json").exists() and not (tmp_path / "out.bin").exists()
         if edit == "unknown_kind":
             assert "'zzz'" in err
+
+    def test_reconstruct_rejects_cbq_rank_beyond_numpy(self, tmp_path, capsys):
+        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=1)
+        blob = tensorio.write_cbq(grouping.quantize_grouped(np.ones(1), cfg))
+        blob = blob[:12] + bytes([65]) + struct.pack("<65Q", *[1] * 65) + blob[21:]  # rank 65
+        tensorio.write_quantized(tmp_path / "q", {"w": blob})
+        code = cli.main(["reconstruct", str(tmp_path / "q"), "-o", str(tmp_path / "out.json")])
+        capsys.readouterr()
+        assert code == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q"]
 
     @pytest.mark.parametrize("edit", ["negative_shape", "rank_beyond_numpy", "absolute_payload"])
     def test_stats_rejects_bundle(self, edit, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Dynamic-programming clustering oracle against brute-force enumeration."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbquant import core, oracle
 from cbquant.errors import BadKError, EmptyInputError
@@ -23,6 +26,79 @@ def brute_force_min_sse(v, max_clusters):
                 sse += float(np.sum((seg - seg.mean()) ** 2))
             best = min(best, sse)
     return best
+
+
+def scalar_dp_optimal_quantize(v, n_clusters):
+    """Reference: the quadratic DP one (cluster count, segment end) at a time.
+
+    Returns ``(boundaries, centroids, sse)``.  ``dp_optimal_quantize`` must
+    reproduce it bit for bit.
+    """
+    x = oracle._sorted_input(v)
+    n = x.size
+    k_max = min(n_clusters, n)
+    s1, s2 = oracle._prefix_sums(x)
+    dp = np.full((k_max + 1, n + 1), np.inf)
+    dp[0][0] = 0.0
+    parent = np.zeros((k_max + 1, n + 1), dtype=np.int64)
+    for k in range(1, k_max + 1):
+        for j in range(k, n + 1):
+            starts = np.arange(k - 1, j)
+            cand = dp[k - 1][starts] + oracle._segment_cost(s1, s2, starts, j)
+            best = int(np.argmin(cand))
+            dp[k][j] = cand[best]
+            parent[k][j] = starts[best]
+    best_k = int(np.argmin(dp[1:, n])) + 1
+    boundaries = []
+    j = n
+    for k in range(best_k, 1, -1):
+        j = int(parent[k][j])
+        boundaries.append(j)
+    boundaries.reverse()
+    edges = [0, *boundaries, n]
+    centroids = tuple(float((s1[b] - s1[a]) / (b - a)) for a, b in zip(edges[:-1], edges[1:]))
+    return tuple(boundaries), centroids, float(dp[best_k][n])
+
+
+def assert_matches_scalar(v, n_clusters):
+    opt = oracle.dp_optimal_quantize(v, n_clusters)
+    boundaries, centroids, sse = scalar_dp_optimal_quantize(v, n_clusters)
+    assert opt.boundaries == boundaries
+    assert [c.hex() for c in opt.centroids] == [c.hex() for c in centroids]
+    assert opt.sse.hex() == sse.hex()
+
+
+finite_values = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dp_inputs(draw):
+    """Free values, few distinct values (constant when one), or a few ulps apart."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    kind = draw(st.sampled_from(["free", "duplicates", "near-constant"]))
+    if kind == "free":
+        return draw(st.lists(finite_values, min_size=n, max_size=n))
+    if kind == "duplicates":
+        pool = draw(st.lists(finite_values, min_size=1, max_size=5))
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    base = draw(st.floats(min_value=-10.0, max_value=10.0))
+    steps = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    return [base + step * float(np.spacing(base)) for step in steps]
+
+
+class TestDpAgainstScalarReference:
+    @given(dp_inputs(),
+           st.one_of(st.integers(min_value=1, max_value=70), st.just(256)),
+           st.sampled_from([1, 5, 64, oracle._DP_BLOCK_CELLS]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, values, n_clusters, block_cells):
+        # Small budgets make even n=2 cross blocks of one or a few segment ends.
+        with mock.patch.object(oracle, "_DP_BLOCK_CELLS", block_cells):
+            assert_matches_scalar(values, n_clusters)
+
+    def test_bit_identical_n1500(self):
+        v = np.random.default_rng(7).normal(size=1500).round(2)
+        assert_matches_scalar(v, 16)
 
 
 class TestDpExamples:

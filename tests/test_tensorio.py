@@ -16,6 +16,7 @@ from cbquant.errors import (
     ManifestMismatchError,
     NonFiniteInputError,
     NonzeroPaddingError,
+    ShapeMismatchError,
     UnsupportedVersionError,
 )
 
@@ -27,6 +28,13 @@ GOLDEN_CBQ_HEX = (
     "0000000000000000" "03000000"
     "0000803e" "0000a03f" "02000000" "02000000" "0c"
 )
+
+
+def rank65_blob():
+    """A valid one-element CBQ blob whose header is rewritten to rank 65, every dimension 1."""
+    cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=1)
+    blob = tensorio.write_cbq(grouping.quantize_grouped(np.ones(1), cfg))
+    return blob[:12] + bytes([65]) + struct.pack("<65Q", *[1] * 65) + blob[21:]
 
 
 def golden_tensor():
@@ -148,6 +156,10 @@ class TestCbqFormat:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_rank_beyond_numpy_is_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            tensorio.read_cbq(rank65_blob())
+
     def test_non_finite_centroid_is_rejected(self):
         blob = bytearray(bytes.fromhex(GOLDEN_CBQ_HEX))
         blob[33:37] = struct.pack("<f", float("nan"))  # first centroid
@@ -205,6 +217,12 @@ class TestDirectoryWrites:
             tensorio.write_bundle(tmp_path / "out.json", {"w": np.ones(3, np.float32)})
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert not any((tmp_path / "out.json").iterdir())
+
+    def test_bundle_onto_bin_manifest_path_writes_nothing(self, tmp_path):
+        # The payload path would be the manifest path itself.
+        with pytest.raises(ManifestMismatchError):
+            tensorio.write_bundle(tmp_path / "x.bin", {"w": np.ones(3)})
+        assert not any(tmp_path.iterdir())
 
     def test_bundle_payload_is_held_once(self, tmp_path):
         tensor = np.random.default_rng(0).normal(size=1 << 20).astype(np.float32)  # 4 MiB
