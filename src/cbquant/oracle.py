@@ -93,9 +93,10 @@ def dp_optimal_quantize(v, n_clusters: int) -> OptimalClustering:
             cost = _segment_cost(s1, s2, starts, ends[:, None])
         cost[:, lo:][starts[lo:] >= ends[:, None]] = np.inf
         for k in range(1, min(k_max, hi - 1) + 1):
-            # Ends j >= k against starts k-1 .. j-1: the scalar recurrence's
-            # candidates in its order, so argmin's first minimum picks the same
-            # split.  Level k-1 is complete here for every start below hi - 1.
+            # Ends j >= k against starts k-1 .. j-1 (later starts are +inf):
+            # the scalar recurrence's candidates in its order, so argmin's first
+            # minimum picks the same split.  Level k-1 is complete here for
+            # every start below hi - 1.
             first = max(lo, k)
             cand = buf[: (hi - first) * (hi - k)].reshape(hi - first, hi - k)
             np.add(dp[k - 1, k - 1 : hi - 1], cost[first - lo :, k - 1 :], out=cand)

@@ -1,4 +1,4 @@
-"""Dynamic-programming clustering oracle against brute-force enumeration."""
+"""Dynamic-programming clustering oracle against brute-force enumeration and the scalar DP."""
 
 from itertools import combinations
 from unittest import mock
