@@ -9,8 +9,8 @@ from cbquant import (
     Scheme,
     dp_optimal_quantize,
     error_stats,
-    kmeans_quantize,
-    linear_quantize,
+    quantize_grouped,
+    reconstruct_grouped,
 )
 
 rng = np.random.default_rng(19)
@@ -19,9 +19,9 @@ v = rng.lognormal(0.0, 2.0, size=48)  # skewed: hard for equal-width bins
 for bits in (1, 2):
     clusters = 2**bits
     opt = dp_optimal_quantize(v, clusters)
-    km = kmeans_quantize(v, QuantConfig(scheme=Scheme.KMEANS, bits=bits,
-                                        max_iterations=100, seed=1))
-    lin = linear_quantize(v, QuantConfig(scheme=Scheme.LINEAR, bits=bits))
+    km = reconstruct_grouped(quantize_grouped(v, QuantConfig(scheme=Scheme.KMEANS, bits=bits,
+                                                             max_iterations=100, seed=1)))
+    lin = reconstruct_grouped(quantize_grouped(v, QuantConfig(scheme=Scheme.LINEAR, bits=bits)))
     print(f"{clusters} clusters:")
     print(f"  optimal SSE  {opt.sse:12.4f}   centroids {np.round(opt.centroids, 3)}")
     print(f"  k-means SSE  {error_stats(v, km).sse:12.4f}")

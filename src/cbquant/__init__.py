@@ -16,7 +16,6 @@ from .core import (
     QuantConfig,
     QuantizedVector,
     Scheme,
-    compression_ratio,
     derive_stream_seed,
     error_stats,
     kmeans_cluster,
@@ -25,7 +24,6 @@ from .core import (
     linear_quantize,
     lloyd_step,
     quantize,
-    reconstruct,
 )
 from .errors import CbqError
 from .grouping import (
@@ -36,6 +34,7 @@ from .grouping import (
 )
 from .oracle import OptimalClustering, dp_optimal_quantize, partition_cost
 from .tensorio import (
+    compression_ratio,
     pack_indices,
     read_bundle,
     read_cbq,
@@ -64,7 +63,6 @@ __all__ = [
     "kmeans_cluster",
     "kmeanspp_init",
     "lloyd_step",
-    "reconstruct",
     "error_stats",
     "compression_ratio",
     "derive_stream_seed",

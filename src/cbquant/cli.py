@@ -49,6 +49,15 @@ def _nonneg_float(value: str) -> float:
     return x
 
 
+def _regex_arg(value: str) -> re.Pattern | None:
+    if not value:
+        return None  # an empty pattern excludes nothing
+    try:
+        return re.compile(value)
+    except re.error as exc:
+        raise argparse.ArgumentTypeError(f"invalid regular expression {value!r}: {exc}") from None
+
+
 def _thread_count() -> int:
     raw = os.environ.get("CBQUANT_THREADS", "")
     try:
@@ -87,15 +96,14 @@ def cmd_quantize(args) -> int:
     cfg = core.QuantConfig(scheme=core.Scheme[args.scheme.upper()], bits=args.bits,
                            max_iterations=args.iters, seed=args.seed,
                            convergence_epsilon=args.epsilon, group_count=args.groups)
-    exclude = re.compile(args.exclude) if args.exclude else None
     names = sorted(tensors)
 
     def work(name):
         tensor = tensors[name]
-        if exclude is not None and exclude.search(name):
+        if args.exclude and args.exclude.search(name):
             return tensor, [name, tensor.size, "", "", "excluded"]
         g = grouping.quantize_grouped(tensor, cfg, tensor_name=name)
-        mse = _tensor_stats(tensor, grouping.reconstruct_grouped(g))[1]
+        mse = core.error_stats(tensor, grouping.reconstruct_grouped(g)).mse
         blob = tensorio.write_cbq(g)
         ratio = (32.0 * tensor.size) / (8.0 * len(blob))
         return blob, [name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"]
@@ -114,14 +122,6 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _tensor_stats(reference, candidate):
-    # One float64 buffer: the difference, then its square in place.
-    diff = np.subtract(np.reshape(reference, -1), np.reshape(candidate, -1), dtype=np.float64)
-    max_err = float(max(diff.max(), -diff.min()))
-    sse = float(np.sum(np.square(diff, out=diff)))
-    return sse, sse / diff.size, max_err
-
-
 def cmd_stats(args) -> int:
     ref = tensorio.read_bundle(args.reference)
     cand = tensorio.read_bundle(args.candidate)
@@ -131,8 +131,8 @@ def cmd_stats(args) -> int:
     for name in sorted(ref):
         if ref[name].shape != cand[name].shape:
             raise ShapeMismatchError(f"tensor {name!r} has different shapes in the two bundles")
-        sse, mse, max_err = _tensor_stats(ref[name], cand[name])
-        rows.append([name, ref[name].size, f"{sse:.6g}", f"{mse:.6g}", f"{max_err:.6g}"])
+        st = core.error_stats(ref[name], cand[name])
+        rows.append([name, ref[name].size, f"{st.sse:.6g}", f"{st.mse:.6g}", f"{st.max_abs_error:.6g}"])
     _emit(["tensor", "n", "sse", "mse", "max_abs_error"], rows, args.format)
     return 0
 
@@ -158,8 +158,7 @@ def cmd_sweep(args) -> int:
         count = 0
         for name in names:
             g = grouping.quantize_grouped(tensors[name], cfg, tensor_name=name)
-            s, _, _ = _tensor_stats(tensors[name], grouping.reconstruct_grouped(g))
-            sse += s
+            sse += core.error_stats(tensors[name], grouping.reconstruct_grouped(g)).sse
             count += tensors[name].size
         return scheme, bits, seed, sse / count
 
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
     p.add_argument("--groups", type=_positive_int, default=1, metavar="G")
     _add_quant_flags(p)
-    p.add_argument("--exclude", metavar="PATTERN",
+    p.add_argument("--exclude", type=_regex_arg, metavar="PATTERN",
                    help="regex of tensor names to pass through unquantized")
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=cmd_quantize)

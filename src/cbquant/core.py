@@ -19,13 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadConfigError,
-    CorruptIndexError,
-    EmptyInputError,
-    LengthMismatchError,
-    NonFiniteInputError,
-)
+from .errors import BadConfigError, EmptyInputError, LengthMismatchError, NonFiniteInputError
 
 __all__ = [
     "Scheme",
@@ -44,9 +38,7 @@ __all__ = [
     "kmeans_cluster",
     "kmeans_quantize",
     "quantize",
-    "reconstruct",
     "error_stats",
-    "compression_ratio",
 ]
 
 
@@ -123,9 +115,6 @@ class Codebook:
         if not np.isfinite(c).all():
             raise NonFiniteInputError("codebook contains non-finite centroids")
 
-    def __len__(self) -> int:
-        return len(self.centroids)
-
 
 @dataclass(frozen=True)
 class IndexVector:
@@ -137,20 +126,15 @@ class IndexVector:
         lab = _frozen(np.ascontiguousarray(self.labels, dtype=np.uint8))
         object.__setattr__(self, "labels", lab)
 
-    def __len__(self) -> int:
-        return len(self.labels)
 
-
+# The return type of the per-vector quantizers, kept for perfbench: trace_shim.py reads
+# `.codebook.occupancy` and oracle_step.py reads `.indices.labels` of these results.
 @dataclass(frozen=True)
 class QuantizedVector:
     """A quantized vector: codebook + index vector."""
 
     codebook: Codebook
     indices: IndexVector
-
-    @property
-    def n(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -424,35 +408,14 @@ def quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -
     return kmeans_quantize(v, cfg, tensor_name, group_index)
 
 
-def reconstruct(q: QuantizedVector) -> np.ndarray:
-    """Replace every label with its centroid value (float32, length n)."""
-    labels = q.indices.labels
-    if labels.size and int(labels.max()) >= len(q.codebook):
-        raise CorruptIndexError(
-            f"label {int(labels.max())} out of range for codebook of {len(q.codebook)}"
-        )
-    return q.codebook.centroids[labels]
-
-
-def error_stats(v, q: QuantizedVector) -> ErrorStats:
-    """SSE / MSE / max-abs error of ``q`` against the original vector."""
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.size != q.n:
-        raise LengthMismatchError(f"vector has {arr.size} elements, quantized form has {q.n}")
-    diff = arr - reconstruct(q).astype(np.float64)
-    sse = float(np.sum(np.square(diff)))
-    return ErrorStats(sse=sse, mse=sse / arr.size, max_abs_error=float(np.max(np.abs(diff))), n=arr.size)
-
-
-def compression_ratio(n: int, cfg: QuantConfig) -> float:
-    """Original size (32 bits/element) over the exact serialized CBQ size.
-
-    Uses the byte-accurate size of the CBQ container for a rank-1 tensor of
-    ``n`` elements: packed indices plus per-group codebooks (centroid values
-    and occupancy counts) plus the fixed header.
-    """
-    from .tensorio import cbq_size_bytes  # deferred; tensorio imports this module
-
-    if n < 1:
-        raise BadConfigError("element count must be >= 1")
-    return (32.0 * n) / (8.0 * cbq_size_bytes(n, 1, cfg.bits, cfg.group_count))
+def error_stats(reference, candidate) -> ErrorStats:
+    """SSE / MSE / max-abs error of ``candidate`` against ``reference``, elementwise in float64."""
+    if np.size(reference) != np.size(candidate):
+        raise LengthMismatchError(f"{np.size(reference)} reference elements against {np.size(candidate)}")
+    if np.size(reference) == 0:
+        raise EmptyInputError("cannot compare empty tensors")
+    # One float64 buffer: the difference, then its square in place.
+    diff = np.subtract(np.reshape(reference, -1), np.reshape(candidate, -1), dtype=np.float64)
+    max_err = float(max(diff.max(), -diff.min()))
+    sse = float(np.sum(np.square(diff, out=diff)))
+    return ErrorStats(sse=sse, mse=sse / diff.size, max_abs_error=max_err, n=diff.size)

@@ -42,10 +42,19 @@ def _sorted_input(v) -> np.ndarray:
 
 
 def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums of ``x`` and of its squares; rejects input whose costs would overflow.
+
+    A segment's squared sum is at most n times the total sum of squares
+    (Cauchy-Schwarz), and every segment cost and DP total is below that
+    too, so a finite ``4 n sum(x**2)`` keeps all of them finite.
+    """
     s1 = np.zeros(x.size + 1)
     s2 = np.zeros(x.size + 1)
-    np.cumsum(x, out=s1[1:])
-    np.cumsum(np.square(x), out=s2[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below catches both
+        np.cumsum(x, out=s1[1:])
+        np.cumsum(np.square(x), out=s2[1:])
+    if not s2[-1] <= np.finfo(np.float64).max / (4 * x.size):
+        raise NonFiniteInputError("input is not finite, or its sums of squares overflow float64")
     return s1, s2
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "pack_indices",
     "unpack_indices",
     "cbq_size_bytes",
+    "compression_ratio",
     "write_cbq",
     "read_cbq",
     "write_bundle",
@@ -138,6 +139,18 @@ def cbq_size_bytes(n: int, rank: int, bits: int, group_count: int) -> int:
     header = _HEADER_FIXED.size + 8 * rank + _HEADER_TAIL.size
     return header + sum((groups.stop - groups.start) * _group_row_bytes(bits, length)
                         for groups, _, length in group_blocks(n, group_count))
+
+
+def compression_ratio(n: int, cfg: core.QuantConfig) -> float:
+    """Original size (32 bits/element) over the exact serialized CBQ size.
+
+    Uses the byte-accurate size of the CBQ container for a rank-1 tensor of
+    ``n`` elements: packed indices plus per-group codebooks (centroid values
+    and occupancy counts) plus the fixed header.
+    """
+    if n < 1:
+        raise BadConfigError("element count must be >= 1")
+    return (32.0 * n) / (8.0 * cbq_size_bytes(n, 1, cfg.bits, cfg.group_count))
 
 
 def write_cbq(g: GroupedQuantizedTensor) -> bytes:

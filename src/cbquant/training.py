@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import core
+from . import core, grouping
 from .errors import BadConfigError, LengthMismatchError, ShapeMismatchError
 
 __all__ = [
@@ -61,25 +61,26 @@ class ToyModel:
     """Two dense layers with tanh in between; weights optionally quantized.
 
     ``w1``/``w2`` hold full-precision weights; when a layer is quantized the
-    corresponding ``q1``/``q2`` carries the codebook + frozen labels instead
-    and the dense field is ignored.  Biases are never quantized.
+    corresponding ``q1``/``q2`` carries the codebook + frozen labels instead,
+    as one group in the weight's shape, and the dense field is ignored.
+    Biases are never quantized.
     """
 
     w1: np.ndarray  # (hidden, in)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (out, hidden)
     b2: np.ndarray  # (out,)
-    q1: Optional[core.QuantizedVector] = None
-    q2: Optional[core.QuantizedVector] = None
+    q1: Optional[grouping.GroupedQuantizedTensor] = None
+    q2: Optional[grouping.GroupedQuantizedTensor] = None
 
     def weight1(self) -> np.ndarray:
         if self.q1 is not None:
-            return core.reconstruct(self.q1).astype(np.float64).reshape(self.w1.shape)
+            return grouping.reconstruct_grouped(self.q1).astype(np.float64)
         return self.w1
 
     def weight2(self) -> np.ndarray:
         if self.q2 is not None:
-            return core.reconstruct(self.q2).astype(np.float64).reshape(self.w2.shape)
+            return grouping.reconstruct_grouped(self.q2).astype(np.float64)
         return self.w2
 
 
@@ -155,10 +156,11 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros(n_clusters), where=counts > 0)
 
 
-def _updated_codebook(qv: core.QuantizedVector, grad: np.ndarray, lr: float) -> core.QuantizedVector:
-    centroids = qv.codebook.centroids.astype(np.float64) - lr * grad
+def _updated_centroids(q: grouping.GroupedQuantizedTensor, weight_grads,
+                       lr: float) -> grouping.GroupedQuantizedTensor:
+    grad = centroid_gradients(weight_grads, q.labels, q.cfg.n_levels)
     # Labels stay frozen; only the centroid values move.
-    return replace(qv, codebook=core.Codebook(centroids.astype(np.float32), qv.codebook.occupancy))
+    return replace(q, centroids=(q.centroids.astype(np.float64) - lr * grad).astype(np.float32))
 
 
 def train_step(model: ToyModel, batch: tuple[np.ndarray, np.ndarray],
@@ -174,24 +176,23 @@ def train_step(model: ToyModel, batch: tuple[np.ndarray, np.ndarray],
         "b2": model.b2 - lr * grads["b2"],
     }
     if model.q1 is not None:
-        cg = centroid_gradients(grads["w1"].ravel(), model.q1.indices.labels, len(model.q1.codebook))
-        updates["q1"] = _updated_codebook(model.q1, cg, q_lr)
+        updates["q1"] = _updated_centroids(model.q1, grads["w1"], q_lr)
     else:
         updates["w1"] = model.w1 - lr * grads["w1"]
     if model.q2 is not None:
-        cg = centroid_gradients(grads["w2"].ravel(), model.q2.indices.labels, len(model.q2.codebook))
-        updates["q2"] = _updated_codebook(model.q2, cg, q_lr)
+        updates["q2"] = _updated_centroids(model.q2, grads["w2"], q_lr)
     else:
         updates["w2"] = model.w2 - lr * grads["w2"]
     return replace(model, **updates), loss
 
 
 def quantize_model(model: ToyModel, cfg: core.QuantConfig) -> ToyModel:
-    """Quantize both weight matrices (never the biases); labels freeze here."""
-    q1 = core.quantize(model.weight1().ravel(), cfg, tensor_name="w1")
-    q2 = core.quantize(model.weight2().ravel(), cfg, tensor_name="w2")
-    return replace(model, q1=q1, q2=q2,
-                   w1=model.weight1(), w2=model.weight2())
+    """Quantize both weight matrices (never the biases) as one group each; labels freeze here."""
+    if cfg.group_count != 1:
+        raise BadConfigError("centroid fine-tuning needs one group per weight matrix")
+    w1, w2 = model.weight1(), model.weight2()
+    return replace(model, q1=grouping.quantize_grouped(w1, cfg, tensor_name="w1"),
+                   q2=grouping.quantize_grouped(w2, cfg, tensor_name="w2"), w1=w1, w2=w2)
 
 
 def _run_epochs(model: ToyModel, x, y, cfg: TrainConfig, epochs: int,

@@ -33,6 +33,11 @@ def linear_cfg(bits, **kw):
     return core.QuantConfig(scheme=core.Scheme.LINEAR, bits=bits, **kw)
 
 
+def reconstructed(v, cfg):
+    """``v`` quantized as one group, then reconstructed."""
+    return grouping.reconstruct_grouped(grouping.quantize_grouped(v, cfg))
+
+
 def test_c1_scheme_ordering():
     """Mean k-means MSE (3 Lloyd iterations) beats linear at every bit-width."""
     with criterion("C1", "k-means < linear mean MSE for bits 1..5"):
@@ -42,9 +47,8 @@ def test_c1_scheme_ordering():
             for seed in range(20):
                 v = np.random.default_rng(1000 + seed).normal(size=4096)
                 km.append(core.error_stats(
-                    v, core.kmeans_quantize(v, kmeans_cfg(bits, max_iterations=3,
-                                                          seed=seed))).mse)
-                lin.append(core.error_stats(v, core.linear_quantize(v, linear_cfg(bits))).mse)
+                    v, reconstructed(v, kmeans_cfg(bits, max_iterations=3, seed=seed))).mse)
+                lin.append(core.error_stats(v, reconstructed(v, linear_cfg(bits))).mse)
             assert np.mean(km) < np.mean(lin), f"ordering violated at bits={bits}"
         assert time.perf_counter() - start < 10.0
 
@@ -59,12 +63,13 @@ def test_c2_oracle_sandwich():
             n = int(rng.integers(8, 65))
             bits = 1 + (i % 2)
             v = rng.lognormal(0.0, 3.5, n)
-            qk = core.kmeans_quantize(v, kmeans_cfg(bits, max_iterations=100, seed=i))
-            ql = core.linear_quantize(v, linear_cfg(bits))
+            qk = grouping.quantize_grouped(v, kmeans_cfg(bits, max_iterations=100, seed=i))
+            ql = grouping.quantize_grouped(v, linear_cfg(bits))
             opt = oracle.dp_optimal_quantize(v, 2**bits)
-            assert opt.sse <= oracle.partition_cost(v, qk.indices.labels)
-            assert opt.sse <= oracle.partition_cost(v, ql.indices.labels)
-            if core.error_stats(v, qk).sse <= core.error_stats(v, ql).sse:
+            assert opt.sse <= oracle.partition_cost(v, qk.labels)
+            assert opt.sse <= oracle.partition_cost(v, ql.labels)
+            if (core.error_stats(v, grouping.reconstruct_grouped(qk)).sse
+                    <= core.error_stats(v, grouping.reconstruct_grouped(ql)).sse):
                 wins += 1
         assert wins >= 95, f"k-means won only {wins}/100"
         assert time.perf_counter() - start < 5.0
@@ -88,14 +93,12 @@ def _fd_centroid_gradient(model, which, j, x, y):
     q = model.q1 if which == "q1" else model.q2
 
     def loss_with(value):
-        centroids = q.codebook.centroids.astype(np.float64).copy()
-        centroids[j] = value
-        patched = core.QuantizedVector(
-            codebook=core.Codebook(centroids.astype(np.float32), q.codebook.occupancy),
-            indices=q.indices)
+        centroids = q.centroids.astype(np.float64).copy()
+        centroids[0, j] = value
+        patched = replace(q, centroids=centroids.astype(np.float32))
         return training.model_loss(replace(model, **{which: patched}), x, y)
 
-    base = float(q.codebook.centroids[j])
+    base = float(q.centroids[0, j])
     hi = np.float64(np.float32(base + 1e-4))
     lo = np.float64(np.float32(base - 1e-4))
     return (loss_with(hi) - loss_with(lo)) / (hi - lo)
@@ -120,9 +123,9 @@ def test_c4_gradient_rule():
             for which, key in (("q1", "w1"), ("q2", "w2")):
                 q = model.q1 if which == "q1" else model.q2
                 analytic = training.centroid_gradients(
-                    grads[key].ravel(), q.indices.labels, len(q.codebook))
-                occupancy = q.codebook.occupancy.astype(np.float64)
-                for j in range(len(q.codebook)):
+                    grads[key].ravel(), q.labels, q.cfg.n_levels)
+                occupancy = q.occupancy[0].astype(np.float64)
+                for j in range(q.cfg.n_levels):
                     if occupancy[j] == 0:
                         assert analytic[j] == 0.0
                         continue
@@ -159,7 +162,7 @@ def test_c6_compression_ratio():
             blob = tensorio.write_cbq(grouping.quantize_grouped(v, cfg))
             ratio = (32.0 * n) / (8.0 * len(blob))
             assert lo <= ratio <= hi, f"bits={bits}: ratio {ratio}"
-            assert core.compression_ratio(n, cfg) == ratio  # formula == actual bytes
+            assert tensorio.compression_ratio(n, cfg) == ratio  # formula == actual bytes
 
 
 def test_c7_format_stability():
@@ -218,6 +221,5 @@ def test_c9_groupwise_compositionality():
             for idx, (off, length) in enumerate(g.spans):
                 solo = core.quantize(flat[off : off + length], cfg,
                                      tensor_name="w", group_index=idx)
-                assert g.groups[idx].indices.labels.tobytes() == solo.indices.labels.tobytes()
-                assert g.groups[idx].codebook.centroids.tobytes() == \
-                    solo.codebook.centroids.tobytes()
+                assert g.labels[off : off + length].tobytes() == solo.indices.labels.tobytes()
+                assert g.centroids[idx].tobytes() == solo.codebook.centroids.tobytes()

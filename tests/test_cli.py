@@ -69,7 +69,7 @@ class TestQuantizeCommand:
         blob = (out / manifest["tensors"][0]["file"]).read_bytes()
         g = tensorio.read_cbq(blob)
         assert g.cfg.group_count == 128
-        assert len(g.groups) == 128
+        assert len(g.centroids) == 128
 
     def test_exclusion_pattern_passes_tensor_through(self, gaussian_bundle, tmp_path, capsys):
         out = tmp_path / "q"
@@ -80,6 +80,26 @@ class TestQuantizeCommand:
         rows = {r["tensor"]: r for r in read_csv(text)}
         assert rows["classifier.weight"]["status"] == "excluded"
         assert rows["layer.0.weight"]["status"] == "quantized"
+
+    def test_invalid_exclusion_pattern_is_usage_error(self, golden_bundle, tmp_path, capsys):
+        out = tmp_path / "q"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["quantize", str(golden_bundle), "-o", str(out), "--bits", "2", "--exclude", "("])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_empty_exclusion_pattern_excludes_nothing(self, gaussian_bundle, tmp_path, capsys):
+        code, text = run_cli(capsys, "quantize", str(gaussian_bundle), "-o", str(tmp_path / "q"),
+                             "--bits", "2", "--exclude", "", "--format", "csv")
+        assert code == 0
+        assert {r["status"] for r in read_csv(text)} == {"quantized"}
+
+    def test_huge_group_count_is_data_error(self, golden_bundle, tmp_path, capsys):
+        out = tmp_path / "q"
+        code, _ = run_cli(capsys, "quantize", str(golden_bundle), "-o", str(out), "--bits", "8",
+                          "--groups", "99999999999")
+        assert code == 3
+        assert not out.exists()
 
     def test_missing_bundle_is_data_error(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "quantize", str(tmp_path / "nope.json"),
@@ -119,6 +139,12 @@ class TestPipelineIdentity:
             expected = grouping.reconstruct_grouped(
                 grouping.quantize_grouped(tensor, cfg, tensor_name=name))
             np.testing.assert_array_equal(via_cli[name], expected)
+
+    def test_stats_on_empty_tensor_is_data_error(self, tmp_path, capsys):
+        bundle = tmp_path / "empty.json"
+        tensorio.write_bundle(bundle, {"w": np.zeros(0, np.float32)})
+        code, out = run_cli(capsys, "stats", str(bundle), str(bundle))
+        assert (code, out) == (3, "")
 
     def test_stats_on_identical_bundles_reports_zero(self, gaussian_bundle, capsys):
         code, text = run_cli(capsys, "stats", str(gaussian_bundle), str(gaussian_bundle),

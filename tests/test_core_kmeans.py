@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from cbquant import core, oracle
-from cbquant.errors import BadConfigError, CorruptIndexError, EmptyInputError
+from cbquant import core, grouping, oracle
+from cbquant.errors import BadConfigError, EmptyInputError
 
 
 def kcfg(bits, **kw):
     return core.QuantConfig(scheme=core.Scheme.KMEANS, bits=bits, **kw)
+
+
+def reconstructed(v, cfg):
+    """``v`` quantized as one group, then reconstructed."""
+    return grouping.reconstruct_grouped(grouping.quantize_grouped(v, cfg))
 
 
 class TestKmeansppInit:
@@ -93,16 +98,15 @@ class TestKmeansQuantize:
     @pytest.mark.parametrize("seed", range(10))
     def test_two_distinct_values_are_lossless(self, seed):
         v = [0.0, 0.0, 10.0, 10.0]
-        q = core.kmeans_quantize(v, kcfg(1, seed=seed))
-        np.testing.assert_array_equal(core.reconstruct(q), [0.0, 0.0, 10.0, 10.0])
+        np.testing.assert_array_equal(reconstructed(v, kcfg(1, seed=seed)), [0.0, 0.0, 10.0, 10.0])
 
     @pytest.mark.parametrize("seed", [1, 6, 11, 12])
     def test_converged_four_points_reach_the_balanced_split(self, seed):
         # these seeds converge to the global optimum; other seeds can settle
         # on a stable SSE-0.5 partition (ties break toward the lower index)
         v = [0.0, 0.5, 1.0, 1.5]
-        q = core.kmeans_quantize(v, kcfg(1, max_iterations=100, seed=seed))
-        assert core.error_stats(v, q).sse == pytest.approx(0.25, abs=1e-12)
+        recon = reconstructed(v, kcfg(1, max_iterations=100, seed=seed))
+        assert core.error_stats(v, recon).sse == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_converged_sse_never_beats_the_oracle(self, seed):
@@ -117,20 +121,20 @@ class TestKmeansQuantize:
         rng = np.random.default_rng(3)
         values = rng.normal(size=2**bits).astype(np.float32).astype(np.float64)
         v = rng.choice(values, size=120)
-        q = core.kmeans_quantize(v, kcfg(bits, max_iterations=50, seed=9))
-        assert core.error_stats(v, q).sse == 0.0
+        recon = reconstructed(v, kcfg(bits, max_iterations=50, seed=9))
+        assert core.error_stats(v, recon).sse == 0.0
 
     def test_idempotent_requantization(self):
         v = np.random.default_rng(11).normal(size=80)
         cfg = kcfg(2, max_iterations=5, seed=4)
-        first = core.reconstruct(core.kmeans_quantize(v, cfg))
-        second = core.reconstruct(core.kmeans_quantize(first, cfg))
+        first = reconstructed(v, cfg)
+        second = reconstructed(first, cfg)
         np.testing.assert_array_equal(first, second)
 
     def test_zero_iterations_still_assigns_labels(self):
         v = np.random.default_rng(5).normal(size=40)
         q = core.kmeans_quantize(v, kcfg(2, max_iterations=0, seed=1))
-        assert q.n == 40
+        assert len(q.indices.labels) == 40
         assert int(q.codebook.occupancy.sum()) == 40
 
     def test_deterministic_for_fixed_config(self):
@@ -170,20 +174,13 @@ class TestKmeansQuantize:
 
 class TestReconstruct:
     def test_table_lookup(self):
-        q = core.QuantizedVector(
-            codebook=core.Codebook(np.array([0.25, 1.25], np.float32), np.array([2, 2])),
-            indices=core.IndexVector(np.array([0, 0, 1, 1], np.uint8)))
-        np.testing.assert_allclose(core.reconstruct(q), [0.25, 0.25, 1.25, 1.25])
+        q = grouping.GroupedQuantizedTensor(
+            (4,), kcfg(1), np.array([[0.25, 1.25]], np.float32), np.array([[2, 2]]),
+            np.array([0, 0, 1, 1], np.uint8))
+        np.testing.assert_allclose(grouping.reconstruct_grouped(q), [0.25, 0.25, 1.25, 1.25])
 
     def test_all_labels_zero_gives_constant_vector(self):
-        q = core.QuantizedVector(
-            codebook=core.Codebook(np.array([3.0, 9.0], np.float32), np.array([4, 0])),
-            indices=core.IndexVector(np.zeros(4, np.uint8)))
-        np.testing.assert_array_equal(core.reconstruct(q), np.full(4, 3.0, np.float32))
-
-    def test_out_of_range_label_on_hand_built_input(self):
-        q = core.QuantizedVector(
-            codebook=core.Codebook(np.array([0.0, 1.0], np.float32), np.array([1, 1])),
-            indices=core.IndexVector(np.array([0, 3], np.uint8)))
-        with pytest.raises(CorruptIndexError):
-            core.reconstruct(q)
+        q = grouping.GroupedQuantizedTensor(
+            (4,), kcfg(1), np.array([[3.0, 9.0]], np.float32), np.array([[4, 0]]),
+            np.zeros(4, np.uint8))
+        np.testing.assert_array_equal(grouping.reconstruct_grouped(q), np.full(4, 3.0, np.float32))

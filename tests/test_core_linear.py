@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cbquant import core
+from cbquant import core, grouping, tensorio
 from cbquant.errors import (
     BadConfigError,
     EmptyInputError,
@@ -16,13 +16,19 @@ def lcfg(bits, **kw):
     return core.QuantConfig(scheme=core.Scheme.LINEAR, bits=bits, **kw)
 
 
+def reconstructed(v, cfg):
+    """``v`` quantized as one group, then reconstructed."""
+    return grouping.reconstruct_grouped(grouping.quantize_grouped(v, cfg))
+
+
 class TestLinearExamples:
     def test_one_bit_four_points(self):
         # width = 0.75; bins [0, 0.75) and [0.75, 1.5]
-        q = core.linear_quantize([0.0, 0.5, 1.0, 1.5], lcfg(1))
+        v = [0.0, 0.5, 1.0, 1.5]
+        q = core.linear_quantize(v, lcfg(1))
         np.testing.assert_array_equal(q.indices.labels, [0, 0, 1, 1])
         np.testing.assert_allclose(q.codebook.centroids, [0.25, 1.25])
-        np.testing.assert_allclose(core.reconstruct(q), [0.25, 0.25, 1.25, 1.25])
+        np.testing.assert_allclose(reconstructed(v, lcfg(1)), [0.25, 0.25, 1.25, 1.25])
 
     def test_two_bit_ramp_clamps_top_value(self):
         # width = 1.75; v=7 lands on the upper edge and clamps into bin 3
@@ -36,7 +42,7 @@ class TestLinearExamples:
         q = core.linear_quantize([2.5, 2.5, 2.5], lcfg(bits))
         np.testing.assert_array_equal(q.indices.labels, [0, 0, 0])
         assert q.codebook.centroids[0] == np.float32(2.5)
-        assert core.error_stats([2.5, 2.5, 2.5], q).sse == 0.0
+        assert core.error_stats([2.5, 2.5, 2.5], reconstructed([2.5, 2.5, 2.5], lcfg(bits))).sse == 0.0
 
 
 class TestLinearProperties:
@@ -95,36 +101,37 @@ class TestLinearErrors:
 class TestErrorStats:
     def test_lossless_case(self):
         kcfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=1, max_iterations=5)
-        q = core.kmeans_quantize([0.0, 0.0, 10.0, 10.0], kcfg)
-        st = core.error_stats([0, 0, 10, 10], q)
+        st = core.error_stats([0, 0, 10, 10], reconstructed([0.0, 0.0, 10.0, 10.0], kcfg))
         assert (st.sse, st.mse, st.max_abs_error) == (0.0, 0.0, 0.0)
 
     def test_one_bit_example_values(self):
-        q = core.linear_quantize([0.0, 0.5, 1.0, 1.5], lcfg(1))
-        st = core.error_stats([0.0, 0.5, 1.0, 1.5], q)
+        st = core.error_stats([0.0, 0.5, 1.0, 1.5], reconstructed([0.0, 0.5, 1.0, 1.5], lcfg(1)))
         assert st.sse == pytest.approx(0.25, abs=1e-12)
         assert st.mse == pytest.approx(0.0625, abs=1e-12)
         assert st.max_abs_error == pytest.approx(0.25, abs=1e-12)
         assert st.n == 4
 
     def test_length_mismatch(self):
-        q = core.linear_quantize([0.0, 0.5, 1.0, 1.5], lcfg(1))
         with pytest.raises(LengthMismatchError):
-            core.error_stats([0.0, 0.5], q)
+            core.error_stats([0.0, 0.5], reconstructed([0.0, 0.5, 1.0, 1.5], lcfg(1)))
+
+    def test_empty_input(self):
+        with pytest.raises(EmptyInputError):
+            core.error_stats([], [])
 
 
 class TestCompressionRatio:
     def test_eight_bits_is_roughly_four_to_one(self):
-        ratio = core.compression_ratio(10**6, lcfg(8))
+        ratio = tensorio.compression_ratio(10**6, lcfg(8))
         assert 3.99 <= ratio <= 4.00
 
     def test_one_bit_is_roughly_thirty_two(self):
-        ratio = core.compression_ratio(10**6, lcfg(1))
+        ratio = tensorio.compression_ratio(10**6, lcfg(1))
         assert ratio == pytest.approx(32.0, rel=0.01)
 
     def test_single_element_overhead_dominates(self):
-        assert core.compression_ratio(1, lcfg(8)) < 1.0
+        assert tensorio.compression_ratio(1, lcfg(8)) < 1.0
 
     def test_bad_count(self):
         with pytest.raises(BadConfigError):
-            core.compression_ratio(0, lcfg(8))
+            tensorio.compression_ratio(0, lcfg(8))

@@ -1,14 +1,24 @@
-"""Fuzzing the readers: a mutated, truncated or extended input raises only CbqError."""
+"""Fuzzing the readers and the command line.
 
+A mutated, truncated or extended input file raises only CbqError; any argv
+exits 0, 2 (usage) or 3 (data) and leaves no partial output.
+"""
+
+import contextlib
 import copy
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbquant import core, grouping, tensorio
+from cbquant import cli, core, grouping, tensorio
 from cbquant.errors import CbqError
 
 VALID_CBQ = tensorio.write_cbq(grouping.quantize_grouped(
@@ -101,3 +111,111 @@ def test_manifest_readers_raise_only_cbq_errors(directories, kind, data):
     mutated = manifest_path.with_name("mutated.json")
     mutated.write_bytes(data.draw(mutated_manifest(valid)))
     _only_cbq_errors(tensorio.read_bundle if kind == "bundle" else tensorio.read_quantized, mutated)
+
+
+# Per flag: (accepted values, values the parser or the library must reject).
+# Iteration and epoch counts stay small so that every example runs in milliseconds.
+# Learning rates stay where SGD converges: a diverging run overflows, numpy warns,
+# and this suite turns RuntimeWarnings into errors (the CLI itself exits 3 then).
+QUANT_FLAGS = {
+    "--bits": (["1", "2", "8"], ["0", "9", "x"]),
+    "--iters": (["0", "1", "3"], ["-1", "x"]),
+    "--seed": (["0", "7"], [str(2**64), "-1"]),
+    "--epsilon": (["0", "0.1"], ["nan", "inf", "-1", "x"]),
+}
+FORMAT = (["table", "csv"], ["xml"])
+ARGV_FLAGS = {
+    "quantize": {**QUANT_FLAGS,
+                 "--scheme": (["linear", "kmeans"], ["zzz"]),
+                 "--groups": (["1", "2", "4"], ["5", "99999999999", "0", "-3", "x"]),
+                 "--exclude": (["", "a", "a|b"], ["(", "[", "*"]),
+                 "--format": FORMAT},
+    "reconstruct": {},
+    "stats": {"--format": FORMAT},
+    "sweep": {"--bits": QUANT_FLAGS["--bits"],
+              "--iters": QUANT_FLAGS["--iters"],
+              "--epsilon": QUANT_FLAGS["--epsilon"],
+              "--schemes": (["linear", "kmeans"], ["zzz"]),
+              "--seeds": (["0", "1"], ["-1"]),
+              "--groups": (["1", "4"], ["5", "99999999999", "0", "x"]),
+              "--format": FORMAT},
+    "train-toy": {**QUANT_FLAGS,
+                  "--epochs": (["0", "1", "2"], ["-1", "x"]),
+                  "--pretrain-epochs": (["0", "1", "2"], ["-1"]),
+                  "--lr": (["0.02", "0.01"], ["0", "-1", "nan", "x"]),
+                  "--multiplier": (["10", "0"], ["-1", "nan", "x"]),
+                  "--batch-size": (["1", "64"], ["0", "x"]),
+                  "--data-seed": (["0", "3"], ["-1"]),
+                  "--task-seed": (["0", "3"], ["-1"]),
+                  "--groups": ([], ["1"]),
+                  "--format": FORMAT},
+}
+MULTI_VALUE_FLAGS = {("sweep", "--bits"), ("sweep", "--schemes"), ("sweep", "--seeds")}
+REQUIRED = {"--bits", "-o", "--curves"}
+# Flags whose defaults would make an example slow.
+ALWAYS_SET = {"--epochs", "--pretrain-epochs"}
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """A tiny bundle (30 + 4 elements), a quantized directory of it, and its reconstruction."""
+    root = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(0)
+    tensorio.write_bundle(root / "model.json", {"a.weight": rng.normal(size=(6, 5)).astype(np.float32),
+                                                "b.bias": rng.normal(size=4).astype(np.float32)})
+    assert cli.main(["quantize", str(root / "model.json"), "-o", str(root / "q"), "--bits", "2"]) == 0
+    assert cli.main(["reconstruct", str(root / "q"), "-o", str(root / "rebuilt.json")]) == 0
+    return {"bundle": root / "model.json", "quantized": root / "q", "rebuilt": root / "rebuilt.json",
+            "missing": root / "missing.json"}
+
+
+@st.composite
+def argvs(draw, command, inputs, out: Path):
+    """An argv for ``command`` that writes, if at all, under ``out``; mostly well-formed."""
+    def often(n):  # True n times in n + 1 (hypothesis favours the first item of sampled_from)
+        return draw(st.sampled_from([True] * n + [False]))
+
+    def path(usual, *others):
+        return str(inputs[usual if often(3) else draw(st.sampled_from(others))])
+
+    def value(accepted, rejected):
+        return draw(st.sampled_from(accepted if accepted and (not rejected or often(3)) else rejected))
+
+    positional = {"quantize": [path("bundle", "missing")],
+                  "reconstruct": [path("quantized", "bundle", "missing")],
+                  "stats": [path("bundle", "missing"), path("rebuilt", "bundle", "missing")],
+                  "sweep": [path("bundle", "missing")],
+                  "train-toy": []}[command]
+    output = {"quantize": ("-o", "q"), "reconstruct": ("-o", "r.json"), "train-toy": ("--curves", "c.csv")}
+    flags = dict(ARGV_FLAGS[command])
+    if command in output:
+        flag, name = output[command]
+        flags[flag] = ([str(out / name)], [])
+    argv = [command, *positional]
+    for flag, (accepted, rejected) in flags.items():
+        if flag in ALWAYS_SET or often(9 if flag in REQUIRED else 1):
+            if (command, flag) in MULTI_VALUE_FLAGS:
+                argv += [flag, *(value(accepted, rejected) for _ in range(draw(st.integers(0, 3))))]
+            else:
+                argv += [flag, value(accepted, rejected)]
+    return argv
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_FLAGS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_any_argv_exits_0_2_or_3_and_leaves_no_partial_output(argv_inputs, command, data):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"CBQUANT_THREADS": "2"}):
+        argv = data.draw(argvs(command, argv_inputs, Path(tmp)))
+        code = _exit_code(argv)
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            assert os.listdir(tmp) == [], argv

@@ -1,5 +1,7 @@
 """Group splitting, grouped quantization, and compositional equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,16 +41,17 @@ class TestQuantizeGrouped:
         cfg = cfg_for(scheme, 2, groups=1, seed=5)
         g = grouping.quantize_grouped(v, cfg)
         flat = core.quantize(v, cfg)
-        np.testing.assert_array_equal(g.groups[0].indices.labels, flat.indices.labels)
-        np.testing.assert_array_equal(g.groups[0].codebook.centroids, flat.codebook.centroids)
-        np.testing.assert_array_equal(grouping.reconstruct_grouped(g), core.reconstruct(flat))
+        np.testing.assert_array_equal(g.labels, flat.indices.labels)
+        np.testing.assert_array_equal(g.centroids[0], flat.codebook.centroids)
+        np.testing.assert_array_equal(grouping.reconstruct_grouped(g),
+                                      flat.codebook.centroids[flat.indices.labels])
 
     def test_ramp_two_groups_linear(self):
         v = np.arange(8.0)
         g = grouping.quantize_grouped(v, cfg_for(core.Scheme.LINEAR, 1, groups=2))
         lo = core.linear_quantize(v[:4], cfg_for(core.Scheme.LINEAR, 1))
         hi = core.linear_quantize(v[4:], cfg_for(core.Scheme.LINEAR, 1))
-        expected = np.concatenate([core.reconstruct(lo), core.reconstruct(hi)])
+        expected = np.concatenate([q.codebook.centroids[q.indices.labels] for q in (lo, hi)])
         np.testing.assert_array_equal(grouping.reconstruct_grouped(g), expected)
 
     @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
@@ -60,9 +63,8 @@ class TestQuantizeGrouped:
         for idx, (off, length) in enumerate(g.spans):
             solo = core.quantize(flat[off : off + length], cfg,
                                  tensor_name="layer.0.weight", group_index=idx)
-            np.testing.assert_array_equal(g.groups[idx].indices.labels, solo.indices.labels)
-            np.testing.assert_array_equal(g.groups[idx].codebook.centroids,
-                                          solo.codebook.centroids)
+            np.testing.assert_array_equal(g.labels[off : off + length], solo.indices.labels)
+            np.testing.assert_array_equal(g.centroids[idx], solo.codebook.centroids)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_grouped_linear_sse_never_worse_than_per_tensor(self, seed):
@@ -76,6 +78,27 @@ class TestQuantizeGrouped:
             return float(np.sum((flat - recon) ** 2))
 
         assert sse(grouped) <= sse(per_tensor)
+
+
+class TestGroupCountCheck:
+    @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
+    def test_group_count_numpy_cannot_allocate(self, scheme):
+        # (G, 256) codebooks at this G would take about 200 TB; numpy refuses them at once.
+        with pytest.raises(TooManyGroupsError):
+            grouping.quantize_grouped(np.ones(10), cfg_for(scheme, 8, groups=99999999999))
+
+    @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
+    def test_one_group_too_many_allocates_no_codebooks(self, scheme):
+        v = np.ones(4096)
+        cfg = cfg_for(scheme, 8, groups=v.size + 1)  # its codebooks would take 8.4 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyGroupsError):
+                grouping.quantize_grouped(v, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestReconstructGrouped:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbquant import core, oracle
-from cbquant.errors import BadKError, EmptyInputError
+from cbquant.errors import BadKError, EmptyInputError, NonFiniteInputError
 
 
 def brute_force_min_sse(v, max_clusters):
@@ -176,6 +176,24 @@ class TestOracleErrors:
     def test_bad_cluster_count(self, k):
         with pytest.raises(BadKError):
             oracle.dp_optimal_quantize([1.0], k)
+
+    # Squares beyond float64, and finite squares whose segment sum squared is beyond it.
+    @pytest.mark.parametrize("values", [[1e200, 2e200, -1e200, 5.0], [1e152] * 200 + [-1e152] * 3],
+                             ids=["squares_overflow", "squared_sum_overflows"])
+    def test_input_whose_costs_overflow_is_rejected(self, values):
+        with pytest.raises(NonFiniteInputError):
+            oracle.dp_optimal_quantize(values, 2)
+        with pytest.raises(NonFiniteInputError):
+            oracle.partition_cost(values, [0] * len(values))
+
+    def test_partition_cost_rejects_non_finite_input(self):
+        with pytest.raises(NonFiniteInputError):
+            oracle.partition_cost([0.0, np.nan, 1.0], [0, 0, 1])
+
+    def test_large_input_below_the_bound_is_accepted(self):
+        dp = oracle.dp_optimal_quantize([1e150] * 200 + [-1e150] * 3, 2)
+        assert dp.boundaries == (3,)
+        assert np.isfinite(dp.sse)
 
 
 class TestDpPin:

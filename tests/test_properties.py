@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbquant import core, tensorio
+from cbquant import core, grouping, tensorio
 
 finite_values = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
@@ -137,8 +137,8 @@ def test_pack_round_trip(raw, bits):
 def test_affine_equivariance(scheme, a, b):
     v = np.random.default_rng(31).normal(size=500)
     cfg = core.QuantConfig(scheme=scheme, bits=3, max_iterations=3, seed=17)
-    base = core.reconstruct(core.quantize(v, cfg)).astype(np.float64)
-    moved = core.reconstruct(core.quantize(a * v + b, cfg)).astype(np.float64)
+    base = grouping.reconstruct_grouped(grouping.quantize_grouped(v, cfg)).astype(np.float64)
+    moved = grouping.reconstruct_grouped(grouping.quantize_grouped(a * v + b, cfg)).astype(np.float64)
     np.testing.assert_allclose(moved, a * base + b, rtol=1e-5, atol=1e-5 * (a + abs(b)))
 
 

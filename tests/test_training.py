@@ -1,20 +1,22 @@
 """Toy-model forward/backward, the centroid-averaging rule, and fine-tuning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cbquant import core, training
-from cbquant.errors import LengthMismatchError, ShapeMismatchError
+from cbquant import core, grouping, tensorio, training
+from cbquant.errors import BadConfigError, LengthMismatchError, ShapeMismatchError
 
 
-def constant_quantized(value, n, bits=1):
+def constant_quantized(value, shape, bits=1):
     """A 1-layer's worth of weights quantized to a single constant."""
-    centroids = np.full(2**bits, value, dtype=np.float32)
-    occupancy = np.zeros(2**bits, dtype=np.uint32)
-    occupancy[0] = n
-    return core.QuantizedVector(
-        codebook=core.Codebook(centroids, occupancy),
-        indices=core.IndexVector(np.zeros(n, dtype=np.uint8)))
+    n = int(np.prod(shape))
+    centroids = np.full((1, 2**bits), value, dtype=np.float32)
+    occupancy = np.zeros((1, 2**bits), dtype=np.uint32)
+    occupancy[0, 0] = n
+    cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=bits)
+    return grouping.GroupedQuantizedTensor(shape, cfg, centroids, occupancy, np.zeros(n, dtype=np.uint8))
 
 
 def small_quantized_model(task_seed=0, bits=2, scheme=core.Scheme.KMEANS):
@@ -35,7 +37,7 @@ class TestForward:
         w2 = 1.7
         model = training.ToyModel(w1=np.array([[2.0]]), b1=np.zeros(1),
                                   w2=np.array([[w2]]), b2=np.zeros(1),
-                                  q1=constant_quantized(2.0, 1))
+                                  q1=constant_quantized(2.0, (1, 1)))
         pred, _ = training.forward(model, np.array([[1.0]]))
         assert pred[0, 0] == pytest.approx(np.tanh(2.0) * w2, abs=1e-12)
 
@@ -78,11 +80,11 @@ class TestCentroidGradients:
         _, grads = training.loss_and_gradients(model, x, y)
 
         for q, key in ((model.q1, "w1"), (model.q2, "w2")):
-            analytic = training.centroid_gradients(grads[key].ravel(), q.indices.labels,
-                                                   len(q.codebook))
-            occupancy = q.codebook.occupancy.astype(np.float64)
+            analytic = training.centroid_gradients(grads[key].ravel(), q.labels,
+                                                   q.cfg.n_levels)
+            occupancy = q.occupancy[0].astype(np.float64)
             step = 1e-4
-            for j in range(len(q.codebook)):
+            for j in range(q.cfg.n_levels):
                 if occupancy[j] == 0:
                     assert analytic[j] == 0.0
                     continue
@@ -93,15 +95,12 @@ class TestCentroidGradients:
 def _centroid_loss_slope(model, q, key, j, step, x, y):
     """Central finite difference of the loss along centroid j."""
     def loss_with(value):
-        centroids = q.codebook.centroids.astype(np.float64).copy()
-        centroids[j] = value
-        patched = core.QuantizedVector(
-            codebook=core.Codebook(centroids.astype(np.float32), q.codebook.occupancy),
-            indices=q.indices)
-        from dataclasses import replace
+        centroids = q.centroids.astype(np.float64).copy()
+        centroids[0, j] = value
+        patched = replace(q, centroids=centroids.astype(np.float32))
         return training.model_loss(replace(model, **{("q1" if key == "w1" else "q2"): patched}), x, y)
 
-    base = float(q.codebook.centroids[j])
+    base = float(q.centroids[0, j])
     hi = np.float64(np.float32(base + step))
     lo = np.float64(np.float32(base - step))
     return (loss_with(hi) - loss_with(lo)) / (hi - lo)
@@ -119,8 +118,7 @@ class TestTrainStep:
         y, _ = training.forward(model, x)
         updated, loss = training.train_step(model, (x, y), self.cfg())
         assert loss == 0.0
-        np.testing.assert_array_equal(updated.q1.codebook.centroids,
-                                      model.q1.codebook.centroids)
+        np.testing.assert_array_equal(updated.q1.centroids, model.q1.centroids)
         np.testing.assert_array_equal(updated.b1, model.b1)
 
     def test_one_step_decreases_loss(self):
@@ -137,18 +135,17 @@ class TestTrainStep:
         rng = np.random.default_rng(8)
         batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
         updated, _ = training.train_step(model, batch, self.cfg(quantized_lr_multiplier=0.0))
-        np.testing.assert_array_equal(updated.q1.codebook.centroids,
-                                      model.q1.codebook.centroids)
+        np.testing.assert_array_equal(updated.q1.centroids, model.q1.centroids)
         assert not np.array_equal(updated.b1, model.b1)
 
     def test_labels_frozen_across_steps(self):
         model = small_quantized_model()
         rng = np.random.default_rng(9)
-        labels_before = model.q1.indices.labels.tobytes()
+        labels_before = model.q1.labels.tobytes()
         for _ in range(25):
             batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
             model, _ = training.train_step(model, batch, self.cfg(base_learning_rate=0.05))
-        assert model.q1.indices.labels.tobytes() == labels_before
+        assert model.q1.labels.tobytes() == labels_before
 
     def test_distinct_weight_values_stay_bounded(self):
         bits = 2
@@ -157,8 +154,25 @@ class TestTrainStep:
         for _ in range(10):
             batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
             model, _ = training.train_step(model, batch, self.cfg(base_learning_rate=0.05))
-            w1 = core.reconstruct(model.q1)
+            w1 = grouping.reconstruct_grouped(model.q1)
             assert len(np.unique(w1)) <= 2**bits
+
+
+class TestQuantizeModel:
+    def test_layers_are_single_group_tensors_in_the_weight_shape(self):
+        model = small_quantized_model()
+        for q, w in ((model.q1, model.w1), (model.q2, model.w2)):
+            assert q.shape == w.shape
+            assert q.cfg.group_count == 1
+            again = tensorio.read_cbq(tensorio.write_cbq(q))
+            np.testing.assert_array_equal(grouping.reconstruct_grouped(again),
+                                          grouping.reconstruct_grouped(q))
+
+    def test_more_than_one_group_is_rejected(self):
+        model = training.make_toy_model(3, 6, 2, np.random.default_rng(0))
+        cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=2, group_count=2)
+        with pytest.raises(BadConfigError):
+            training.quantize_model(model, cfg)
 
 
 class TestRunExperiment:
