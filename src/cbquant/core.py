@@ -181,6 +181,16 @@ def _validate_input(v) -> np.ndarray:
     return arr
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _check_float32_range(lo: float, hi: float) -> None:
+    """Reject input whose min ``lo`` or max ``hi`` lies beyond the float32
+    range, where the float32 codebook could not hold its centroids."""
+    if lo < -_FLOAT32_MAX or hi > _FLOAT32_MAX:
+        raise NonFiniteInputError(f"input has values beyond the float32 range (|x| > {_FLOAT32_MAX:.8g})")
+
+
 def linear_quantize(v, cfg: QuantConfig) -> QuantizedVector:
     """Quantize ``v`` into ``2**bits`` equal-width bins over [min, max].
 
@@ -206,6 +216,7 @@ def linear_quantize_rows(rows, n_levels: int) -> tuple[np.ndarray, np.ndarray, n
     m = n_levels
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
+    _check_float32_range(lo.min(), hi.max())
     constant = lo == hi
     width = (hi - lo) / m
     # A constant row divides its zero offsets by 1, so all its labels are 0.
@@ -279,52 +290,178 @@ def _dense_assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 _ASSIGN_CHUNK = 1 << 16
+# Calls with at most this many (element, centroid) pairs go to _dense_assign,
+# which is then cheaper than building the threshold table.
+_DENSE_PAIRS = 12288
+# Calls with fewer elements than this look their labels up by searchsorted
+# alone: setting up the grid costs more than it saves them.
+_GRID_MIN = 2048
+# Midpoints smaller than this go to the search: halving their ends may round.
+_NOT_TINY = 2.0**-1020
+_MAGNITUDE = (1 << 63) - 1
+
+
+def _key(x: float) -> int:
+    """An integer key for the double x: keys sort as the doubles do, and
+    consecutive doubles get consecutive keys (-0.0 gets -1, just below 0.0)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else ~(bits & _MAGNITUDE)
+
+
+def _double(key: int) -> float:
+    """The double whose ``_key`` is ``key``."""
+    bits = key if key >= 0 else ~key - (1 << 63)
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _b_wins(x, a, b, tie):
+    """Whether ``_dense_assign`` gives x in [a, b] to b rather than to a: when
+    ``|x - b| < |x - a|``, or when the two are equal and ``tie`` (b has the
+    lower index)."""
+    return (b - x < x - a) | ((b - x == x - a) & tie)
+
+
+def _search_threshold(a: float, b: float, tie: bool) -> float:
+    """The smallest double in (a, b] that ``_b_wins``, by bisection over keys.
+
+    The bracket is the midpoint +- the distances' rounding bound, so a
+    typical pair takes a few steps.  Among subnormals, where halving and
+    ``ulp`` round, the bracket can miss; each end that fails the test is
+    replaced by a or b.
+    """
+    half = 0.5 * a + 0.5 * b
+    bound = math.ulp(half) + (b * 2.0**-53 - a * 2.0**-53)
+    lo, hi = max(half - bound, a), min(half + bound, b)
+    lo = _key(a if _b_wins(lo, a, b, tie) else lo)
+    hi = _key(hi if _b_wins(hi, a, b, tie) else b)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _b_wins(_double(mid), a, b, tie):
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
+
+
+def _thresholds(a: np.ndarray, b: np.ndarray, b_first: np.ndarray) -> np.ndarray:
+    """For each adjacent pair a < b: the smallest double in (a, b] that goes to b.
+
+    Rounding is monotone, so ``_b_wins`` is false from a up to the threshold
+    and true from there to b.  Where a and b have the same sign and are
+    within a factor 5/3 of each other (and are not tiny), both distances
+    are exact for every x in between (Sterbenz), so b wins just above the
+    midpoint, or at it on a tie: the threshold is the rounded midpoint or
+    the next double up.  The other pairs, in practice the few around zero,
+    go to ``_search_threshold``.
+    """
+    half = 0.5 * a + 0.5 * b
+    t = np.where(_b_wins(half, a, b, b_first), half, np.nextafter(half, b))
+    for i in np.flatnonzero(np.maximum(2 * (b - a), _NOT_TINY) > np.abs(half)).tolist():
+        t[i] = _search_threshold(float(a[i]), float(b[i]), bool(b_first[i]))
+    return t
 
 
 def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels; ties go to the lowest cluster index.
 
-    Equal to ``_dense_assign`` in O(n log m).  For a fixed x, the rounded
-    ``|x - c|`` never increases as c rises towards x and never decreases as
-    c moves away above it, so the minimum sits at one of the two sorted
-    neighbours of x.  A run of equal centroids answers with its lowest
-    original index.  Rounding can also give a farther, distinct centroid
-    the same distance as the nearest one (x=1 against 0 and 1e-20); when
-    the next distinct value beyond either neighbour ties the minimum, that
-    element is settled by ``_dense_assign``.
+    Equal to ``_dense_assign``, which calls with at most _DENSE_PAIRS
+    (element, centroid) pairs run directly.  Otherwise each call builds a
+    table from the sorted distinct centroids; a run of equal centroids
+    answers with its lowest original index.
+
+    Why it is exact: for a fixed x the rounded ``|x - c|`` never increases
+    as c rises towards x and never decreases as c moves away above it, so x
+    goes to one of its two sorted neighbours unless rounding gives a farther
+    centroid the same distance.  That cannot happen while every distance is
+    at most ``D = min_gap * 2**49``, where rounding moves a distance by less
+    than an eighth of any gap.  Elements outside the band ``[max - D, min +
+    D]`` go to ``_dense_assign``.  Inside it, the winner between neighbours
+    a < b switches once, at the threshold from ``_thresholds``, so an
+    element's label is that of the run after the last threshold <= x.
+
+    The lookup: cell ``floor((clip(x) - t0) * scale)`` of a uniform grid
+    over the thresholds, 4 cells per threshold.  The formula is monotone in
+    x and the thresholds are placed with it too, so every threshold in a
+    lower cell is < x and every one in a higher cell is > x.  One comparison
+    with the cell's first threshold then picks one of the cell's two labels;
+    ``searchsorted`` runs only in cells that hold two or more thresholds, and
+    for calls too small to pay for the grid.
+
+    Cost per call: O(m) work on the table (a few scalar searches for pairs
+    near zero), then about ten passes over the elements.
     """
     m = len(centroids)
+    if arr.size * m <= _DENSE_PAIRS:
+        with np.errstate(over="ignore"):
+            return _dense_assign(arr, centroids)
     order = np.argsort(centroids, kind="stable")
-    # Sorted centroids between -inf/+inf sentinels, which never win a label.
-    ext = np.concatenate(([-np.inf], centroids[order], [np.inf]))
-    run_start = np.searchsorted(ext, ext, side="left")
-    next_run = np.searchsorted(ext, ext, side="right")
-    # A position answers with the lowest original index of its run of equals.
-    rep = np.r_[m, order, m][run_start]
-    # The next distinct value below and above each position's run.
-    below = ext[np.maximum(run_start - 1, 0)]
-    above = ext[np.minimum(next_run, m + 1)]
+    ordered = centroids[order]
+    run_start = np.empty(m, dtype=bool)
+    run_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    values, rep = ordered[run_start], order[run_start]
+    if len(values) == 1:
+        return np.full(arr.size, rep[0], dtype=np.int64)
+    a, b = values[:-1], values[1:]
+    with np.errstate(over="ignore"):
+        t = _thresholds(a, b, rep[1:] < rep[:-1])
+        reach = min(float((b - a).min()) * 2.0**49, 2.0**1000)
+    # Python floats: the band ends may overflow to +-inf without a warning.
+    band_lo, band_hi = float(values[-1]) - reach, float(values[0]) + reach
+
+    cells = 4 * len(t)
+    t0, t1 = t[0], t[-1]
+    with np.errstate(divide="ignore", over="ignore"):
+        span = t1 - t0
+        scale = cells / span if span else 0.0  # one threshold: every x in cell 0
+    grid = arr.size >= _GRID_MIN and span < np.inf and scale < np.inf
+
+    def cell_of(v, out):  # one monotone formula for thresholds and elements alike
+        cell = np.clip(v, t0, t1, out=out)
+        cell -= t0
+        cell *= scale
+        return cell.astype(np.intp)
+
+    if grid:
+        count = np.bincount(cell_of(t, np.empty_like(t)), minlength=cells + 1)
+        below = np.cumsum(count) - count  # thresholds in the lower cells
+        cell_first = np.append(t, np.inf)[below]  # x < every threshold of a higher cell
+        # Cell c's label for x below its first threshold is at 2c, for x at or
+        # above it at 2c + 1; -1 marks a cell with more than one threshold.
+        cell_labels = rep[np.minimum(below[:, None] + [0, 1], len(t))].reshape(-1)
+        crowded = count > 1
+        cell_labels.reshape(-1, 2)[crowded] = -1
+        any_crowded = bool(crowded.any())
+        buf = np.empty(min(arr.size, _ASSIGN_CHUNK))
 
     labels = np.empty(arr.size, dtype=np.int64)
     for start in range(0, arr.size, _ASSIGN_CHUNK):
         x = arr[start : start + _ASSIGN_CHUNK]
-        left = np.searchsorted(ext, x, side="right") - 1  # ext[left] <= x < ext[left + 1]
-        right = left + 1
-        d_left = np.abs(x - ext[left])
-        d_right = np.abs(x - ext[right])
-        best = np.minimum(d_left, d_right)
-        lab = np.minimum(np.where(d_left == best, rep[left], m),
-                         np.where(d_right == best, rep[right], m))
-        ambiguous = np.flatnonzero((np.abs(x - below[left]) == best)
-                                   | (np.abs(x - above[right]) == best))
-        if ambiguous.size:
-            lab[ambiguous] = _dense_assign(x[ambiguous], centroids)
-        labels[start : start + _ASSIGN_CHUNK] = lab
+        lab = labels[start : start + _ASSIGN_CHUNK]
+        if grid:
+            cell = cell_of(x, buf[: x.size])
+            # The indices are in range by construction; mode="clip" skips the check.
+            upper = x >= cell_first.take(cell, mode="clip")
+            cell <<= 1
+            cell += upper
+            cell_labels.take(cell, out=lab, mode="clip")
+            if any_crowded:
+                busy = np.flatnonzero(lab < 0)
+                lab[busy] = rep[np.searchsorted(t, x[busy], side="right")]
+        else:  # few elements, or a span too wide or too narrow for a finite scale
+            np.take(rep, np.searchsorted(t, x, side="right"), out=lab, mode="clip")
+        if x.min() < band_lo or x.max() > band_hi:
+            far = np.flatnonzero((x < band_lo) | (x > band_hi))
+            with np.errstate(over="ignore"):
+                lab[far] = _dense_assign(x[far], centroids)
     return labels
 
 
 def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    return float(np.sum(np.square(arr - centroids[labels])))
+    """``sum((arr - centroids[labels])**2)`` in one float64 buffer: gather, subtract, square."""
+    diff = centroids[labels]
+    np.subtract(arr, diff, out=diff)
+    return float(np.sum(np.square(diff, out=diff)))
 
 
 def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
@@ -395,7 +532,9 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:
     """Quantize ``v`` by k-means clustering into ``2**bits`` clusters."""
-    result = kmeans_cluster(v, cfg, tensor_name, group_index)
+    arr = _validate_input(v)
+    _check_float32_range(arr.min(), arr.max())
+    result = kmeans_cluster(arr, cfg, tensor_name, group_index)
     occupancy = np.bincount(result.labels, minlength=len(result.centroids))
     return QuantizedVector(Codebook(result.centroids.astype(np.float32), occupancy.astype(np.uint32)),
                            IndexVector(result.labels.astype(np.uint8)))

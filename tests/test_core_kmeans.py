@@ -184,3 +184,13 @@ class TestReconstruct:
             (4,), kcfg(1), np.array([[3.0, 9.0]], np.float32), np.array([[4, 0]]),
             np.zeros(4, np.uint8))
         np.testing.assert_array_equal(grouping.reconstruct_grouped(q), np.full(4, 3.0, np.float32))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_state_sse_matches_the_plain_expression_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=10_000)
+    centroids = rng.normal(size=16)
+    labels = rng.integers(0, 16, size=arr.size)
+    reference = float(np.sum(np.square(arr - centroids[labels])))
+    assert core._state_sse(arr, labels, centroids).hex() == reference.hex()

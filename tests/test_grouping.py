@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cbquant import core, grouping
-from cbquant.errors import CorruptIndexError, ShapeMismatchError, TooManyGroupsError
+from cbquant.errors import CorruptIndexError, NonFiniteInputError, ShapeMismatchError, TooManyGroupsError
 
 
 def cfg_for(scheme, bits, groups=1, **kw):
@@ -35,6 +35,20 @@ class TestSplitGroups:
 
 
 class TestQuantizeGrouped:
+    @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
+    @pytest.mark.parametrize("big", [1e39, -1e39, 3.5e38])
+    def test_input_beyond_float32_range_is_rejected_before_any_cast(self, scheme, big):
+        # The float32 codebook cannot hold such centroids; the error names the
+        # input, and no overflow warning comes first (RuntimeWarnings are errors here).
+        with pytest.raises(NonFiniteInputError, match="input"):
+            grouping.quantize_grouped(np.array([big, 0.0, 1.0, 2.0]), cfg_for(scheme, 1))
+
+    @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
+    def test_float32_extremes_are_accepted(self, scheme):
+        top = float(np.finfo(np.float32).max)
+        q = grouping.quantize_grouped(np.array([-top, 0.0, 1.0, top]), cfg_for(scheme, 1))
+        assert np.isfinite(q.centroids).all()
+
     @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
     def test_single_group_equals_flat_quantization(self, scheme):
         v = np.random.default_rng(0).normal(size=64)

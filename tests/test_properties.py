@@ -1,5 +1,7 @@
 """Cross-cutting invariants, mostly as hypothesis property tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,107 @@ def test_assign_matches_dense_argmin_across_chunks():
     c = np.repeat(rng.normal(size=40), 3)  # every centroid present three times
     x = np.concatenate([rng.normal(scale=2.0, size=150_000), c])
     np.testing.assert_array_equal(core._assign(x, c), dense_argmin(x, c))
+
+
+def quiet_dense_argmin(x, c):
+    """The reference argmin; distances beyond the float64 range are +inf."""
+    with np.errstate(over="ignore"):
+        return dense_argmin(x, c)
+
+
+def loud_assign(x, c):
+    """``core._assign`` with every RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return core._assign(x, c)
+
+
+# The whole float64 range.  The small pool makes duplicates, exact midpoint
+# ties, signed zeros and the range's edges common.
+wide_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0, 3.0, 2.5,
+                     1.7e308, -1.7e308, np.finfo(float).max, -np.finfo(float).max]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(wide_values, min_size=1, max_size=256), st.lists(wide_values, min_size=1, max_size=40),
+       st.sampled_from([1, 1_000, 12_345]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_assign_matches_dense_argmin_across_the_float64_range(centroids, points, size, data):
+    c = np.asarray(centroids)
+    s = np.unique(c)
+    top = np.finfo(float).max
+    near = np.concatenate([c, s[:-1] / 2 + s[1:] / 2, np.nextafter(c, top), np.nextafter(c, -top)])
+    x = np.asarray(points + data.draw(st.lists(st.sampled_from(near.tolist()), max_size=40)))
+    # Repeated points reach the dense argmin, the plain threshold search and
+    # the grid, depending on the call size; labels depend on values only.
+    n = max(size, x.size)
+    np.testing.assert_array_equal(loud_assign(np.resize(x, n), c), np.resize(quiet_dense_argmin(x, c), n))
+
+
+def assert_assign_matches_dense(x, c):
+    np.testing.assert_array_equal(loud_assign(x, c), quiet_dense_argmin(x, c))
+
+
+@pytest.mark.parametrize("c", [[-1.0, 1.0], [1.0, -1.0]])
+def test_assign_splits_a_symmetric_pair_within_rounding_of_zero(c):
+    # Every |x| < 2**-54 is a rounded tie between -1 and 1, so the threshold sits
+    # just past -2**-54 or 2**-54 and its search crosses all the tiny doubles.
+    tiny = np.linspace(-1e-16, 1e-16, 20_001)
+    x = np.concatenate([tiny, [0.0, -0.0, 5e-324, -5e-324, 2.0**-54, -(2.0**-54)],
+                        np.nextafter(2.0**-54, [-1.0, 1.0]), np.nextafter(-(2.0**-54), [-1.0, 1.0])])
+    assert_assign_matches_dense(x, np.asarray(c))
+
+
+@pytest.mark.parametrize("a,b", [(-0.5396749501384476, 2.5275591132430684),
+                                 (-0.884589759840991, 3.461657193663787)])
+def test_assign_when_the_switch_is_two_doubles_past_the_midpoint(a, b):
+    # Across zero the distances round on a coarser grid than x does, so the
+    # point where b starts to win is not next to the rounded midpoint.
+    half = 0.5 * a + 0.5 * b
+    x = half + np.arange(-6, 7) * np.spacing(half)
+    assert_assign_matches_dense(np.resize(x, 20_000), np.array([a, b]))
+
+
+@pytest.mark.parametrize("a,b,b_first", [(-5e-324, 9.995e-321, True), (5e-324, 1.0005e-320, False),
+                                         (-1.0005e-320, -1.63e-322, True)])
+def test_assign_between_subnormal_centroids(a, b, b_first):
+    # Halving and ulp() round among subnormals, so the midpoint bracket can
+    # miss the switch and the search has to start from a or b.  Test every
+    # double between the two centroids.
+    x = np.arange(round(a / 5e-324) - 1, round(b / 5e-324) + 2) * 5e-324
+    c = np.array([b, a] if b_first else [a, b])
+    assert_assign_matches_dense(np.resize(x, 20_000), c)
+
+
+def test_assign_with_several_thresholds_in_one_grid_cell():
+    # Thresholds at 0.5, 1.5, 2.5 and 501.5 put the first three in one cell.
+    c = np.array([3.0, 1000.0, 0.0, 2.0, 1.0, 2.0])
+    t = np.array([0.5, 1.5, 2.5, 501.5])
+    x = np.concatenate([np.linspace(-10.0, 1010.0, 20_000), c, t, np.nextafter(t, -np.inf)])
+    assert_assign_matches_dense(x, c)
+
+
+def test_assign_outliers_beyond_the_band_tie_like_the_dense_argmin():
+    # Two centroids 1e-9 apart at each end: from +-1e10 their distances round
+    # to one double, so the lower index wins, which the sorted order cannot see.
+    rng = np.random.default_rng(5)
+    mid = rng.normal(size=60)
+    lo, hi = mid.min() - 1.0, mid.max() + 1.0
+    c = np.concatenate([[hi - 1e-9, hi, lo + 1e-9, lo], mid])
+    x = np.concatenate([rng.normal(scale=3.0, size=20_000), [1e10, -1e10, 1e300, -1e300]])
+    assert_assign_matches_dense(x, c)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_assign_on_both_sides_of_the_dense_route(extra):
+    c = np.array([0.5, -0.5, 0.5, 2.0, -3.0, 0.0, 1.25, -0.5])
+    s = np.unique(c)
+    edges = np.concatenate([s, s[:-1] / 2 + s[1:] / 2])
+    n = core._DENSE_PAIRS // len(c) + extra
+    x = np.resize(np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                                  np.random.default_rng(2).normal(scale=2.0, size=n)]), n)
+    assert_assign_matches_dense(x, c)
 
 
 def scalar_linear(v, m):
