@@ -1,5 +1,7 @@
 """k-means++ seeding, Lloyd steps, and the full k-means quantizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,29 @@ class TestKmeansQuantize:
                                             convergence_epsilon=0.5))
         patient = core.kmeans_cluster(v, kcfg(3, max_iterations=50, seed=0))
         assert eager.iterations < patient.iterations
+
+    def test_iteration_cap_stops_the_loop(self):
+        v = np.random.default_rng(8).normal(size=1000)
+        capped = core.kmeans_cluster(v, kcfg(3, max_iterations=3, seed=0))
+        assert capped.iterations == 3
+        assert core.kmeans_cluster(v, kcfg(3, max_iterations=50, seed=0)).iterations > 3
+
+    def test_zero_iterations_counts_none_and_assigns_labels(self):
+        v = np.random.default_rng(5).normal(size=40)
+        result = core.kmeans_cluster(v, kcfg(2, max_iterations=0, seed=1))
+        assert result.iterations == 0
+        assert result.labels.shape == (40,)
+        assert result.sse == core._state_sse(v, result.labels, result.centroids)
+
+    def test_stable_labels_stop_before_the_cap(self):
+        # The first step assigns labels, the second leaves them as they are.
+        result = core.kmeans_cluster([0.0, 0.0, 10.0, 10.0], kcfg(1, max_iterations=50, seed=0))
+        assert result.iterations == 2
+
+    def test_cluster_result_is_frozen(self):
+        result = core.kmeans_cluster([0.0, 1.0, 2.0], kcfg(1, seed=0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.iterations = 5
 
     def test_every_referenced_cluster_is_occupied(self):
         v = np.random.default_rng(21).normal(size=300)

@@ -1,5 +1,6 @@
 """Dynamic-programming clustering oracle against brute-force enumeration and the scalar DP."""
 
+import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -185,6 +186,13 @@ class TestOracleErrors:
             oracle.dp_optimal_quantize(values, 2)
         with pytest.raises(NonFiniteInputError):
             oracle.partition_cost(values, [0] * len(values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dp_rejects_non_finite_input_without_a_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInputError):
+                oracle.dp_optimal_quantize([0.0, bad, 1.0], 2)
 
     def test_partition_cost_rejects_non_finite_input(self):
         with pytest.raises(NonFiniteInputError):

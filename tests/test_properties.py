@@ -175,6 +175,20 @@ def test_assign_outliers_beyond_the_band_tie_like_the_dense_argmin():
     assert_assign_matches_dense(x, c)
 
 
+@pytest.mark.parametrize("c", [[1.79e308, -1e308, 1e308, -1.79e308], [1.5e-323, 5e-324, 2.5e-323, -5e-324]],
+                         ids=["span_overflows", "scale_overflows"])
+def test_assign_when_the_grid_scale_is_not_finite(c):
+    # Thresholds near +-1.4e308 span more than the float64 range; thresholds
+    # a few subnormals apart give a cells-per-span scale beyond it.
+    c = np.asarray(c)
+    s = np.unique(c)
+    edges = np.concatenate([s, s[:-1] / 2 + s[1:] / 2])
+    tiny = np.arange(-4, 8) * 5e-324
+    x = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf), tiny,
+                        np.random.default_rng(4).normal(scale=s[-1], size=100), [0.0, -0.0, 1.0, -1.0]])
+    assert_assign_matches_dense(np.resize(x, 4096), c)
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_assign_on_both_sides_of_the_dense_route(extra):
     c = np.array([0.5, -0.5, 0.5, 2.0, -3.0, 0.0, 1.25, -0.5])
