@@ -11,7 +11,6 @@ from .core import (
     Codebook,
     ErrorStats,
     IndexVector,
-    LloydResult,
     LloydState,
     QuantConfig,
     QuantizedVector,
@@ -53,7 +52,6 @@ __all__ = [
     "QuantizedVector",
     "ErrorStats",
     "LloydState",
-    "LloydResult",
     "GroupedQuantizedTensor",
     "OptimalClustering",
     "CbqError",

@@ -29,7 +29,6 @@ __all__ = [
     "QuantizedVector",
     "ErrorStats",
     "LloydState",
-    "LloydResult",
     "derive_stream_seed",
     "linear_quantize",
     "linear_quantize_rows",
@@ -107,13 +106,6 @@ class Codebook:
         o = _frozen(np.ascontiguousarray(self.occupancy, dtype=np.uint32))
         object.__setattr__(self, "centroids", c)
         object.__setattr__(self, "occupancy", o)
-        n = len(c)
-        if n < 2 or (n & (n - 1)) or n > 256:
-            raise BadConfigError(f"codebook size must be a power of two in [2, 256], got {n}")
-        if len(o) != n:
-            raise LengthMismatchError("occupancy length differs from centroid count")
-        if not np.isfinite(c).all():
-            raise NonFiniteInputError("codebook contains non-finite centroids")
 
 
 @dataclass(frozen=True)
@@ -147,13 +139,14 @@ class ErrorStats:
     n: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class LloydState:
-    """Mutable k-means iteration state; centroids and sums stay in float64."""
+    """k-means state after ``iterations`` Lloyd steps; centroids and sums stay in float64."""
 
     centroids: np.ndarray  # float64, shape (m,)
     labels: Optional[np.ndarray] = None  # int64, shape (n,); None before first step
     sse: float = math.inf
+    iterations: int = 0
 
 
 def derive_stream_seed(seed: int, tensor_name: str = "", group_index: int = 0) -> int:
@@ -293,9 +286,6 @@ _ASSIGN_CHUNK = 1 << 16
 # Calls with at most this many (element, centroid) pairs go to _dense_assign,
 # which is then cheaper than building the threshold table.
 _DENSE_PAIRS = 12288
-# Calls with fewer elements than this look their labels up by searchsorted
-# alone: setting up the grid costs more than it saves them.
-_GRID_MIN = 2048
 # Midpoints smaller than this go to the search: halving their ends may round.
 _NOT_TINY = 2.0**-1020
 _MAGNITUDE = (1 << 63) - 1
@@ -384,8 +374,10 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     x and the thresholds are placed with it too, so every threshold in a
     lower cell is < x and every one in a higher cell is > x.  One comparison
     with the cell's first threshold then picks one of the cell's two labels;
-    ``searchsorted`` runs only in cells that hold two or more thresholds, and
-    for calls too small to pay for the grid.
+    ``searchsorted`` runs only in cells that hold two or more thresholds.
+    When the thresholds span more than the float64 range, or lie so close
+    that the scale is beyond it, the grid is one cell: every element lands
+    in cell 0, which holds every threshold, and ``searchsorted`` serves it.
 
     Cost per call: O(m) work on the table (a few scalar searches for pairs
     near zero), then about ten passes over the elements.
@@ -414,7 +406,8 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         span = t1 - t0
         scale = cells / span if span else 0.0  # one threshold: every x in cell 0
-    grid = arr.size >= _GRID_MIN and span < np.inf and scale < np.inf
+    if not (span < np.inf and scale < np.inf):
+        t0 = t1 = scale = 0.0  # one crowded cell: the search below serves every x
 
     def cell_of(v, out):  # one monotone formula for thresholds and elements alike
         cell = np.clip(v, t0, t1, out=out)
@@ -422,34 +415,30 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         cell *= scale
         return cell.astype(np.intp)
 
-    if grid:
-        count = np.bincount(cell_of(t, np.empty_like(t)), minlength=cells + 1)
-        below = np.cumsum(count) - count  # thresholds in the lower cells
-        cell_first = np.append(t, np.inf)[below]  # x < every threshold of a higher cell
-        # Cell c's label for x below its first threshold is at 2c, for x at or
-        # above it at 2c + 1; -1 marks a cell with more than one threshold.
-        cell_labels = rep[np.minimum(below[:, None] + [0, 1], len(t))].reshape(-1)
-        crowded = count > 1
-        cell_labels.reshape(-1, 2)[crowded] = -1
-        any_crowded = bool(crowded.any())
-        buf = np.empty(min(arr.size, _ASSIGN_CHUNK))
+    count = np.bincount(cell_of(t, np.empty_like(t)), minlength=cells + 1)
+    below = np.cumsum(count) - count  # thresholds in the lower cells
+    cell_first = np.append(t, np.inf)[below]  # x < every threshold of a higher cell
+    # Cell c's label for x below its first threshold is at 2c, for x at or
+    # above it at 2c + 1; -1 marks a cell with more than one threshold.
+    cell_labels = rep[np.minimum(below[:, None] + [0, 1], len(t))].reshape(-1)
+    crowded = count > 1
+    cell_labels.reshape(-1, 2)[crowded] = -1
+    any_crowded = bool(crowded.any())
+    buf = np.empty(min(arr.size, _ASSIGN_CHUNK))
 
     labels = np.empty(arr.size, dtype=np.int64)
     for start in range(0, arr.size, _ASSIGN_CHUNK):
         x = arr[start : start + _ASSIGN_CHUNK]
         lab = labels[start : start + _ASSIGN_CHUNK]
-        if grid:
-            cell = cell_of(x, buf[: x.size])
-            # The indices are in range by construction; mode="clip" skips the check.
-            upper = x >= cell_first.take(cell, mode="clip")
-            cell <<= 1
-            cell += upper
-            cell_labels.take(cell, out=lab, mode="clip")
-            if any_crowded:
-                busy = np.flatnonzero(lab < 0)
-                lab[busy] = rep[np.searchsorted(t, x[busy], side="right")]
-        else:  # few elements, or a span too wide or too narrow for a finite scale
-            np.take(rep, np.searchsorted(t, x, side="right"), out=lab, mode="clip")
+        cell = cell_of(x, buf[: x.size])
+        # The indices are in range by construction; mode="clip" skips the check.
+        upper = x >= cell_first.take(cell, mode="clip")
+        cell <<= 1
+        cell += upper
+        cell_labels.take(cell, out=lab, mode="clip")
+        if any_crowded:
+            busy = np.flatnonzero(lab < 0)
+            lab[busy] = rep[np.searchsorted(t, x[busy], side="right")]
         if x.min() < band_lo or x.max() > band_hi:
             far = np.flatnonzero((x < band_lo) | (x > band_hi))
             with np.errstate(over="ignore"):
@@ -470,8 +459,8 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     Every element moves to its nearest centroid, then each centroid with
     members is replaced by their mean (float64 accumulation); a centroid
     with no members keeps its previous value.  Returns the updated state
-    (with the SSE of the new labels against the new centroids) and a flag
-    that is True iff any label changed.
+    (with the SSE of the new labels against the new centroids, and one more
+    iteration) and a flag that is True iff any label changed.
     """
     arr = _validate_input(v)
     if len(state.centroids) == 0:
@@ -486,25 +475,18 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
 
     sse = _state_sse(arr, labels, new_centroids)
-    return LloydState(new_centroids, labels, sse), changed
+    return LloydState(new_centroids, labels, sse, state.iterations + 1), changed
 
 
-@dataclass(frozen=True)
-class LloydResult:
-    """Converged (or iteration-capped) k-means clustering in float64."""
-
-    centroids: np.ndarray  # float64
-    labels: np.ndarray  # int64
-    sse: float
-    iterations: int
-
-
-def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydResult:
+def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:
     """k-means++ init followed by at most ``cfg.max_iterations`` Lloyd steps.
 
     Stops early when no label changes, or (with ``convergence_epsilon > 0``)
     when the relative SSE improvement of a step drops below the epsilon.
-    Deterministic given the input and ``(seed, tensor_name, group_index)``.
+    Returns the final state: its ``iterations`` counts the steps run, and
+    with ``max_iterations == 0`` it holds the k-means++ centroids and the
+    labels and SSE of one assignment to them.  Deterministic given the input
+    and ``(seed, tensor_name, group_index)``.
     """
     if cfg.scheme is not Scheme.KMEANS:
         raise BadConfigError("k-means operations require cfg.scheme == Scheme.KMEANS")
@@ -512,11 +494,9 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     rng = np.random.default_rng(derive_stream_seed(cfg.seed, tensor_name, group_index))
     state = LloydState(kmeanspp_init(arr, cfg.n_levels, rng))
 
-    iterations = 0
     for _ in range(cfg.max_iterations):
         prev_sse = state.sse
         state, changed = lloyd_step(arr, state)
-        iterations += 1
         if not changed:
             break
         if cfg.convergence_epsilon > 0 and math.isfinite(prev_sse):
@@ -527,7 +507,7 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     if state.labels is None:  # max_iterations == 0: assign once, keep init centroids
         labels = _assign(arr, state.centroids)
         state = LloydState(state.centroids, labels, _state_sse(arr, labels, state.centroids))
-    return LloydResult(state.centroids, state.labels, state.sse, iterations)
+    return state
 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:

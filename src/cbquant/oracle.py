@@ -36,8 +36,6 @@ def _sorted_input(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64).reshape(-1)
     if arr.size == 0:
         raise EmptyInputError("cannot cluster an empty vector")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInputError("input contains NaN or infinity")
     return np.sort(arr)
 
 
