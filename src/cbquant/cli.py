@@ -44,8 +44,8 @@ def _nonneg_int(value: str) -> int:
 
 def _nonneg_float(value: str) -> float:
     x = float(value)
-    if not x >= 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {x}")
+    if not 0 <= x < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {x}")
     return x
 
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="centroid fine-tuning experiment on the toy model")
     _add_quant_flags(p)
     p.add_argument("--epochs", type=_nonneg_int, default=200)
-    p.add_argument("--lr", type=float, default=0.02)
+    p.add_argument("--lr", type=_nonneg_float, default=0.02)
     p.add_argument("--multiplier", type=_nonneg_float, default=10.0)
     p.add_argument("--batch-size", type=_positive_int, default=64)
     p.add_argument("--data-seed", type=_nonneg_int, default=0)

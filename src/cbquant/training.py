@@ -9,6 +9,7 @@ to it, and is updated with the base learning rate scaled by a multiplier
 (biases and unquantized weights use plain SGD at the base rate).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -46,14 +47,14 @@ class TrainConfig:
     data_seed: int = 0
 
     def __post_init__(self):
-        if self.base_learning_rate <= 0:
-            raise BadConfigError("base_learning_rate must be positive")
+        if not 0 < self.base_learning_rate < math.inf:
+            raise BadConfigError("base_learning_rate must be finite and positive")
         if self.epochs < 0:
             raise BadConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise BadConfigError("batch_size must be >= 1")
-        if self.quantized_lr_multiplier < 0:
-            raise BadConfigError("quantized_lr_multiplier must be >= 0")
+        if not 0 <= self.quantized_lr_multiplier < math.inf:
+            raise BadConfigError("quantized_lr_multiplier must be finite and >= 0")
 
 
 @dataclass(frozen=True)

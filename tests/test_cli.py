@@ -294,6 +294,14 @@ class TestQuantizeOutput:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--lr", "inf"), ("--lr", "nan"), ("--multiplier", "inf"),
+                                        ("--epsilon", "inf")])
+def test_train_toy_rejects_non_finite_rates(flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-toy", "--bits", "1", "--epochs", "2", "--pretrain-epochs", "2", flag, value])
+    assert exc.value.code == 2
+
+
 def test_train_toy_rejects_groups_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["train-toy", "--bits", "2", "--groups", "4"])

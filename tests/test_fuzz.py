@@ -142,14 +142,18 @@ ARGV_FLAGS = {
     "train-toy": {**QUANT_FLAGS,
                   "--epochs": (["0", "1", "2"], ["-1", "x"]),
                   "--pretrain-epochs": (["0", "1", "2"], ["-1"]),
-                  "--lr": (["0.02", "0.01"], ["0", "-1", "nan", "x"]),
-                  "--multiplier": (["10", "0"], ["-1", "nan", "x"]),
+                  "--lr": (["0.02", "0.01"], ["0", "-1", "nan", "inf", "x"]),
+                  "--multiplier": (["10", "0"], ["-1", "nan", "inf", "x"]),
                   "--batch-size": (["1", "64"], ["0", "x"]),
                   "--data-seed": (["0", "3"], ["-1"]),
                   "--task-seed": (["0", "3"], ["-1"]),
                   "--groups": ([], ["1"]),
                   "--format": FORMAT},
 }
+# The usual inputs of each command, and the flag and file name of its output.
+POSITIONAL = {"quantize": ["bundle"], "reconstruct": ["quantized"], "stats": ["bundle", "rebuilt"],
+              "sweep": ["bundle"], "train-toy": []}
+OUTPUT = {"quantize": ("-o", "q"), "reconstruct": ("-o", "r.json"), "train-toy": ("--curves", "c.csv")}
 MULTI_VALUE_FLAGS = {("sweep", "--bits"), ("sweep", "--schemes"), ("sweep", "--seeds")}
 REQUIRED = {"--bits", "-o", "--curves"}
 # Flags whose defaults would make an example slow.
@@ -186,10 +190,9 @@ def argvs(draw, command, inputs, out: Path):
                   "stats": [path("bundle", "missing"), path("rebuilt", "bundle", "missing")],
                   "sweep": [path("bundle", "missing")],
                   "train-toy": []}[command]
-    output = {"quantize": ("-o", "q"), "reconstruct": ("-o", "r.json"), "train-toy": ("--curves", "c.csv")}
     flags = dict(ARGV_FLAGS[command])
-    if command in output:
-        flag, name = output[command]
+    if command in OUTPUT:
+        flag, name = OUTPUT[command]
         flags[flag] = ([str(out / name)], [])
     argv = [command, *positional]
     for flag, (accepted, rejected) in flags.items():
@@ -219,3 +222,21 @@ def test_any_argv_exits_0_2_or_3_and_leaves_no_partial_output(argv_inputs, comma
         assert code in (0, 2, 3), argv
         if code != 0:
             assert os.listdir(tmp) == [], argv
+
+
+# A random argv rarely holds one rejected value with every other flag valid, so
+# each rejected value also runs alone, on the usual inputs and required flags.
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command, flags in sorted(ARGV_FLAGS.items())
+    for flag, (_, rejected) in flags.items() for value in rejected])
+def test_each_rejected_value_alone_exits_2_or_3_and_leaves_no_output(argv_inputs, tmp_path, command, flag, value):
+    argv = [command, *(str(argv_inputs[name]) for name in POSITIONAL[command])]
+    if command in OUTPUT:
+        argv += [OUTPUT[command][0], str(tmp_path / OUTPUT[command][1])]
+    for required, (accepted, _) in ARGV_FLAGS[command].items():
+        if required in REQUIRED | ALWAYS_SET:
+            argv += [required, accepted[0]]
+    with mock.patch.dict(os.environ, {"CBQUANT_THREADS": "2"}):
+        code = _exit_code([*argv, flag, value])  # the later value of a repeated flag wins
+    assert code in (2, 3)
+    assert os.listdir(tmp_path) == []

@@ -158,6 +158,16 @@ class TestTrainStep:
             assert len(np.unique(w1)) <= 2**bits
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("base_learning_rate", np.inf), ("base_learning_rate", np.nan), ("base_learning_rate", 0.0),
+        ("quantized_lr_multiplier", np.inf), ("quantized_lr_multiplier", np.nan),
+        ("quantized_lr_multiplier", -1.0)])
+    def test_rates_must_be_finite(self, field, value):
+        with pytest.raises(BadConfigError):
+            training.TrainConfig(**{"base_learning_rate": 0.02, "epochs": 1, field: value})
+
+
 class TestQuantizeModel:
     def test_layers_are_single_group_tensors_in_the_weight_shape(self):
         model = small_quantized_model()
