@@ -123,6 +123,8 @@ def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     """Inverse of ``pack_indices``; validates length and zero padding."""
     if not 1 <= bits <= 8:
         raise BadConfigError(f"bits must be in [1, 8], got {bits}")
+    if n < 0:
+        raise LengthMismatchError(f"label count must be >= 0, got {n}")
     expected = (n * bits + 7) // 8
     if len(data) != expected:
         raise LengthMismatchError(f"expected {expected} packed bytes for n={n}, got {len(data)}")

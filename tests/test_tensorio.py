@@ -76,6 +76,12 @@ class TestUnpackIndices:
         with pytest.raises(LengthMismatchError):
             tensorio.unpack_indices(bytes([0x0D, 0x00]), 4, 1)
 
+    @pytest.mark.parametrize("data,n", [(b"", -1), (b"", -7), (bytes([0x0D]), -8)])
+    def test_negative_count(self, data, n):
+        # (n * bits + 7) // 8 is 0 for n in [-7, -1], so the byte count alone cannot catch them.
+        with pytest.raises(LengthMismatchError):
+            tensorio.unpack_indices(data, n, 1)
+
     @pytest.mark.parametrize("seed", range(25))
     def test_round_trip_random_labels(self, seed):
         rng = np.random.default_rng(seed)
