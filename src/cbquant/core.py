@@ -249,7 +249,6 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     chosen = [first]
     d2 = np.square(arr - first)
     cum = np.empty_like(d2)
-    tmp = np.empty_like(d2)
     while len(chosen) < n_clusters:
         np.cumsum(d2, out=cum)
         # The terms are non-negative, so the running total is 0 iff all are.
@@ -260,9 +259,10 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
         if idx >= arr.size:  # r rounded up onto the total
             idx = int(np.flatnonzero(d2 > 0)[-1])
         chosen.append(arr[idx])
-        np.subtract(arr, arr[idx], out=tmp)
-        np.square(tmp, out=tmp)
-        np.minimum(d2, tmp, out=d2)
+        # cum is free until the next pick's cumsum rewrites it: the scratch for the new distances.
+        np.subtract(arr, arr[idx], out=cum)
+        np.square(cum, out=cum)
+        np.minimum(d2, cum, out=d2)
 
     out = np.empty(n_clusters, dtype=np.float64)
     out[: len(chosen)] = chosen
