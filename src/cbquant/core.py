@@ -259,7 +259,7 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
         if idx >= arr.size:  # r rounded up onto the total
             idx = int(np.flatnonzero(d2 > 0)[-1])
         chosen.append(arr[idx])
-        # cum is free until the next pick's cumsum rewrites it: the scratch for the new distances.
+        # cum is free until the next pick's cumsum rewrites it, so it holds the new distances.
         np.subtract(arr, arr[idx], out=cum)
         np.square(cum, out=cum)
         np.minimum(d2, cum, out=d2)
