@@ -1,22 +1,23 @@
 """Quantization-aware fine-tuning on a small two-layer tanh network.
 
 The network is ``y = W2 @ tanh(W1 @ x + b1) + b2`` with closed-form
-gradients.  Either weight matrix can be held in quantized form: its labels
-are frozen at quantization time and only the codebook centroids train.  The
-forward pass always uses the reconstructed weights; in the backward pass
-each centroid receives the average of the gradients of the weights assigned
-to it, and is updated with the base learning rate scaled by a multiplier
-(biases and unquantized weights use plain SGD at the base rate).
+gradients.  Each weight matrix is one field of the model, held either as a
+dense array or, after ``quantize_model``, as a one-group
+``GroupedQuantizedTensor`` in the weight's shape: its labels are frozen at
+quantization time and only the codebook centroids train.  The forward pass
+uses the reconstructed weights; in the backward pass each centroid receives
+the average of the gradients of the weights assigned to it, and is updated
+with the base learning rate scaled by a multiplier (biases and dense weights
+use plain SGD at the base rate).
 """
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
 from . import core, grouping
-from .errors import BadConfigError, LengthMismatchError, ShapeMismatchError
+from .errors import BadConfigError, CorruptIndexError, LengthMismatchError, ShapeMismatchError
 
 __all__ = [
     "TrainConfig",
@@ -59,30 +60,23 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ToyModel:
-    """Two dense layers with tanh in between; weights optionally quantized.
+    """Two layers with tanh in between; weights optionally quantized.
 
-    ``w1``/``w2`` hold full-precision weights; when a layer is quantized the
-    corresponding ``q1``/``q2`` carries the codebook + frozen labels instead,
-    as one group in the weight's shape, and the dense field is ignored.
-    Biases are never quantized.
+    ``w1``/``w2`` each hold either a float64 array or a one-group
+    ``GroupedQuantizedTensor`` in the weight's shape (codebook + frozen
+    labels).  Biases are never quantized.
     """
 
-    w1: np.ndarray  # (hidden, in)
+    w1: np.ndarray | grouping.GroupedQuantizedTensor  # (hidden, in)
     b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (out, hidden)
+    w2: np.ndarray | grouping.GroupedQuantizedTensor  # (out, hidden)
     b2: np.ndarray  # (out,)
-    q1: Optional[grouping.GroupedQuantizedTensor] = None
-    q2: Optional[grouping.GroupedQuantizedTensor] = None
 
-    def weight1(self) -> np.ndarray:
-        if self.q1 is not None:
-            return grouping.reconstruct_grouped(self.q1).astype(np.float64)
-        return self.w1
 
-    def weight2(self) -> np.ndarray:
-        if self.q2 is not None:
-            return grouping.reconstruct_grouped(self.q2).astype(np.float64)
-        return self.w2
+def _dense(w) -> np.ndarray:
+    if isinstance(w, grouping.GroupedQuantizedTensor):
+        return grouping.reconstruct_grouped(w).astype(np.float64)
+    return w
 
 
 def make_toy_model(in_dim: int, hidden_dim: int, out_dim: int, rng: np.random.Generator,
@@ -114,26 +108,29 @@ def forward(model: ToyModel, x: np.ndarray) -> tuple[np.ndarray, dict]:
         raise ShapeMismatchError(
             f"expected input of shape (batch, {model.w1.shape[1]}), got {x.shape}"
         )
-    w1 = model.weight1()
-    w2 = model.weight2()
-    hidden = np.tanh(x @ w1.T + model.b1)
+    w2 = _dense(model.w2)
+    hidden = np.tanh(x @ _dense(model.w1).T + model.b1)
     pred = hidden @ w2.T + model.b2
     return pred, {"x": x, "hidden": hidden, "w2": w2}
 
 
-def model_loss(model: ToyModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error over all batch elements and output dimensions."""
-    pred, _ = forward(model, x)
-    return float(np.mean(np.square(pred - y)))
-
-
-def loss_and_gradients(model: ToyModel, x: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
-    """MSE loss and per-parameter gradients for both layers and biases."""
+def _residual(model: ToyModel, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Predictions minus targets, and the forward cache; targets never broadcast."""
     y = np.asarray(y, dtype=np.float64)
     pred, cache = forward(model, x)
     if pred.shape != y.shape:
         raise ShapeMismatchError(f"targets of shape {y.shape} do not match predictions {pred.shape}")
-    diff = pred - y
+    return pred - y, cache
+
+
+def model_loss(model: ToyModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared error over all batch elements and output dimensions."""
+    return float(np.mean(np.square(_residual(model, x, y)[0])))
+
+
+def loss_and_gradients(model: ToyModel, x: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
+    """MSE loss and per-parameter gradients for both layers and biases."""
+    diff, cache = _residual(model, x, y)
     loss = float(np.mean(np.square(diff)))
 
     d_pred = 2.0 * diff / diff.size
@@ -152,6 +149,8 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
     lab = np.asarray(labels).reshape(-1)
     if grads.size != lab.size:
         raise LengthMismatchError("one gradient per label required")
+    if lab.size and not 0 <= lab.min() <= lab.max() < n_clusters:
+        raise CorruptIndexError(f"labels must lie in [0, {n_clusters})")
     counts = np.bincount(lab, minlength=n_clusters)
     sums = np.bincount(lab, weights=grads, minlength=n_clusters)
     return np.divide(sums, counts, out=np.zeros(n_clusters), where=counts > 0)
@@ -170,20 +169,13 @@ def train_step(model: ToyModel, batch: tuple[np.ndarray, np.ndarray],
     x, y = batch
     loss, grads = loss_and_gradients(model, x, y)
     lr = cfg.base_learning_rate
-    q_lr = lr * cfg.quantized_lr_multiplier
-
-    updates = {
-        "b1": model.b1 - lr * grads["b1"],
-        "b2": model.b2 - lr * grads["b2"],
-    }
-    if model.q1 is not None:
-        updates["q1"] = _updated_centroids(model.q1, grads["w1"], q_lr)
-    else:
-        updates["w1"] = model.w1 - lr * grads["w1"]
-    if model.q2 is not None:
-        updates["q2"] = _updated_centroids(model.q2, grads["w2"], q_lr)
-    else:
-        updates["w2"] = model.w2 - lr * grads["w2"]
+    updates = {}
+    for name, grad in grads.items():
+        param = getattr(model, name)
+        if isinstance(param, grouping.GroupedQuantizedTensor):
+            updates[name] = _updated_centroids(param, grad, lr * cfg.quantized_lr_multiplier)
+        else:
+            updates[name] = param - lr * grad
     return replace(model, **updates), loss
 
 
@@ -191,9 +183,8 @@ def quantize_model(model: ToyModel, cfg: core.QuantConfig) -> ToyModel:
     """Quantize both weight matrices (never the biases) as one group each; labels freeze here."""
     if cfg.group_count != 1:
         raise BadConfigError("centroid fine-tuning needs one group per weight matrix")
-    w1, w2 = model.weight1(), model.weight2()
-    return replace(model, q1=grouping.quantize_grouped(w1, cfg, tensor_name="w1"),
-                   q2=grouping.quantize_grouped(w2, cfg, tensor_name="w2"), w1=w1, w2=w2)
+    return replace(model, w1=grouping.quantize_grouped(_dense(model.w1), cfg, tensor_name="w1"),
+                   w2=grouping.quantize_grouped(_dense(model.w2), cfg, tensor_name="w2"))
 
 
 def _run_epochs(model: ToyModel, x, y, cfg: TrainConfig, epochs: int,

@@ -90,7 +90,7 @@ def test_c3_iteration_effect():
 
 def _fd_centroid_gradient(model, which, j, x, y):
     """Loss slope along centroid j, via central differences on the f32 codebook."""
-    q = model.q1 if which == "q1" else model.q2
+    q = getattr(model, which)
 
     def loss_with(value):
         centroids = q.centroids.astype(np.float64).copy()
@@ -120,8 +120,8 @@ def test_c4_gradient_rule():
             x = batch_rng.normal(size=(16, 3))
             y = batch_rng.normal(size=(16, 2))
             _, grads = training.loss_and_gradients(model, x, y)
-            for which, key in (("q1", "w1"), ("q2", "w2")):
-                q = model.q1 if which == "q1" else model.q2
+            for key in ("w1", "w2"):
+                q = getattr(model, key)
                 analytic = training.centroid_gradients(
                     grads[key].ravel(), q.labels, q.cfg.n_levels)
                 occupancy = q.occupancy[0].astype(np.float64)
@@ -130,7 +130,7 @@ def test_c4_gradient_rule():
                         assert analytic[j] == 0.0
                         continue
                     # the loss slope sums member gradients; the rule averages
-                    fd = _fd_centroid_gradient(model, which, j, x, y) / occupancy[j]
+                    fd = _fd_centroid_gradient(model, key, j, x, y) / occupancy[j]
                     assert analytic[j] == pytest.approx(fd, rel=1e-3, abs=1e-9)
 
 

@@ -1,7 +1,8 @@
 """Fuzzing the readers and the command line.
 
 A mutated, truncated or extended input file raises only CbqError; any argv
-exits 0, 2 (usage) or 3 (data) and leaves no partial output.
+exits 0, 2 (usage) or 3 (data) and leaves no partial output, and a
+well-formed argv exits 0.
 """
 
 import contextlib
@@ -175,15 +176,23 @@ def argv_inputs(tmp_path_factory):
 
 @st.composite
 def argvs(draw, command, inputs, out: Path):
-    """An argv for ``command`` that writes, if at all, under ``out``; mostly well-formed."""
+    """``(argv, well_formed)`` for ``command``, writing, if at all, under ``out``.
+
+    A well-formed argv has the usual inputs, every required flag, accepted
+    values only and at least one value per multi-value flag; any other argv
+    is mostly well-formed.
+    """
     def often(n):  # True n times in n + 1 (hypothesis favours the first item of sampled_from)
         return draw(st.sampled_from([True] * n + [False]))
 
+    well_formed = draw(st.booleans())
+
     def path(usual, *others):
-        return str(inputs[usual if often(3) else draw(st.sampled_from(others))])
+        return str(inputs[usual if well_formed or often(3) else draw(st.sampled_from(others))])
 
     def value(accepted, rejected):
-        return draw(st.sampled_from(accepted if accepted and (not rejected or often(3)) else rejected))
+        use_accepted = accepted and (well_formed or not rejected or often(3))
+        return draw(st.sampled_from(accepted if use_accepted else rejected))
 
     positional = {"quantize": [path("bundle", "missing")],
                   "reconstruct": [path("quantized", "bundle", "missing")],
@@ -196,12 +205,15 @@ def argvs(draw, command, inputs, out: Path):
         flags[flag] = ([str(out / name)], [])
     argv = [command, *positional]
     for flag, (accepted, rejected) in flags.items():
-        if flag in ALWAYS_SET or often(9 if flag in REQUIRED else 1):
+        if well_formed and not accepted:
+            continue
+        if flag in ALWAYS_SET or (well_formed and flag in REQUIRED) or often(9 if flag in REQUIRED else 1):
             if (command, flag) in MULTI_VALUE_FLAGS:
-                argv += [flag, *(value(accepted, rejected) for _ in range(draw(st.integers(0, 3))))]
+                count = draw(st.integers(1 if well_formed else 0, 3))
+                argv += [flag, *(value(accepted, rejected) for _ in range(count))]
             else:
                 argv += [flag, value(accepted, rejected)]
-    return argv
+    return argv, well_formed
 
 
 def _exit_code(argv):
@@ -217,9 +229,9 @@ def _exit_code(argv):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_any_argv_exits_0_2_or_3_and_leaves_no_partial_output(argv_inputs, command, data):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"CBQUANT_THREADS": "2"}):
-        argv = data.draw(argvs(command, argv_inputs, Path(tmp)))
+        argv, well_formed = data.draw(argvs(command, argv_inputs, Path(tmp)))
         code = _exit_code(argv)
-        assert code in (0, 2, 3), argv
+        assert code in ((0,) if well_formed else (0, 2, 3)), argv
         if code != 0:
             assert os.listdir(tmp) == [], argv
 

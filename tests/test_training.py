@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cbquant import core, grouping, tensorio, training
-from cbquant.errors import BadConfigError, LengthMismatchError, ShapeMismatchError
+from cbquant.errors import BadConfigError, CorruptIndexError, LengthMismatchError, ShapeMismatchError
 
 
 def constant_quantized(value, shape, bits=1):
@@ -35,16 +35,15 @@ class TestForward:
 
     def test_scalar_network_hand_value(self):
         w2 = 1.7
-        model = training.ToyModel(w1=np.array([[2.0]]), b1=np.zeros(1),
-                                  w2=np.array([[w2]]), b2=np.zeros(1),
-                                  q1=constant_quantized(2.0, (1, 1)))
+        model = training.ToyModel(w1=constant_quantized(2.0, (1, 1)), b1=np.zeros(1),
+                                  w2=np.array([[w2]]), b2=np.zeros(1))
         pred, _ = training.forward(model, np.array([[1.0]]))
         assert pred[0, 0] == pytest.approx(np.tanh(2.0) * w2, abs=1e-12)
 
     def test_quantized_forward_matches_reconstructed_dense_forward(self):
         model = small_quantized_model()
-        dense = training.ToyModel(w1=model.weight1(), b1=model.b1,
-                                  w2=model.weight2(), b2=model.b2)
+        dense = training.ToyModel(w1=grouping.reconstruct_grouped(model.w1).astype(np.float64), b1=model.b1,
+                                  w2=grouping.reconstruct_grouped(model.w2).astype(np.float64), b2=model.b2)
         x = np.random.default_rng(3).normal(size=(7, 3))
         np.testing.assert_array_equal(training.forward(model, x)[0],
                                       training.forward(dense, x)[0])
@@ -54,6 +53,23 @@ class TestForward:
                                   w2=np.zeros((2, 4)), b2=np.zeros(2))
         with pytest.raises(ShapeMismatchError):
             training.forward(model, np.ones((5, 2)))
+
+    def test_quantized_first_layer_sets_the_input_width(self):
+        model = training.ToyModel(w1=constant_quantized(0.5, (4, 5)), b1=np.zeros(4),
+                                  w2=np.zeros((2, 4)), b2=np.zeros(2))
+        pred, _ = training.forward(model, np.ones((2, 5)))
+        assert pred.shape == (2, 2)
+        with pytest.raises(ShapeMismatchError):
+            training.forward(model, np.ones((2, 3)))
+
+
+class TestLoss:
+    @pytest.mark.parametrize("loss", [training.model_loss, training.loss_and_gradients])
+    @pytest.mark.parametrize("target_shape", [(4, 1), (2,), (1, 2)])
+    def test_targets_must_match_the_predictions(self, loss, target_shape):
+        model = small_quantized_model()
+        with pytest.raises(ShapeMismatchError):
+            loss(model, np.ones((4, 3)), np.zeros(target_shape))
 
 
 class TestCentroidGradients:
@@ -69,6 +85,11 @@ class TestCentroidGradients:
         with pytest.raises(LengthMismatchError):
             training.centroid_gradients([1.0, 2.0], [0], 2)
 
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+    def test_label_out_of_range(self, labels):
+        with pytest.raises(CorruptIndexError):
+            training.centroid_gradients([1.0, 2.0], labels, 2)
+
     @pytest.mark.parametrize("task_seed", range(10))
     def test_matches_finite_differences(self, task_seed):
         # d(loss)/d(centroid) equals the SUM of member-weight gradients; the
@@ -79,7 +100,7 @@ class TestCentroidGradients:
         y = rng.normal(size=(16, 2))
         _, grads = training.loss_and_gradients(model, x, y)
 
-        for q, key in ((model.q1, "w1"), (model.q2, "w2")):
+        for q, key in ((model.w1, "w1"), (model.w2, "w2")):
             analytic = training.centroid_gradients(grads[key].ravel(), q.labels,
                                                    q.cfg.n_levels)
             occupancy = q.occupancy[0].astype(np.float64)
@@ -98,7 +119,7 @@ def _centroid_loss_slope(model, q, key, j, step, x, y):
         centroids = q.centroids.astype(np.float64).copy()
         centroids[0, j] = value
         patched = replace(q, centroids=centroids.astype(np.float32))
-        return training.model_loss(replace(model, **{("q1" if key == "w1" else "q2"): patched}), x, y)
+        return training.model_loss(replace(model, **{key: patched}), x, y)
 
     base = float(q.centroids[0, j])
     hi = np.float64(np.float32(base + step))
@@ -118,7 +139,7 @@ class TestTrainStep:
         y, _ = training.forward(model, x)
         updated, loss = training.train_step(model, (x, y), self.cfg())
         assert loss == 0.0
-        np.testing.assert_array_equal(updated.q1.centroids, model.q1.centroids)
+        np.testing.assert_array_equal(updated.w1.centroids, model.w1.centroids)
         np.testing.assert_array_equal(updated.b1, model.b1)
 
     def test_one_step_decreases_loss(self):
@@ -135,17 +156,17 @@ class TestTrainStep:
         rng = np.random.default_rng(8)
         batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
         updated, _ = training.train_step(model, batch, self.cfg(quantized_lr_multiplier=0.0))
-        np.testing.assert_array_equal(updated.q1.centroids, model.q1.centroids)
+        np.testing.assert_array_equal(updated.w1.centroids, model.w1.centroids)
         assert not np.array_equal(updated.b1, model.b1)
 
     def test_labels_frozen_across_steps(self):
         model = small_quantized_model()
         rng = np.random.default_rng(9)
-        labels_before = model.q1.labels.tobytes()
+        labels_before = model.w1.labels.tobytes()
         for _ in range(25):
             batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
             model, _ = training.train_step(model, batch, self.cfg(base_learning_rate=0.05))
-        assert model.q1.labels.tobytes() == labels_before
+        assert model.w1.labels.tobytes() == labels_before
 
     def test_distinct_weight_values_stay_bounded(self):
         bits = 2
@@ -154,7 +175,7 @@ class TestTrainStep:
         for _ in range(10):
             batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
             model, _ = training.train_step(model, batch, self.cfg(base_learning_rate=0.05))
-            w1 = grouping.reconstruct_grouped(model.q1)
+            w1 = grouping.reconstruct_grouped(model.w1)
             assert len(np.unique(w1)) <= 2**bits
 
 
@@ -170,8 +191,9 @@ class TestTrainConfig:
 
 class TestQuantizeModel:
     def test_layers_are_single_group_tensors_in_the_weight_shape(self):
-        model = small_quantized_model()
-        for q, w in ((model.q1, model.w1), (model.q2, model.w2)):
+        dense = training.make_toy_model(3, 6, 2, np.random.default_rng(0))
+        model = training.quantize_model(dense, core.QuantConfig(scheme=core.Scheme.KMEANS, bits=2, seed=1))
+        for q, w in ((model.w1, dense.w1), (model.w2, dense.w2)):
             assert q.shape == w.shape
             assert q.cfg.group_count == 1
             again = tensorio.read_cbq(tensorio.write_cbq(q))
