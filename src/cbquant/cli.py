@@ -9,6 +9,7 @@ arranges inputs and formats reports.
 
 import argparse
 import csv
+import math
 import os
 import re
 import sys
@@ -21,32 +22,15 @@ from . import core, grouping, tensorio, training
 from .errors import CbqError, EmptyInputError, ManifestMismatchError, ShapeMismatchError
 
 
-def _bits_arg(value: str) -> int:
-    bits = int(value)
-    if not 1 <= bits <= 8:
-        raise argparse.ArgumentTypeError(f"bits must be in [1, 8], got {bits}")
-    return bits
-
-
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
-
-
-def _nonneg_int(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
-    return n
-
-
-def _nonneg_float(value: str) -> float:
-    x = float(value)
-    if not 0 <= x < float("inf"):
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {x}")
-    return x
+def _number(cast, low, high=math.inf):
+    """An argparse type: ``cast(value)`` within ``[low, high]`` and finite."""
+    def parse(value: str):
+        x = cast(value)
+        if not (low <= x <= high and x < math.inf):  # nan fails every comparison
+            raise argparse.ArgumentTypeError(f"expected a finite {cast.__name__} in [{low}, {high}], got {x}")
+        return x
+    parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def _regex_arg(value: str) -> re.Pattern | None:
@@ -67,10 +51,7 @@ def _thread_count() -> int:
 
 
 def _parallel_map(fn, items):
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         return list(pool.map(fn, items))
 
 
@@ -205,10 +186,10 @@ def cmd_train_toy(args) -> int:
 
 
 def _add_quant_flags(p):
-    p.add_argument("--bits", type=_bits_arg, required=True)
-    p.add_argument("--iters", type=_nonneg_int, default=3, metavar="N")
-    p.add_argument("--seed", type=_nonneg_int, default=0, metavar="S")
-    p.add_argument("--epsilon", type=_nonneg_float, default=0.0, metavar="E")
+    p.add_argument("--bits", type=_number(int, 1, 8), required=True)
+    p.add_argument("--iters", type=_number(int, 0), default=3, metavar="N")
+    p.add_argument("--seed", type=_number(int, 0), default=0, metavar="S")
+    p.add_argument("--epsilon", type=_number(float, 0), default=0.0, metavar="E")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", help="bundle manifest (.json)")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
-    p.add_argument("--groups", type=_positive_int, default=1, metavar="G")
+    p.add_argument("--groups", type=_number(int, 1), default=1, metavar="G")
     _add_quant_flags(p)
     p.add_argument("--exclude", type=_regex_arg, metavar="PATTERN",
                    help="regex of tensor names to pass through unquantized")
@@ -240,25 +221,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="MSE per (scheme, bits, seed) over a bundle")
     p.add_argument("bundle")
-    p.add_argument("--bits", type=_bits_arg, nargs="+", required=True)
+    p.add_argument("--bits", type=_number(int, 1, 8), nargs="+", required=True)
     p.add_argument("--schemes", choices=["linear", "kmeans"], nargs="+",
                    default=["linear", "kmeans"])
-    p.add_argument("--seeds", type=_nonneg_int, nargs="+", default=[0])
-    p.add_argument("--iters", type=_nonneg_int, default=3)
-    p.add_argument("--epsilon", type=_nonneg_float, default=0.0)
-    p.add_argument("--groups", type=_positive_int, default=1)
+    p.add_argument("--seeds", type=_number(int, 0), nargs="+", default=[0])
+    p.add_argument("--iters", type=_number(int, 0), default=3)
+    p.add_argument("--epsilon", type=_number(float, 0), default=0.0)
+    p.add_argument("--groups", type=_number(int, 1), default=1)
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train-toy", help="centroid fine-tuning experiment on the toy model")
     _add_quant_flags(p)
-    p.add_argument("--epochs", type=_nonneg_int, default=200)
-    p.add_argument("--lr", type=_nonneg_float, default=0.02)
-    p.add_argument("--multiplier", type=_nonneg_float, default=10.0)
-    p.add_argument("--batch-size", type=_positive_int, default=64)
-    p.add_argument("--data-seed", type=_nonneg_int, default=0)
-    p.add_argument("--task-seed", type=_nonneg_int, default=0)
-    p.add_argument("--pretrain-epochs", type=_nonneg_int, default=300)
+    p.add_argument("--epochs", type=_number(int, 0), default=200)
+    p.add_argument("--lr", type=_number(float, 0), default=0.02)
+    p.add_argument("--multiplier", type=_number(float, 0), default=10.0)
+    p.add_argument("--batch-size", type=_number(int, 1), default=64)
+    p.add_argument("--data-seed", type=_number(int, 0), default=0)
+    p.add_argument("--task-seed", type=_number(int, 0), default=0)
+    p.add_argument("--pretrain-epochs", type=_number(int, 0), default=300)
     p.add_argument("--curves", metavar="FILE", help="write epoch,scheme,bits,seed,loss lines")
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=cmd_train_toy)

@@ -36,6 +36,13 @@ __all__ = [
     "curve_records",
 ]
 
+# The toy task of ``run_experiment``: 4 inputs, 2 outputs, 256 samples; the
+# teacher's weights are drawn at scale 0.8, the student's at 0.5.
+_IN_DIM, _OUT_DIM, _N_SAMPLES = 4, 2, 256
+_INIT_SCALE = 0.5
+_TASK_SCALE, _TASK_NOISE = 0.8, 0.1
+_SCHEMES = (core.Scheme.LINEAR, core.Scheme.KMEANS)
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -56,6 +63,8 @@ class TrainConfig:
             raise BadConfigError("batch_size must be >= 1")
         if not 0 <= self.quantized_lr_multiplier < math.inf:
             raise BadConfigError("quantized_lr_multiplier must be finite and >= 0")
+        if self.data_seed < 0:
+            raise BadConfigError("data_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,13 @@ class ToyModel:
     w2: np.ndarray | grouping.GroupedQuantizedTensor  # (out, hidden)
     b2: np.ndarray  # (out,)
 
+    def __post_init__(self):
+        w1, w2 = tuple(self.w1.shape), tuple(self.w2.shape)
+        if (len(w1) != 2 or len(w2) != 2 or w2[1] != w1[0]
+                or np.shape(self.b1) != w1[:1] or np.shape(self.b2) != w2[:1]):
+            raise ShapeMismatchError(f"layer shapes do not chain: w1 {w1}, b1 {np.shape(self.b1)}, "
+                                     f"w2 {w2}, b2 {np.shape(self.b2)}")
+
 
 def _dense(w) -> np.ndarray:
     if isinstance(w, grouping.GroupedQuantizedTensor):
@@ -79,25 +95,23 @@ def _dense(w) -> np.ndarray:
     return w
 
 
-def make_toy_model(in_dim: int, hidden_dim: int, out_dim: int, rng: np.random.Generator,
-                   weight_scale: float = 0.5) -> ToyModel:
+def make_toy_model(in_dim: int, hidden_dim: int, out_dim: int, rng: np.random.Generator) -> ToyModel:
     """Randomly initialized full-precision model."""
     return ToyModel(
-        w1=rng.normal(0.0, weight_scale, size=(hidden_dim, in_dim)),
+        w1=rng.normal(0.0, _INIT_SCALE, size=(hidden_dim, in_dim)),
         b1=np.zeros(hidden_dim),
-        w2=rng.normal(0.0, weight_scale, size=(out_dim, hidden_dim)),
+        w2=rng.normal(0.0, _INIT_SCALE, size=(out_dim, hidden_dim)),
         b2=np.zeros(out_dim),
     )
 
 
 def synthetic_regression(n_samples: int, in_dim: int, hidden_dim: int, out_dim: int,
-                         rng: np.random.Generator, noise: float = 0.1,
-                         weight_scale: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
+                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample a noisy regression task realizable by the toy model class."""
-    b = rng.normal(0.0, weight_scale, size=(hidden_dim, in_dim))
-    a = rng.normal(0.0, weight_scale, size=(out_dim, hidden_dim))
+    b = rng.normal(0.0, _TASK_SCALE, size=(hidden_dim, in_dim))
+    a = rng.normal(0.0, _TASK_SCALE, size=(out_dim, hidden_dim))
     x = rng.normal(size=(n_samples, in_dim))
-    y = np.tanh(x @ b.T) @ a.T + noise * rng.normal(size=(n_samples, out_dim))
+    y = np.tanh(x @ b.T) @ a.T + _TASK_NOISE * rng.normal(size=(n_samples, out_dim))
     return x, y
 
 
@@ -229,25 +243,27 @@ class ExperimentResult:
 
 
 def run_experiment(train_cfg: TrainConfig, quant_cfg: core.QuantConfig, task_seed: int = 0,
-                   schemes: tuple[core.Scheme, ...] = (core.Scheme.LINEAR, core.Scheme.KMEANS),
-                   in_dim: int = 4, hidden_dim: int = 12, out_dim: int = 2,
-                   n_samples: int = 256, pretrain_epochs: int = 300) -> ExperimentResult:
+                   hidden_dim: int = 12, pretrain_epochs: int = 300) -> ExperimentResult:
     """Pretrain in full precision, quantize, fine-tune once per scheme.
 
     The pretrained model, dataset, and batch order are shared across arms, so
     per-scheme curves differ only in the quantizer.  ``quant_cfg.scheme`` is
-    replaced by each entry of ``schemes``.
+    replaced by linear, then k-means.
     """
+    if task_seed < 0:
+        raise BadConfigError("task_seed must be >= 0")
+    if pretrain_epochs < 0:
+        raise BadConfigError("pretrain_epochs must be >= 0")
     data_rng = np.random.default_rng(train_cfg.data_seed)
-    x, y = synthetic_regression(n_samples, in_dim, hidden_dim, out_dim, data_rng)
+    x, y = synthetic_regression(_N_SAMPLES, _IN_DIM, hidden_dim, _OUT_DIM, data_rng)
 
-    model = make_toy_model(in_dim, hidden_dim, out_dim, np.random.default_rng(task_seed))
+    model = make_toy_model(_IN_DIM, hidden_dim, _OUT_DIM, np.random.default_rng(task_seed))
     model, _ = _run_epochs(model, x, y, train_cfg, pretrain_epochs,
                            np.random.default_rng(train_cfg.data_seed + 1))
     pretrain_loss = model_loss(model, x, y)
 
     arms = {}
-    for scheme in schemes:
+    for scheme in _SCHEMES:
         cfg = replace(quant_cfg, scheme=scheme)
         quantized = quantize_model(model, cfg)
         post_quant = model_loss(quantized, x, y)

@@ -54,6 +54,14 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             training.forward(model, np.ones((5, 2)))
 
+    @pytest.mark.parametrize("w2,b1,b2", [
+        (np.ones((2, 3)), np.zeros(4), np.zeros(2)),  # w2's width is not w1's height
+        (np.ones((2, 4)), np.zeros(1), np.zeros(1)),  # biases that would broadcast
+    ])
+    def test_layers_that_do_not_chain_are_rejected_at_construction(self, w2, b1, b2):
+        with pytest.raises(ShapeMismatchError):
+            training.ToyModel(w1=np.ones((4, 5)), b1=b1, w2=w2, b2=b2)
+
     def test_quantized_first_layer_sets_the_input_width(self):
         model = training.ToyModel(w1=constant_quantized(0.5, (4, 5)), b1=np.zeros(4),
                                   w2=np.zeros((2, 4)), b2=np.zeros(2))
@@ -188,6 +196,10 @@ class TestTrainConfig:
         with pytest.raises(BadConfigError):
             training.TrainConfig(**{"base_learning_rate": 0.02, "epochs": 1, field: value})
 
+    def test_negative_data_seed_is_rejected(self):
+        with pytest.raises(BadConfigError):
+            training.TrainConfig(base_learning_rate=0.02, epochs=1, data_seed=-1)
+
 
 class TestQuantizeModel:
     def test_layers_are_single_group_tensors_in_the_weight_shape(self):
@@ -208,6 +220,13 @@ class TestQuantizeModel:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("kw", [{"task_seed": -1}, {"pretrain_epochs": -1}])
+    def test_negative_seed_or_epoch_count_is_rejected(self, kw):
+        tc = training.TrainConfig(base_learning_rate=0.02, epochs=1)
+        qc = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=2)
+        with pytest.raises(BadConfigError):
+            training.run_experiment(tc, qc, **kw)
+
     def test_eight_bit_quantization_is_near_lossless(self):
         tc = training.TrainConfig(base_learning_rate=0.02, epochs=0, batch_size=64,
                                   data_seed=2)
