@@ -22,12 +22,13 @@ from . import core, grouping, tensorio, training
 from .errors import CbqError, EmptyInputError, ManifestMismatchError, ShapeMismatchError
 
 
-def _number(cast, low, high=math.inf):
-    """An argparse type: ``cast(value)`` within ``[low, high]`` and finite."""
+def _number(cast, low, high=math.inf, open_low=False):
+    """An argparse type: ``cast(value)`` finite and within ``[low, high]``, or ``(low, high]`` if ``open_low``."""
     def parse(value: str):
         x = cast(value)
-        if not (low <= x <= high and x < math.inf):  # nan fails every comparison
-            raise argparse.ArgumentTypeError(f"expected a finite {cast.__name__} in [{low}, {high}], got {x}")
+        if not ((low < x if open_low else low <= x) and x <= high and x < math.inf):  # nan fails every comparison
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {cast.__name__} in {'(' if open_low else '['}{low}, {high}], got {x}")
         return x
     parse.__name__ = cast.__name__  # argparse names the type in "invalid int value: 'x'"
     return parse
@@ -119,7 +120,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tensors = tensorio.read_bundle(args.bundle)
+    # One float64 copy per tensor, shared by every combination's worker.
+    tensors = {name: t.astype(np.float64) for name, t in tensorio.read_bundle(args.bundle).items()}
     if not tensors:
         raise EmptyInputError("bundle contains no tensors")
     names = sorted(tensors)
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="centroid fine-tuning experiment on the toy model")
     _add_quant_flags(p)
     p.add_argument("--epochs", type=_number(int, 0), default=200)
-    p.add_argument("--lr", type=_number(float, 0), default=0.02)
+    p.add_argument("--lr", type=_number(float, 0, open_low=True), default=0.02)
     p.add_argument("--multiplier", type=_number(float, 0), default=10.0)
     p.add_argument("--batch-size", type=_number(int, 1), default=64)
     p.add_argument("--data-seed", type=_number(int, 0), default=0)

@@ -144,7 +144,7 @@ class LloydState:
     """k-means state after ``iterations`` Lloyd steps; centroids and sums stay in float64."""
 
     centroids: np.ndarray  # float64, shape (m,)
-    labels: Optional[np.ndarray] = None  # int64, shape (n,); None before first step
+    labels: Optional[np.ndarray] = None  # uint8, shape (n,); None before first step
     sse: float = math.inf
     iterations: int = 0
 
@@ -459,14 +459,17 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     Every element moves to its nearest centroid, then each centroid with
     members is replaced by their mean (float64 accumulation); a centroid
     with no members keeps its previous value.  Returns the updated state
-    (with the SSE of the new labels against the new centroids, and one more
-    iteration) and a flag that is True iff any label changed.
+    (with the new labels as uint8, the SSE of the new labels against the new
+    centroids, and one more iteration) and a flag that is True iff any label
+    changed.  Labels are uint8, so more than 256 centroids raise
+    ``BadConfigError``.
     """
     arr = _validate_input(v)
-    if len(state.centroids) == 0:
-        raise BadConfigError("lloyd_step requires at least one centroid")
+    if not 1 <= len(state.centroids) <= 256:
+        raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(state.centroids)}")
     centroids = np.asarray(state.centroids, dtype=np.float64)
 
+    # _assign's int64 labels live only for the counts and the SSE gather; the state keeps uint8.
     labels = _assign(arr, centroids)
     changed = state.labels is None or bool(np.any(labels != state.labels))
 
@@ -475,7 +478,7 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
 
     sse = _state_sse(arr, labels, new_centroids)
-    return LloydState(new_centroids, labels, sse, state.iterations + 1), changed
+    return LloydState(new_centroids, labels.astype(np.uint8), sse, state.iterations + 1), changed
 
 
 def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:
@@ -506,7 +509,7 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
 
     if state.labels is None:  # max_iterations == 0: assign once, keep init centroids
         labels = _assign(arr, state.centroids)
-        state = LloydState(state.centroids, labels, _state_sse(arr, labels, state.centroids))
+        state = LloydState(state.centroids, labels.astype(np.uint8), _state_sse(arr, labels, state.centroids))
     return state
 
 
@@ -517,7 +520,7 @@ def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int
     result = kmeans_cluster(arr, cfg, tensor_name, group_index)
     occupancy = np.bincount(result.labels, minlength=len(result.centroids))
     return QuantizedVector(Codebook(result.centroids.astype(np.float32), occupancy.astype(np.uint32)),
-                           IndexVector(result.labels.astype(np.uint8)))
+                           IndexVector(result.labels))
 
 
 def quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:

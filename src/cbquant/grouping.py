@@ -102,10 +102,12 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
 
     Per-group RNG streams are derived from ``(cfg.seed, tensor_name, group
     index)``, so the output matches mapping the flat quantizer over the spans
-    sequentially with the same arguments.  Linear quantization runs once per
-    block of equal-length groups; k-means runs once per group.
+    sequentially with the same arguments.  Linear quantization runs on whole
+    rows of a block of equal-length groups, at most ``core._ASSIGN_CHUNK``
+    elements at a time unless one row is longer; k-means runs once per group.
+    Each chunk or group is cast to float64 on its own, never the whole tensor.
     """
-    arr = np.asarray(tensor, dtype=np.float64)
+    arr = np.asarray(tensor)
     flat = arr.reshape(-1)
     blocks = group_blocks(flat.size, cfg.group_count)  # checks G <= n before the codebooks are allocated
     levels = (cfg.group_count, cfg.n_levels)
@@ -114,9 +116,12 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     labels = np.empty(flat.size, dtype=np.uint8)
     if cfg.scheme is core.Scheme.LINEAR:
         for groups, elements, length in blocks:
-            block_labels, centroids[groups], occupancy[groups] = core.linear_quantize_rows(
-                flat[elements].reshape(-1, length), cfg.n_levels)
-            labels[elements] = block_labels.reshape(-1)
+            rows, out = flat[elements].reshape(-1, length), labels[elements].reshape(-1, length)
+            step = max(1, core._ASSIGN_CHUNK // length)
+            for r in range(0, len(rows), step):
+                chunk = slice(r, r + step)
+                out[chunk], centroids[groups][chunk], occupancy[groups][chunk] = core.linear_quantize_rows(
+                    rows[chunk], cfg.n_levels)
     else:
         for i, (offset, length) in enumerate(split_groups(flat.size, cfg.group_count)):
             # Copied out of the per-vector result, whose occupancy perfbench/trace_shim.py counts.
@@ -126,12 +131,37 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     return GroupedQuantizedTensor(arr.shape, cfg, centroids, occupancy, labels)
 
 
+def _codebook_index(labels: np.ndarray, n_levels: int):
+    """Walk a 2-D block of labels, one group per row, in chunks of at most
+    ``core._ASSIGN_CHUNK`` labels: whole rows, or pieces of a row longer than that.
+
+    Yields ``(rows, cols, index)``: ``index`` is ``labels[rows, cols]`` plus
+    ``n_levels`` times each label's row within ``rows``, so it indexes the
+    flattened codebooks of those rows.  ``index`` is one buffer, rewritten on
+    the next step.
+    """
+    length = labels.shape[1]
+    rows_per_chunk, cols_per_chunk = max(1, core._ASSIGN_CHUNK // length), min(length, core._ASSIGN_CHUNK)
+    buf = np.empty(min(labels.size, rows_per_chunk * cols_per_chunk), dtype=np.intp)
+    row_base = n_levels * np.arange(min(len(labels), rows_per_chunk), dtype=np.intp)[:, None]
+    for r in range(0, len(labels), rows_per_chunk):
+        rows = slice(r, r + rows_per_chunk)
+        for c in range(0, length, cols_per_chunk):
+            block = labels[rows, c : c + cols_per_chunk]
+            index = buf[: block.size].reshape(block.shape)
+            np.add(block, row_base[: len(block)], out=index)
+            yield rows, slice(c, c + cols_per_chunk), index
+
+
 def reconstruct_grouped(g: GroupedQuantizedTensor) -> np.ndarray:
-    """Replace every label with its group's centroid: a float32 tensor of the original shape."""
-    m = g.cfg.n_levels
+    """Replace every label with its group's centroid: a float32 tensor of the original shape.
+
+    Beyond the output it holds one chunk of ``core._ASSIGN_CHUNK`` indices.
+    """
     out = np.empty(g.n, dtype=np.float32)
     for groups, elements, length in group_blocks(g.n, g.cfg.group_count):
-        index = g.labels[elements].reshape(-1, length) + m * np.arange(groups.start, groups.stop)[:, None]
-        # Labels were checked at construction; "clip" lets take write to out unbuffered.
-        np.take(g.centroids.reshape(-1), index, out=out[elements].reshape(-1, length), mode="clip")
+        codebooks, dest = g.centroids[groups], out[elements].reshape(-1, length)
+        for rows, cols, index in _codebook_index(g.labels[elements].reshape(-1, length), g.cfg.n_levels):
+            # Labels were checked at construction; "clip" lets take write to out unbuffered.
+            np.take(codebooks[rows].reshape(-1), index, out=dest[rows, cols], mode="clip")
     return out.reshape(g.shape)

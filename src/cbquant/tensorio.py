@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedVersionError,
 )
-from .grouping import GroupedQuantizedTensor, group_blocks
+from .grouping import GroupedQuantizedTensor, _codebook_index, group_blocks
 
 __all__ = [
     "CBQ_MAGIC",
@@ -100,8 +100,10 @@ def _unpack_rows(packed: np.ndarray, length: int, bits: int) -> np.ndarray:
     lanes[..., :bits] = stream.reshape(rows, -1, bits)
     words = lanes.view("<u8")[..., 0]
     labels = np.empty_like(lanes)
+    field = np.empty_like(words)  # one scratch buffer for every shift
     for k in range(8):
-        labels[..., k] = (words >> (k * bits)) & ((1 << bits) - 1)
+        np.right_shift(words, k * bits, out=field)
+        labels[..., k] = np.bitwise_and(field, (1 << bits) - 1, out=field)
     return labels.reshape(rows, -1)[:, :length]
 
 
@@ -217,11 +219,12 @@ def read_cbq(data) -> GroupedQuantizedTensor:
         pos += rows.size
         centroids[groups] = rows[:, : 4 * m].copy().view("<f4")
         occupancy[groups] = rows[:, 4 * m : 8 * m].copy().view("<u4")
-        block_labels = _unpack_rows(rows[:, 8 * m :], length, bits)
-        labels[elements] = block_labels.reshape(-1)
-        index = block_labels + m * np.arange(len(rows))[:, None]
-        if not np.array_equal(np.bincount(index.reshape(-1), minlength=len(rows) * m),
-                              occupancy[groups].reshape(-1)):
+        labels[elements] = _unpack_rows(rows[:, 8 * m :], length, bits).reshape(-1)
+        # Count the decoded labels chunk by chunk; integer counts add up exactly.
+        counts = np.zeros((len(rows), m), dtype=np.int64)
+        for chunk, _, index in _codebook_index(labels[elements].reshape(-1, length), m):
+            counts[chunk] += np.bincount(index.reshape(-1), minlength=index.shape[0] * m).reshape(-1, m)
+        if not np.array_equal(counts, occupancy[groups]):
             raise CorruptIndexError("stored occupancy disagrees with decoded labels")
     return GroupedQuantizedTensor(shape, cfg, centroids, occupancy, labels)
 
@@ -377,17 +380,25 @@ def write_quantized(out_dir, tensors: dict) -> None:
 
 
 def read_quantized(path) -> dict:
-    """Read a quantized directory (or its manifest) as ``{name: GroupedQuantizedTensor | array}``."""
+    """Read a quantized directory (or its manifest) as ``{name: GroupedQuantizedTensor | array}``.
+
+    Each distinct file is read once: entries that name the same file (tied
+    weights) get the same parsed tensor, or views of the same raw bytes.
+    """
     path = Path(path)
     manifest_path = path / _QUANTIZED_MANIFEST if path.is_dir() else path
     manifest, entries = _manifest_entries(manifest_path)
     if manifest.get("format") != "cbq-bundle":
         raise ManifestMismatchError("not a quantized-bundle manifest")
     tensors = {}
+    loaded = {}  # (file, kind) -> the parsed CBQ tensor or the raw bytes
     for entry in entries:
-        name, kind = entry["name"], entry.get("kind")
+        name, kind, file = entry["name"], entry.get("kind"), entry.get("file")
         if kind not in ("cbq", "raw"):
             raise ManifestMismatchError(f"unknown kind {kind!r} for {name!r}")
-        data = _read_member(manifest_path.parent, entry.get("file"))
-        tensors[name] = read_cbq(data) if kind == "cbq" else _tensor_view(data, 0, len(data), entry)
+        if not isinstance(file, str) or (file, kind) not in loaded:
+            data = _read_member(manifest_path.parent, file)  # rejects a file that is not a bare name
+            loaded[file, kind] = read_cbq(data) if kind == "cbq" else data
+        value = loaded[file, kind]
+        tensors[name] = value if kind == "cbq" else _tensor_view(value, 0, len(value), entry)
     return tensors

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, summaries, pipeline identity."""
 
 import csv
+import hashlib
 import io
 import json
 import struct
@@ -204,6 +205,21 @@ class TestSweepCommand:
         keys = [(r["scheme"], int(r["bits"]), int(r["seed"])) for r in read_csv(text)]
         assert keys == sorted(keys)
 
+    # SHA-256 of the CSV, recorded before the sweep's workers shared one float64
+    # copy of each tensor; 8 workers on 12 combinations read the shared copies at once.
+    @pytest.mark.parametrize("threads", ["1", "8"])
+    @pytest.mark.parametrize("groups,digest", [
+        ("1", "9263eb6a2dd9387c28e21fe0c8c7d4d467395beaa2a34a3fb054d7ab42a3805c"),
+        ("3", "024242918cc4bef6f39645df0ba13414058274fccc2d38f7ec03655b7528272e"),
+    ])
+    def test_csv_bytes_are_pinned(self, gaussian_bundle, capsys, monkeypatch, threads, groups, digest):
+        monkeypatch.setenv("CBQUANT_THREADS", threads)
+        code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "1", "2", "3",
+                             "--seeds", "0", "1", "--groups", groups, "--format", "csv")
+        assert code == 0
+        assert len(read_csv(text)) == 12
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestTrainToyCommand:
     def test_writes_curve_records(self, tmp_path, capsys):
@@ -300,6 +316,15 @@ def test_train_toy_rejects_non_finite_rates(flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train-toy", "--bits", "1", "--epochs", "2", "--pretrain-epochs", "2", flag, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-0.0"])
+def test_train_toy_rejects_a_zero_learning_rate(value, capsys):
+    # The parser rejects it, before TrainConfig would (exit 3).
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-toy", "--bits", "1", "--lr", value])
+    assert exc.value.code == 2
+    assert "expected a finite float in (0, inf]" in capsys.readouterr().err
 
 
 def test_train_toy_rejects_groups_flag():

@@ -1,6 +1,7 @@
 """k-means++ seeding, Lloyd steps, and the full k-means quantizer."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,28 @@ class TestLloydStep:
         # |1 - c| rounds to 1.0 for all three centroids, although 2e-20 is nearest by value.
         state, _ = core.lloyd_step([1.0], core.LloydState(np.array([0.0, 2e-20, 1e-20])))
         assert state.labels.tolist() == [0]
+
+    @pytest.mark.parametrize("n", [4, 100_000])  # the dense route and the table route
+    def test_labels_are_uint8(self, n):
+        v = np.random.default_rng(3).normal(size=n)
+        state, _ = core.lloyd_step(v, core.LloydState(np.array([-1.0, 0.0, 1.0])))
+        assert state.labels.dtype == np.uint8
+        again, changed = core.lloyd_step(v, state)
+        assert again.labels.dtype == np.uint8
+        assert changed == bool((again.labels != state.labels).any())
+
+    @pytest.mark.parametrize("max_iterations", [0, 3])
+    def test_cluster_labels_are_uint8(self, max_iterations):
+        v = np.random.default_rng(4).normal(size=500)
+        assert core.kmeans_cluster(v, kcfg(8, max_iterations=max_iterations)).labels.dtype == np.uint8
+
+    def test_more_than_256_centroids_are_rejected(self):
+        with pytest.raises(BadConfigError):
+            core.lloyd_step(np.arange(300.0), core.LloydState(np.arange(257.0)))
+
+    def test_256_centroids_use_every_label(self):
+        state, _ = core.lloyd_step(np.arange(256.0), core.LloydState(np.arange(256.0)))
+        np.testing.assert_array_equal(state.labels, np.arange(256))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sse_never_increases(self, seed):
@@ -187,6 +210,19 @@ class TestKmeansQuantize:
         result = core.kmeans_cluster([0.0, 1.0, 2.0], kcfg(1, seed=0))
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.iterations = 5
+
+    def test_float64_input_is_held_about_twice(self):
+        # k-means++ holds two float64 buffers; a Lloyd step holds the int64 labels,
+        # the SSE gather and the previous step's uint8 labels: 17 bytes an element.
+        v = np.random.default_rng(6).normal(size=589_824)
+        tracemalloc.start()
+        try:
+            result = core.kmeans_cluster(v, kcfg(2, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 3
+        assert peak <= 2.25 * v.nbytes
 
     def test_every_referenced_cluster_is_occupied(self):
         v = np.random.default_rng(21).normal(size=300)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbquant import core, grouping
+from cbquant import core, grouping, tensorio
 from cbquant.errors import CorruptIndexError, NonFiniteInputError, ShapeMismatchError, TooManyGroupsError
 
 
@@ -133,3 +133,54 @@ class TestReconstructGrouped:
         out = grouping.reconstruct_grouped(g)
         assert out.shape == (12, 5)
         assert out.dtype == np.float32
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes ``tracemalloc`` saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """Peak memory of the grouped stages on one 3072 x 768 float32 tensor."""
+
+    @pytest.fixture(scope="class")
+    def tensor(self):
+        return (np.random.default_rng(11).normal(size=(3072, 768)) * 0.02).astype(np.float32)
+
+    @pytest.mark.parametrize("groups", [1, 4096])
+    def test_reconstruct_holds_its_output_and_one_chunk(self, tensor, groups):
+        g = grouping.quantize_grouped(tensor, cfg_for(core.Scheme.LINEAR, 4, groups=groups))
+        out, peak = traced_peak(lambda: grouping.reconstruct_grouped(g))
+        assert peak <= 1.5 * out.nbytes
+
+    def test_linear_quantize_holds_no_copy_of_the_input(self, tensor):
+        # The output labels take one byte an element; codebooks and one chunk of
+        # float64 work fit in the constant.  A float64 copy would take 8 bytes an element.
+        _, peak = traced_peak(lambda: grouping.quantize_grouped(
+            tensor, cfg_for(core.Scheme.LINEAR, 4, groups=4096)))
+        assert peak <= tensor.size + (4 << 20)
+
+
+# (n, G) pairs whose rows are longer than, shorter than and equal to a chunk of 64
+CHUNK_CASES = [(1000, 1), (1000, 3), (1000, 7), (1000, 16), (1000, 999), (640, 10), (5, 5)]
+
+
+@pytest.mark.parametrize("n,groups", CHUNK_CASES)
+@pytest.mark.parametrize("scheme,bits", [(core.Scheme.LINEAR, 3), (core.Scheme.KMEANS, 2)])
+def test_small_chunks_give_the_same_bytes(monkeypatch, n, groups, scheme, bits):
+    tensor = np.random.default_rng(n + groups).normal(size=n).astype(np.float32)
+    cfg = cfg_for(scheme, bits, groups=groups)
+    whole = grouping.quantize_grouped(tensor, cfg)
+    blob = tensorio.write_cbq(whole)
+    rebuilt = grouping.reconstruct_grouped(whole)
+    monkeypatch.setattr(core, "_ASSIGN_CHUNK", 64)
+    chunked = grouping.quantize_grouped(tensor, cfg)
+    assert tensorio.write_cbq(chunked) == blob
+    assert grouping.reconstruct_grouped(chunked).tobytes() == rebuilt.tobytes()
+    assert tensorio.write_cbq(tensorio.read_cbq(blob)) == blob

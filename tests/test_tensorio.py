@@ -1,5 +1,6 @@
 """Bit packing, CBQ container round-trips, golden fixtures, tensor bundles."""
 
+import json
 import struct
 import tracemalloc
 
@@ -179,6 +180,34 @@ class TestCbqFormat:
             tensorio.read_cbq(bytes(blob))
 
 
+    @pytest.mark.parametrize("groups", [1, 4096])
+    def test_read_is_in_proportion_to_the_blob(self, groups):
+        tensor = (np.random.default_rng(12).normal(size=(3072, 768)) * 0.02).astype(np.float32)
+        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=4, group_count=groups)
+        blob = tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg))
+        tracemalloc.start()
+        try:
+            g = tensorio.read_cbq(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4-bit labels take half a byte each in the blob and one byte once decoded.
+        assert peak <= 12 * len(blob)
+        assert tensorio.write_cbq(g) == blob
+
+    @pytest.mark.parametrize("groups", [1, 3, 16])
+    def test_occupancy_mismatch_is_found_in_any_chunk(self, monkeypatch, groups):
+        monkeypatch.setattr(core, "_ASSIGN_CHUNK", 64)
+        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2, group_count=groups)
+        g = grouping.quantize_grouped(np.random.default_rng(groups).normal(size=1000), cfg)
+        occupancy = g.occupancy.copy()
+        occupancy[-1, np.argmax(occupancy[-1])] -= 1  # one member moves between two slots
+        occupancy[-1, np.argmin(occupancy[-1])] += 1
+        blob = tensorio.write_cbq(grouping.GroupedQuantizedTensor(g.shape, cfg, g.centroids, occupancy, g.labels))
+        with pytest.raises(CorruptIndexError):
+            tensorio.read_cbq(blob)
+
+
 class TestBundles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -244,6 +273,31 @@ class TestDirectoryWrites:
             assert peak <= 1.5 * tensor.nbytes
             del result
         np.testing.assert_array_equal(tensorio.read_bundle(path)["w"], tensor)
+
+    def test_quantized_entries_sharing_a_file_read_it_once(self, tmp_path):
+        # Tied weights: 100 entries name one 100 kB raw file.
+        tensorio.write_quantized(tmp_path, {"w": np.random.default_rng(0).normal(size=25_000).astype(np.float32)})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tensors"] = [{**manifest["tensors"][0], "name": f"w{i}"} for i in range(100)]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        supplied = sum(p.stat().st_size for p in tmp_path.iterdir())
+        tracemalloc.start()
+        try:
+            loaded = tensorio.read_quantized(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 100
+        assert all(np.shares_memory(t, loaded["w0"]) for t in loaded.values())
+        assert peak <= 2 * supplied + (64 << 10)
+
+    def test_quantized_entries_sharing_a_cbq_file_share_one_tensor(self, tmp_path):
+        tensorio.write_quantized(tmp_path, {"a": tensorio.write_cbq(golden_tensor())})
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tensors"].append({**manifest["tensors"][0], "name": "b"})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        loaded = tensorio.read_quantized(tmp_path)
+        assert loaded["a"] is loaded["b"]
 
     def test_quantized_round_trip(self, tmp_path):
         blob = tensorio.write_cbq(golden_tensor())
