@@ -213,11 +213,14 @@ def linear_quantize_rows(rows, n_levels: int) -> tuple[np.ndarray, np.ndarray, n
     constant = lo == hi
     width = (hi - lo) / m
     # A constant row divides its zero offsets by 1, so all its labels are 0.
-    scaled = np.subtract(x, lo)
-    np.divide(scaled, np.where(constant, 1.0, width), out=scaled)
-    np.floor(scaled, out=scaled)
-    labels = scaled.astype(np.int64)
-    del scaled
+    divisor = np.where(constant, 1.0, width)
+    # The scaled values of a long row pass into the int64 labels one chunk of columns at a time.
+    labels = np.empty(x.shape, dtype=np.int64)
+    for c in range(0, x.shape[1], _ASSIGN_CHUNK):
+        scaled = np.subtract(x[:, c : c + _ASSIGN_CHUNK], lo)
+        np.divide(scaled, divisor, out=scaled)
+        np.floor(scaled, out=scaled)
+        labels[:, c : c + _ASSIGN_CHUNK] = scaled
     np.clip(labels, 0, m - 1, out=labels)
     out_labels = labels.astype(np.uint8)
     # One bincount over every row: row i's bins are i*m ... i*m + m - 1.
@@ -231,6 +234,31 @@ def linear_quantize_rows(rows, n_levels: int) -> tuple[np.ndarray, np.ndarray, n
     return out_labels, centroids.astype(np.float32), occupancy.astype(np.uint32)
 
 
+# k-means++ sums the squared distances in blocks of this many elements to find each pick.
+_PICK_BLOCK = 1024
+
+
+def _certified_pick(d2: np.ndarray, ends: np.ndarray, rt: float, margin: float) -> int:
+    """The index that ``searchsorted(cumsum(d2), r, side="right")`` gives for
+    every ``r`` within ``margin`` of ``rt``, or -1 when the block estimates
+    cannot prove one.
+
+    ``ends`` holds the running totals of ``d2``'s block sums; each estimate
+    of a prefix sum is within ``margin`` of the exact sequential one.
+    """
+    b = int(np.searchsorted(ends, rt, side="right"))
+    if b >= len(ends):
+        return -1
+    start = b * _PICK_BLOCK
+    before = float(ends[b - 1]) if b else 0.0
+    local = np.cumsum(d2[start : start + _PICK_BLOCK])
+    local += before
+    j = int(np.searchsorted(local, rt, side="right"))
+    if j < len(local) and (float(local[j - 1]) if j else before) < rt - margin and local[j] > rt + margin:
+        return start + j
+    return -1
+
+
 def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """Pick ``n_clusters`` initial centroids from ``v`` by squared-distance weighting.
 
@@ -240,26 +268,63 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     distinct values; once every distinct value is taken, the remaining slots
     are padded with copies of the last pick (they end up with zero members
     because ties in assignment go to the lowest cluster index).
+
+    The draw is defined by the sequential prefix sums ``cum`` of the squared
+    distances ``d2``: a pick draws ``q = rng.random()`` and takes
+    ``searchsorted(cum, q * cum[-1], side="right")``, or the last element
+    with ``d2 > 0`` when that index runs off the end.  Each pick finds the
+    same index without that full-length sequential ``cumsum``.  It sums
+    ``d2`` in blocks of ``_PICK_BLOCK`` elements, finds the block of
+    ``rt = q * total`` in their running totals, and runs a ``cumsum``
+    within that block only (``_certified_pick``).  Any summation order of n
+    non-negative terms is within about ``n * 2**-53`` times their true sum
+    (Higham, ch. 4), so every estimated prefix, the exact ``cum`` and
+    ``q * cum[-1]`` against ``rt`` differ by less than a margin ``m`` of
+    about ``4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK) * 2**-53 * total``.
+    When the estimated prefix before the candidate is below ``rt - m`` and
+    the one through it is above ``rt + m``, the candidate is the sequential
+    draw's index.  Otherwise (a boundary within ``m`` of ``rt``, ``q == 0``,
+    ``rt`` at the top of the range, a non-finite or near-overflow total) the
+    pick falls back to the full sequential ``cumsum``.  Either way the
+    output is the same, bit for bit.
     """
     arr = _validate_input(v)
     if not 1 <= n_clusters <= 256:
         raise BadConfigError(f"n_clusters must be in [1, 256], got {n_clusters}")
 
-    first = arr[int(rng.integers(arr.size))]
+    n = arr.size
+    first = arr[int(rng.integers(n))]
     chosen = [first]
-    d2 = np.square(arr - first)
+    d2 = np.subtract(arr, first)
+    np.square(d2, out=d2)
     cum = np.empty_like(d2)
+    full = n - n % _PICK_BLOCK
+    rows = d2[:full].reshape(-1, _PICK_BLOCK)
+    sums = np.empty(-(-n // _PICK_BLOCK))
+    ends = np.empty_like(sums)
+    slack = 4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK + 8) * 2.0**-53
     while len(chosen) < n_clusters:
-        np.cumsum(d2, out=cum)
-        # The terms are non-negative, so the running total is 0 iff all are.
-        if cum[-1] == 0.0:
+        # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
+        with np.errstate(over="ignore"):
+            np.add.reduce(rows, axis=1, out=sums[: len(rows)])
+            if full < n:
+                sums[-1] = d2[full:].sum()
+            np.cumsum(sums, out=ends)
+        total = float(ends[-1])
+        # The terms are non-negative, so any sum of them is 0 iff all are.
+        if total == 0.0:
             break  # every element already coincides with a centroid
-        r = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, r, side="right"))
-        if idx >= arr.size:  # r rounded up onto the total
-            idx = int(np.flatnonzero(d2 > 0)[-1])
+        q = rng.random()
+        # Below 2**1022 no prefix, summed in any order, overflows.
+        idx = _certified_pick(d2, ends, q * total, slack * total + n * 2.0**-1074) if total < 2.0**1022 else -1
+        if idx < 0:
+            np.cumsum(d2, out=cum)
+            r = q * cum[-1]
+            idx = int(np.searchsorted(cum, r, side="right"))
+            if idx >= n:  # r rounded up onto the total
+                idx = int(np.flatnonzero(d2 > 0)[-1])
         chosen.append(arr[idx])
-        # cum is free until the next pick's cumsum rewrites it, so it holds the new distances.
+        # cum is scratch outside the sequential path, so it holds the new distances.
         np.subtract(arr, arr[idx], out=cum)
         np.square(cum, out=cum)
         np.minimum(d2, cum, out=d2)

@@ -1,7 +1,9 @@
 """k-means++ seeding, Lloyd steps, and the full k-means quantizer."""
 
 import dataclasses
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,144 @@ class TestKmeansppInit:
     def test_cluster_count_bounds(self, n_clusters):
         with pytest.raises(BadConfigError):
             core.kmeanspp_init([1.0, 2.0], n_clusters, np.random.default_rng(0))
+
+
+def sequential_kmeanspp_init(v, n_clusters, rng):
+    """k-means++ with one full-length sequential ``cumsum`` per pick: the
+    definition that ``core.kmeanspp_init`` must reproduce bit for bit."""
+    arr = np.asarray(v, dtype=np.float64).reshape(-1)
+    first = arr[int(rng.integers(arr.size))]
+    chosen = [first]
+    d2 = np.square(arr - first)
+    while len(chosen) < n_clusters:
+        cum = np.cumsum(d2)
+        if cum[-1] == 0.0:
+            break
+        r = rng.random() * cum[-1]
+        idx = int(np.searchsorted(cum, r, side="right"))
+        if idx >= arr.size:
+            idx = int(np.flatnonzero(d2 > 0)[-1])
+        chosen.append(arr[idx])
+        d2 = np.minimum(d2, np.square(arr - arr[idx]))
+    return np.array(chosen + [chosen[-1]] * (n_clusters - len(chosen)))
+
+
+PICK_INPUTS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    # Fewer distinct values than clusters: the init pads with the last pick.
+    "duplicates": lambda rng, n: rng.integers(0, 5, n).astype(np.float64),
+    "three_values": lambda rng, n: rng.choice([-1.0, 0.0, 2.5], n),
+    # Squared distances near 1e-320 are subnormal.
+    "subnormal_d2": lambda rng, n: rng.normal(size=n) * 1e-160,
+    # Distances near 2e300 square to inf.
+    "d2_overflows": lambda rng, n: rng.choice([-1e300, 1e300], n) * rng.random(n),
+    # Each squared distance is finite, their sums overflow.
+    "sums_overflow": lambda rng, n: rng.normal(size=n) * 1e153,
+    "offset_noise": lambda rng, n: 1e6 + 1e-6 * rng.normal(size=n),
+    "mixed_scales": lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n),
+}
+
+
+def picks_and_warnings(init, v, n_clusters, rng):
+    """``init``'s centroid bytes and the messages of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = init(v, n_clusters, rng)
+    return out.tobytes(), [str(w.message) for w in caught]
+
+
+def same_picks(v, n_clusters, make_rng):
+    """Whether ``core.kmeanspp_init`` gives the sequential definition's bytes and
+    warnings, each drawing from a fresh ``make_rng()``."""
+    return (picks_and_warnings(core.kmeanspp_init, v, n_clusters, make_rng())
+            == picks_and_warnings(sequential_kmeanspp_init, v, n_clusters, make_rng()))
+
+
+class ScriptedRng:
+    """Stands in for a generator: the first pick is element 0, the next draws ``q``."""
+
+    def __init__(self, q):
+        self.q = q
+
+    def integers(self, n):
+        return 0
+
+    def random(self):
+        return self.q
+
+
+class TestKmeansppPicksAreSequential:
+    """The block-sum pick search gives the sequential draw's bytes and warnings."""
+
+    @pytest.mark.parametrize("n", [1, 37, 1023, 1024, 1025, 4096, 100_000])
+    @pytest.mark.parametrize("n_clusters", [1, 2, 16, 256])
+    @pytest.mark.parametrize("kind", sorted(PICK_INPUTS))
+    def test_same_bytes_as_sequential_cumsum(self, n, n_clusters, kind):
+        seeds = range(3) if n <= 4096 else range(1)
+        for seed in seeds:
+            v = PICK_INPUTS[kind](np.random.default_rng(seed + 10 * n), n)
+            assert same_picks(v, n_clusters, lambda: np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("kind", sorted(PICK_INPUTS))
+    def test_every_pick_on_the_sequential_path_gives_the_same_bytes(self, monkeypatch, kind):
+        v = PICK_INPUTS[kind](np.random.default_rng(5), 5000)
+        monkeypatch.setattr(core, "_certified_pick", lambda *args: -1)
+        for n_clusters in (2, 16, 256):
+            assert same_picks(v, n_clusters, lambda: np.random.default_rng(3))
+
+    def test_draws_within_rounding_of_a_prefix_match_the_sequential_pick(self):
+        # Mixed magnitudes make the block-sum prefixes differ from the sequential
+        # ones by a few ulps; each draw below puts r within 24 ulps of a prefix:
+        # the last one of each block, and random others.
+        rng = np.random.default_rng(0)
+        v = rng.random(5000) * rng.choice([1.0, 1e-4], 5000)
+        v[0] = 0.0
+        cum = np.cumsum(np.square(v))
+        block_ends = np.arange(1, 5) * core._PICK_BLOCK - 1
+        for i in np.concatenate([block_ends, rng.choice(np.arange(1, 5000), 40, replace=False)]):
+            q0 = float(cum[i] / cum[-1])
+            for q in q0 + np.arange(-24, 25) * np.spacing(q0):
+                assert same_picks(v, 2, lambda: ScriptedRng(q))
+
+    def test_sequential_overflow_under_a_finite_block_total(self):
+        # Each d2 term after the big one is 0.6 ulp of the running total: the
+        # sequential sum rounds every one up to a whole ulp and overflows, while
+        # the block sums add them at their own size and stay finite.
+        top = np.finfo(np.float64).max
+        v = np.empty(4096)
+        v[0] = 0.0
+        v[1] = np.sqrt(top - 3000 * math.ulp(top))
+        v[2:] = np.sqrt(0.6 * math.ulp(top))
+        d2 = np.square(v)
+        with np.errstate(over="ignore"):
+            assert np.cumsum(d2)[-1] == np.inf
+        assert np.add.reduce(d2.reshape(-1, 1024), axis=1).sum() < np.inf
+        assert same_picks(v, 2, lambda: ScriptedRng(0.5))
+
+    def test_bert_sized_tensor_rarely_needs_the_sequential_path(self, monkeypatch):
+        v = np.random.default_rng(0).normal(scale=0.02, size=589_824)
+        certified_pick, results = core._certified_pick, []
+
+        def counted(*args):
+            results.append(certified_pick(*args))
+            return results[-1]
+
+        monkeypatch.setattr(core, "_certified_pick", counted)
+        out = core.kmeanspp_init(v, 256, np.random.default_rng(1))
+        assert len(results) == 255
+        assert results.count(-1) <= 2
+        assert out.tobytes() == sequential_kmeanspp_init(v, 256, np.random.default_rng(1)).tobytes()
+
+    def test_holds_two_float64_buffers(self):
+        # d2 and the scratch buffer; no temporary for the first distances.
+        v = np.random.default_rng(8).normal(size=589_824)
+        tracemalloc.start()
+        try:
+            core.kmeanspp_init(v, 16, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * v.nbytes + (64 << 10)
 
 
 class TestLloydStep:

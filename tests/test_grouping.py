@@ -166,6 +166,13 @@ class TestMemory:
             tensor, cfg_for(core.Scheme.LINEAR, 4, groups=4096)))
         assert peak <= tensor.size + (4 << 20)
 
+    def test_linear_quantize_at_one_group_holds_no_scaled_copy(self, tensor):
+        # One whole-row bincount needs the float64 row and the int64 labels; the
+        # uint8 labels come twice.  The scaled values pass through one chunk.
+        _, peak = traced_peak(lambda: grouping.quantize_grouped(
+            tensor, cfg_for(core.Scheme.LINEAR, 4, groups=1)))
+        assert peak <= 18 * tensor.size + (4 << 20)
+
 
 # (n, G) pairs whose rows are longer than, shorter than and equal to a chunk of 64
 CHUNK_CASES = [(1000, 1), (1000, 3), (1000, 7), (1000, 16), (1000, 999), (640, 10), (5, 5)]
