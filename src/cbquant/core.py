@@ -246,14 +246,14 @@ def _certified_pick(d2: np.ndarray, ends: np.ndarray, rt: float, margin: float) 
     ``ends`` holds the running totals of ``d2``'s block sums; each estimate
     of a prefix sum is within ``margin`` of the exact sequential one.
     """
-    b = int(np.searchsorted(ends, rt, side="right"))
+    b = int(ends.searchsorted(rt, "right"))
     if b >= len(ends):
         return -1
     start = b * _PICK_BLOCK
     before = float(ends[b - 1]) if b else 0.0
-    local = np.cumsum(d2[start : start + _PICK_BLOCK])
+    local = np.add.accumulate(d2[start : start + _PICK_BLOCK])
     local += before
-    j = int(np.searchsorted(local, rt, side="right"))
+    j = int(local.searchsorted(rt, "right"))
     if j < len(local) and (float(local[j - 1]) if j else before) < rt - margin and local[j] > rt + margin:
         return start + j
     return -1
@@ -285,8 +285,9 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     the one through it is above ``rt + m``, the candidate is the sequential
     draw's index.  Otherwise (a boundary within ``m`` of ``rt``, ``q == 0``,
     ``rt`` at the top of the range, a non-finite or near-overflow total) the
-    pick falls back to the full sequential ``cumsum``.  Either way the
-    output is the same, bit for bit.
+    pick falls back to the full sequential ``cumsum``.  Input of at most two
+    blocks always takes that ``cumsum``, which then costs less than the
+    block search.  Either way the output is the same, bit for bit.
     """
     arr = _validate_input(v)
     if not 1 <= n_clusters <= 256:
@@ -299,26 +300,34 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     np.square(d2, out=d2)
     cum = np.empty_like(d2)
     full = n - n % _PICK_BLOCK
-    rows = d2[:full].reshape(-1, _PICK_BLOCK)
-    sums = np.empty(-(-n // _PICK_BLOCK))
+    rows, tail = d2[:full].reshape(-1, _PICK_BLOCK), d2[full:]
+    sums = np.empty(len(rows) + (tail.size > 0))
     ends = np.empty_like(sums)
     slack = 4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK + 8) * 2.0**-53
+    # Over two blocks or fewer, one sequential cumsum costs less than the block search.
+    blocked = len(sums) > 2
     while len(chosen) < n_clusters:
-        # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
-        with np.errstate(over="ignore"):
-            np.add.reduce(rows, axis=1, out=sums[: len(rows)])
-            if full < n:
-                sums[-1] = d2[full:].sum()
-            np.cumsum(sums, out=ends)
-        total = float(ends[-1])
+        if blocked:
+            # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
+            with np.errstate(over="ignore"):
+                np.add.reduce(rows, axis=1, out=sums[: len(rows)])
+                if tail.size:
+                    sums[-1] = np.add.reduce(tail)
+                np.add.accumulate(sums, out=ends)
+            total = float(ends[-1])
+        else:
+            np.cumsum(d2, out=cum)
+            total = float(cum[-1])
         # The terms are non-negative, so any sum of them is 0 iff all are.
         if total == 0.0:
             break  # every element already coincides with a centroid
         q = rng.random()
-        # Below 2**1022 no prefix, summed in any order, overflows.
-        idx = _certified_pick(d2, ends, q * total, slack * total + n * 2.0**-1074) if total < 2.0**1022 else -1
+        idx = -1
+        if blocked and total < 2.0**1022:  # then no prefix, summed in any order, overflows
+            idx = _certified_pick(d2, ends, q * total, slack * total + n * 2.0**-1074)
         if idx < 0:
-            np.cumsum(d2, out=cum)
+            if blocked:
+                np.cumsum(d2, out=cum)
             r = q * cum[-1]
             idx = int(np.searchsorted(cum, r, side="right"))
             if idx >= n:  # r rounded up onto the total
