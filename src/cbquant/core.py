@@ -304,7 +304,7 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     sums = np.empty(len(rows) + (tail.size > 0))
     ends = np.empty_like(sums)
     slack = 4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK + 8) * 2.0**-53
-    # Over two blocks or fewer, one sequential cumsum costs less than the block search.
+    # On two blocks or fewer, one sequential cumsum costs less than the block search.
     blocked = len(sums) > 2
     while len(chosen) < n_clusters:
         if blocked:
