@@ -285,9 +285,8 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     the one through it is above ``rt + m``, the candidate is the sequential
     draw's index.  Otherwise (a boundary within ``m`` of ``rt``, ``q == 0``,
     ``rt`` at the top of the range, a non-finite or near-overflow total) the
-    pick falls back to the full sequential ``cumsum``.  Input of at most two
-    blocks always takes that ``cumsum``, which then costs less than the
-    block search.  Either way the output is the same, bit for bit.
+    pick falls back to the full sequential ``cumsum``.  Either way the
+    output is the same, bit for bit.
     """
     arr = _validate_input(v)
     if not 1 <= n_clusters <= 256:
@@ -304,36 +303,29 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     sums = np.empty(len(rows) + (tail.size > 0))
     ends = np.empty_like(sums)
     slack = 4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK + 8) * 2.0**-53
-    # On two blocks or fewer, one sequential cumsum costs less than the block search.
-    blocked = len(sums) > 2
     while len(chosen) < n_clusters:
-        if blocked:
-            # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
-            with np.errstate(over="ignore"):
-                np.add.reduce(rows, axis=1, out=sums[: len(rows)])
-                if tail.size:
-                    sums[-1] = np.add.reduce(tail)
-                np.add.accumulate(sums, out=ends)
-            total = float(ends[-1])
-        else:
-            np.cumsum(d2, out=cum)
-            total = float(cum[-1])
+        # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
+        with np.errstate(over="ignore"):
+            np.add.reduce(rows, axis=1, out=sums[: len(rows)])
+            if tail.size:
+                sums[-1] = np.add.reduce(tail)
+            np.add.accumulate(sums, out=ends)
+        total = float(ends[-1])
         # The terms are non-negative, so any sum of them is 0 iff all are.
         if total == 0.0:
             break  # every element already coincides with a centroid
         q = rng.random()
         idx = -1
-        if blocked and total < 2.0**1022:  # then no prefix, summed in any order, overflows
+        if total < 2.0**1022:  # then no prefix, summed in any order, overflows
             idx = _certified_pick(d2, ends, q * total, slack * total + n * 2.0**-1074)
         if idx < 0:
-            if blocked:
-                np.cumsum(d2, out=cum)
+            np.cumsum(d2, out=cum)
             r = q * cum[-1]
             idx = int(np.searchsorted(cum, r, side="right"))
             if idx >= n:  # r rounded up onto the total
                 idx = int(np.flatnonzero(d2 > 0)[-1])
         chosen.append(arr[idx])
-        # cum is scratch outside the sequential path, so it holds the new distances.
+        # cum is scratch outside the sequential fallback, so it holds the new distances.
         np.subtract(arr, arr[idx], out=cum)
         np.square(cum, out=cum)
         np.minimum(d2, cum, out=d2)

@@ -116,8 +116,8 @@ class ScriptedRng:
 class TestKmeansppPicksAreSequential:
     """The block-sum pick search gives the sequential draw's bytes and warnings."""
 
-    # Up to two blocks (2048 elements) every pick is sequential; beyond, the
-    # sizes cover whole blocks, a short tail and a tail of one element.
+    # The sizes cover one partial block, whole blocks, a short tail and a
+    # tail of one element.
     @pytest.mark.parametrize("n", [1, 37, 1023, 1024, 1025, 3073, 4096, 5000, 100_000])
     @pytest.mark.parametrize("n_clusters", [1, 2, 16, 256])
     @pytest.mark.parametrize("kind", sorted(PICK_INPUTS))
