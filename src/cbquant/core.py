@@ -513,8 +513,14 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    """``sum((arr - centroids[labels])**2)`` in one float64 buffer: gather, subtract, square."""
-    diff = centroids[labels]
+    """``sum((arr - centroids[labels])**2)`` in one float64 buffer: gather, subtract, square.
+
+    The gather runs in chunks, so narrow labels are widened to indices one
+    chunk at a time.
+    """
+    diff = np.empty(arr.size)
+    for c in range(0, arr.size, _ASSIGN_CHUNK):
+        np.take(centroids, labels[c : c + _ASSIGN_CHUNK], out=diff[c : c + _ASSIGN_CHUNK])
     np.subtract(arr, diff, out=diff)
     return float(np.sum(np.square(diff, out=diff)))
 
@@ -535,7 +541,7 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
         raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(state.centroids)}")
     centroids = np.asarray(state.centroids, dtype=np.float64)
 
-    # _assign's int64 labels live only for the counts and the SSE gather; the state keeps uint8.
+    # _assign's int64 labels live only for the counts; the SSE gather and the state use uint8.
     labels = _assign(arr, centroids)
     changed = state.labels is None or bool(np.any(labels != state.labels))
 
@@ -543,8 +549,9 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     sums = np.bincount(labels, weights=arr, minlength=len(centroids))
     new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
 
+    labels = labels.astype(np.uint8)
     sse = _state_sse(arr, labels, new_centroids)
-    return LloydState(new_centroids, labels.astype(np.uint8), sse, state.iterations + 1), changed
+    return LloydState(new_centroids, labels, sse, state.iterations + 1), changed
 
 
 def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:
@@ -574,8 +581,8 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
                 break
 
     if state.labels is None:  # max_iterations == 0: assign once, keep init centroids
-        labels = _assign(arr, state.centroids)
-        state = LloydState(state.centroids, labels.astype(np.uint8), _state_sse(arr, labels, state.centroids))
+        labels = _assign(arr, state.centroids).astype(np.uint8)
+        state = LloydState(state.centroids, labels, _state_sse(arr, labels, state.centroids))
     return state
 
 

@@ -198,6 +198,19 @@ class TestLloydStep:
         np.testing.assert_array_equal(state.centroids, [0.0, 10.0])
         assert state.sse == 0.0
 
+    def test_holds_one_float64_buffer(self):
+        # The int64 labels are freed before the SSE gather; beyond one 8-byte
+        # buffer a step holds the previous and the new uint8 labels and chunks.
+        v = np.random.default_rng(4).normal(size=589_824)
+        state, _ = core.lloyd_step(v, core.LloydState(core.kmeanspp_init(v, 16, np.random.default_rng(0))))
+        tracemalloc.start()
+        try:
+            core.lloyd_step(v, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= v.nbytes + 2 * v.size + (2 << 20)
+
     def test_fixed_point_reports_no_change(self):
         start = core.LloydState(np.array([0.0, 10.0]), labels=np.array([0, 1]))
         state, changed = core.lloyd_step([0.0, 10.0], start)
@@ -354,8 +367,7 @@ class TestKmeansQuantize:
             result.iterations = 5
 
     def test_float64_input_is_held_about_twice(self):
-        # k-means++ holds two float64 buffers; a Lloyd step holds the int64 labels,
-        # the SSE gather and the previous step's uint8 labels: 17 bytes an element.
+        # k-means++ holds two float64 buffers, more than any Lloyd step holds.
         v = np.random.default_rng(6).normal(size=589_824)
         tracemalloc.start()
         try:
@@ -396,4 +408,14 @@ def test_state_sse_matches_the_plain_expression_bit_for_bit(seed):
     centroids = rng.normal(size=16)
     labels = rng.integers(0, 16, size=arr.size)
     reference = float(np.sum(np.square(arr - centroids[labels])))
+    assert core._state_sse(arr, labels, centroids).hex() == reference.hex()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_state_sse_gathers_across_chunks_bit_for_bit(dtype):
+    rng = np.random.default_rng(7)
+    arr = rng.normal(size=3 * core._ASSIGN_CHUNK + 5)
+    centroids = rng.normal(size=256)
+    labels = rng.integers(0, 256, size=arr.size).astype(dtype)
+    reference = float(np.sum(np.square(arr - centroids[labels.astype(np.int64)])))
     assert core._state_sse(arr, labels, centroids).hex() == reference.hex()
