@@ -516,11 +516,12 @@ def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> fl
     """``sum((arr - centroids[labels])**2)`` in one float64 buffer: gather, subtract, square.
 
     The gather runs in chunks, so narrow labels are widened to indices one
-    chunk at a time.
+    chunk at a time.  Every label indexes ``centroids``, so ``mode="clip"``
+    changes nothing; it spares the copy that ``take`` makes to check bounds.
     """
     diff = np.empty(arr.size)
     for c in range(0, arr.size, _ASSIGN_CHUNK):
-        np.take(centroids, labels[c : c + _ASSIGN_CHUNK], out=diff[c : c + _ASSIGN_CHUNK])
+        np.take(centroids, labels[c : c + _ASSIGN_CHUNK], out=diff[c : c + _ASSIGN_CHUNK], mode="clip")
     np.subtract(arr, diff, out=diff)
     return float(np.sum(np.square(diff, out=diff)))
 
