@@ -76,8 +76,7 @@ def cmd_quantize(args) -> int:
     if not tensors:
         raise EmptyInputError("bundle contains no tensors")
     cfg = core.QuantConfig(scheme=core.Scheme[args.scheme.upper()], bits=args.bits,
-                           max_iterations=args.iters, seed=args.seed,
-                           convergence_epsilon=args.epsilon, group_count=args.groups)
+                           max_iterations=args.iters, seed=args.seed, group_count=args.groups)
     names = sorted(tensors)
 
     def work(name):
@@ -135,8 +134,7 @@ def cmd_sweep(args) -> int:
     def work(combo):
         scheme, bits, seed = combo
         cfg = core.QuantConfig(scheme=core.Scheme[scheme.upper()], bits=bits,
-                               max_iterations=args.iters, seed=seed,
-                               convergence_epsilon=args.epsilon, group_count=args.groups)
+                               max_iterations=args.iters, seed=seed, group_count=args.groups)
         sse = 0.0
         count = 0
         for name in names:
@@ -170,8 +168,7 @@ def cmd_train_toy(args) -> int:
         data_seed=args.data_seed,
     )
     quant_cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=args.bits,
-                                 max_iterations=args.iters, seed=args.seed,
-                                 convergence_epsilon=args.epsilon)
+                                 max_iterations=args.iters, seed=args.seed)
     result = training.run_experiment(train_cfg, quant_cfg, task_seed=args.task_seed,
                                      pretrain_epochs=args.pretrain_epochs)
     if args.curves:
@@ -187,11 +184,14 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
+# The CBQ header stores the iteration cap and the group count as u32s.
+_U32_MAX = 2**32 - 1
+
+
 def _add_quant_flags(p):
     p.add_argument("--bits", type=_number(int, 1, 8), required=True)
-    p.add_argument("--iters", type=_number(int, 0), default=3, metavar="N")
+    p.add_argument("--iters", type=_number(int, 0, _U32_MAX), default=3, metavar="N")
     p.add_argument("--seed", type=_number(int, 0), default=0, metavar="S")
-    p.add_argument("--epsilon", type=_number(float, 0), default=0.0, metavar="E")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", help="bundle manifest (.json)")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
-    p.add_argument("--groups", type=_number(int, 1), default=1, metavar="G")
+    p.add_argument("--groups", type=_number(int, 1, _U32_MAX), default=1, metavar="G")
     _add_quant_flags(p)
     p.add_argument("--exclude", type=_regex_arg, metavar="PATTERN",
                    help="regex of tensor names to pass through unquantized")
@@ -227,9 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schemes", choices=["linear", "kmeans"], nargs="+",
                    default=["linear", "kmeans"])
     p.add_argument("--seeds", type=_number(int, 0), nargs="+", default=[0])
-    p.add_argument("--iters", type=_number(int, 0), default=3)
-    p.add_argument("--epsilon", type=_number(float, 0), default=0.0)
-    p.add_argument("--groups", type=_number(int, 1), default=1)
+    p.add_argument("--iters", type=_number(int, 0, _U32_MAX), default=3)
+    p.add_argument("--groups", type=_number(int, 1, _U32_MAX), default=1)
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=cmd_sweep)
 

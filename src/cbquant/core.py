@@ -57,17 +57,16 @@ class QuantConfig:
         bits: index width in bits; the codebook holds ``2**bits`` entries.
         max_iterations: cap on Lloyd iterations (k-means only).
         seed: base seed for the k-means++ random stream.
-        convergence_epsilon: k-means stops early once the relative SSE
-            improvement of a step falls below this (0 disables the check;
-            label stability always stops the loop).
         group_count: number of independently quantized contiguous groups.
+
+    These are exactly the config fields of a CBQ header, so a config
+    survives a write/read round trip; the two counts must fit its u32s.
     """
 
     scheme: Scheme
     bits: int
     max_iterations: int = 3
     seed: int = 0
-    convergence_epsilon: float = 0.0
     group_count: int = 1
 
     def __post_init__(self):
@@ -75,14 +74,12 @@ class QuantConfig:
             raise BadConfigError(f"unknown scheme: {self.scheme!r}")
         if not 1 <= self.bits <= 8:
             raise BadConfigError(f"bits must be in [1, 8], got {self.bits}")
-        if self.max_iterations < 0:
-            raise BadConfigError("max_iterations must be >= 0")
+        if not 0 <= self.max_iterations < 2**32:
+            raise BadConfigError("max_iterations must be in [0, 2**32 - 1]")
         if not 0 <= self.seed < 2**64:
             raise BadConfigError("seed must fit in an unsigned 64-bit integer")
-        if not (math.isfinite(self.convergence_epsilon) and self.convergence_epsilon >= 0):
-            raise BadConfigError("convergence_epsilon must be finite and >= 0")
-        if self.group_count < 1:
-            raise BadConfigError("group_count must be >= 1")
+        if not 1 <= self.group_count < 2**32:
+            raise BadConfigError("group_count must be in [1, 2**32 - 1]")
 
     @property
     def n_levels(self) -> int:
@@ -212,8 +209,9 @@ def linear_quantize_rows(rows, n_levels: int) -> tuple[np.ndarray, np.ndarray, n
     _check_float32_range(lo.min(), hi.max())
     constant = lo == hi
     width = (hi - lo) / m
-    # A constant row divides its zero offsets by 1, so all its labels are 0.
-    divisor = np.where(constant, 1.0, width)
+    # A row whose bin width is 0 (a constant row, or one whose span underflows
+    # when split) divides its offsets by 1: they are 0 or subnormal, so its labels are 0.
+    divisor = np.where(width == 0, 1.0, width)
     # The scaled values of a long row pass into the int64 labels one chunk of columns at a time.
     labels = np.empty(x.shape, dtype=np.int64)
     for c in range(0, x.shape[1], _ASSIGN_CHUNK):
@@ -558,12 +556,11 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
 def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:
     """k-means++ init followed by at most ``cfg.max_iterations`` Lloyd steps.
 
-    Stops early when no label changes, or (with ``convergence_epsilon > 0``)
-    when the relative SSE improvement of a step drops below the epsilon.
-    Returns the final state: its ``iterations`` counts the steps run, and
-    with ``max_iterations == 0`` it holds the k-means++ centroids and the
-    labels and SSE of one assignment to them.  Deterministic given the input
-    and ``(seed, tensor_name, group_index)``.
+    Stops early only when a step changes no label, so the result is fixed
+    by the input, ``cfg`` and ``(tensor_name, group_index)``.  Returns the
+    final state: its ``iterations`` counts the steps run, and with
+    ``max_iterations == 0`` it holds the k-means++ centroids and the labels
+    and SSE of one assignment to them.
     """
     if cfg.scheme is not Scheme.KMEANS:
         raise BadConfigError("k-means operations require cfg.scheme == Scheme.KMEANS")
@@ -572,14 +569,9 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     state = LloydState(kmeanspp_init(arr, cfg.n_levels, rng))
 
     for _ in range(cfg.max_iterations):
-        prev_sse = state.sse
         state, changed = lloyd_step(arr, state)
         if not changed:
             break
-        if cfg.convergence_epsilon > 0 and math.isfinite(prev_sse):
-            improvement = 0.0 if prev_sse == 0 else (prev_sse - state.sse) / prev_sse
-            if improvement < cfg.convergence_epsilon:
-                break
 
     if state.labels is None:  # max_iterations == 0: assign once, keep init centroids
         labels = _assign(arr, state.centroids).astype(np.uint8)

@@ -98,7 +98,7 @@ class TestQuantizeCommand:
     def test_huge_group_count_is_data_error(self, golden_bundle, tmp_path, capsys):
         out = tmp_path / "q"
         code, _ = run_cli(capsys, "quantize", str(golden_bundle), "-o", str(out), "--bits", "8",
-                          "--groups", "99999999999")
+                          "--groups", str(2**32 - 1))
         assert code == 3
         assert not out.exists()
 
@@ -310,8 +310,7 @@ class TestQuantizeOutput:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--lr", "inf"), ("--lr", "nan"), ("--multiplier", "inf"),
-                                        ("--epsilon", "inf")])
+@pytest.mark.parametrize("flag,value", [("--lr", "inf"), ("--lr", "nan"), ("--multiplier", "inf")])
 def test_train_toy_rejects_non_finite_rates(flag, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train-toy", "--bits", "1", "--epochs", "2", "--pretrain-epochs", "2", flag, value])
@@ -331,3 +330,33 @@ def test_train_toy_rejects_groups_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["train-toy", "--bits", "2", "--groups", "4"])
     assert exc.value.code == 2
+
+
+def _argv(command, bundle, out):
+    """A valid ``command`` argv that writes, if at all, to ``out``."""
+    return {"quantize": ["quantize", str(bundle), "-o", str(out), "--bits", "2"],
+            "sweep": ["sweep", str(bundle), "--bits", "2"],
+            "train-toy": ["train-toy", "--bits", "2", "--epochs", "1", "--pretrain-epochs", "1",
+                          "--curves", str(out)]}[command]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    *((c, "--iters", str(2**32)) for c in ("quantize", "sweep", "train-toy")),
+    *((c, "--groups", str(2**32)) for c in ("quantize", "sweep")),
+    *((c, "--epsilon", "0.1") for c in ("quantize", "sweep", "train-toy")),
+])
+def test_values_a_cbq_header_cannot_hold_are_usage_errors(command, flag, value, golden_bundle,
+                                                           tmp_path, capsys):
+    # The header stores the iteration cap and the group count as u32s, and no stopping tolerance.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_argv(command, golden_bundle, out) + [flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["quantize", "sweep", "train-toy"])
+def test_largest_iteration_cap_runs(command, golden_bundle, tmp_path, capsys):
+    # Lloyd stops when no label changes, long before the cap.
+    assert cli.main(_argv(command, golden_bundle, tmp_path / "out") + ["--iters", str(2**32 - 1)]) == 0

@@ -336,13 +336,6 @@ class TestKmeansQuantize:
         assert not np.array_equal(base.codebook.centroids, grouped.codebook.centroids) or \
             not np.array_equal(base.indices.labels, grouped.indices.labels)
 
-    def test_convergence_epsilon_stops_early(self):
-        v = np.random.default_rng(8).normal(size=1000)
-        eager = core.kmeans_cluster(v, kcfg(3, max_iterations=50, seed=0,
-                                            convergence_epsilon=0.5))
-        patient = core.kmeans_cluster(v, kcfg(3, max_iterations=50, seed=0))
-        assert eager.iterations < patient.iterations
-
     def test_iteration_cap_stops_the_loop(self):
         v = np.random.default_rng(8).normal(size=1000)
         capped = core.kmeans_cluster(v, kcfg(3, max_iterations=3, seed=0))

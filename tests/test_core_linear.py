@@ -45,6 +45,15 @@ class TestLinearExamples:
         assert core.error_stats([2.5, 2.5, 2.5], reconstructed([2.5, 2.5, 2.5], lcfg(bits))).sse == 0.0
 
 
+    @pytest.mark.parametrize("bits", [1, 2, 8])
+    def test_span_that_underflows_to_a_zero_width(self, bits):
+        # 5e-324 / 2**bits rounds to 0: no bin edge separates the two values.
+        labels, centroids, occupancy = core.linear_quantize_rows([[-0.0, 5e-324]], 2**bits)
+        np.testing.assert_array_equal(labels, [[0, 0]])
+        np.testing.assert_array_equal(occupancy[0], [2] + [0] * (2**bits - 1))
+        np.testing.assert_array_equal(centroids, np.zeros((1, 2**bits), np.float32))
+
+
 class TestLinearProperties:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("bits", [1, 3, 5, 8])
@@ -96,6 +105,14 @@ class TestLinearErrors:
     def test_bits_out_of_range(self, bits):
         with pytest.raises(BadConfigError):
             core.QuantConfig(scheme=core.Scheme.LINEAR, bits=bits)
+
+    @pytest.mark.parametrize("field,low", [("max_iterations", 0), ("group_count", 1)])
+    def test_counts_must_fit_the_header_u32(self, field, low):
+        for value in (low, 2**32 - 1):
+            core.QuantConfig(scheme=core.Scheme.LINEAR, bits=1, **{field: value})
+        for value in (low - 1, 2**32):
+            with pytest.raises(BadConfigError):
+                core.QuantConfig(scheme=core.Scheme.LINEAR, bits=1, **{field: value})
 
 
 class TestErrorStats:

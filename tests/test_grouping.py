@@ -97,9 +97,9 @@ class TestQuantizeGrouped:
 class TestGroupCountCheck:
     @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
     def test_group_count_numpy_cannot_allocate(self, scheme):
-        # (G, 256) codebooks at this G would take about 200 TB; numpy refuses them at once.
+        # (G, 256) codebooks at the largest G a config accepts would take about 8.8 TB.
         with pytest.raises(TooManyGroupsError):
-            grouping.quantize_grouped(np.ones(10), cfg_for(scheme, 8, groups=99999999999))
+            grouping.quantize_grouped(np.ones(10), cfg_for(scheme, 8, groups=2**32 - 1))
 
     @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
     def test_one_group_too_many_allocates_no_codebooks(self, scheme):

@@ -1,5 +1,6 @@
 """Bit packing, CBQ container round-trips, golden fixtures, tensor bundles."""
 
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -111,14 +112,25 @@ class TestCbqFormat:
     def test_round_trip_is_bit_exact(self, seed, scheme):
         rng = np.random.default_rng(seed)
         shape = (int(rng.integers(2, 20)), int(rng.integers(2, 20)))
+        # Every QuantConfig field is a header field, so the whole config survives.
         cfg = core.QuantConfig(scheme=scheme, bits=int(rng.integers(1, 9)),
-                               group_count=int(rng.integers(1, 4)), seed=seed)
+                               max_iterations=int(rng.integers(0, 2**32)),
+                               seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
+                               group_count=int(rng.integers(1, 4)))
         g = grouping.quantize_grouped(rng.normal(size=shape), cfg, tensor_name="t")
         blob = tensorio.write_cbq(g)
         parsed = tensorio.read_cbq(blob)
         assert tensorio.write_cbq(parsed) == blob
+        assert parsed.shape == g.shape
+        assert parsed.cfg == g.cfg
+        for field in ("centroids", "occupancy", "labels"):
+            np.testing.assert_array_equal(getattr(parsed, field), getattr(g, field))
         np.testing.assert_array_equal(grouping.reconstruct_grouped(parsed),
                                       grouping.reconstruct_grouped(g))
+
+    def test_config_fields_are_the_header_fields(self):
+        assert [f.name for f in dataclasses.fields(core.QuantConfig)] == [
+            "scheme", "bits", "max_iterations", "seed", "group_count"]
 
     def test_size_formula_matches_actual_bytes(self):
         for n, bits, groups in [(4, 1, 1), (1000, 3, 7), (64, 8, 64)]:
