@@ -10,6 +10,7 @@ whose seed is derived deterministically from ``(seed, tensor_name,
 group_index)``, so results never depend on scheduling or thread count.
 """
 
+import bisect
 import enum
 import hashlib
 import math
@@ -234,27 +235,48 @@ def linear_quantize_rows(rows, n_levels: int) -> tuple[np.ndarray, np.ndarray, n
 
 # k-means++ sums the squared distances in blocks of this many elements to find each pick.
 _PICK_BLOCK = 1024
+# kmeanspp_init keeps the squared distances in value order from this many
+# clusters and elements on; below either, one full pass per pick is faster.
+_SORTED_MIN_CLUSTERS = 64
+_SORTED_MIN_SIZE = 1 << 17
 
 
-def _certified_pick(d2: np.ndarray, ends: np.ndarray, rt: float, margin: float) -> int:
+def _pick_margin(n: int, depth: float, total: float) -> float:
+    """A bound on the distance between any estimate of a prefix sum of n
+    non-negative terms, summed along a tree of at most ``depth`` additions
+    per term, and the exact sequential one, counting the rounding of the
+    draw ``q * total`` too (Higham, ch. 4: each is within ``(n + depth) *
+    2**-53`` of the true sum; the factor 4 leaves headroom)."""
+    return 4 * (n + depth + 8) * 2.0**-53 * total + n * 2.0**-1074
+
+
+def _certified_pick(ends: np.ndarray, block, size: int, rt: float, margin: float) -> int:
     """The index that ``searchsorted(cumsum(d2), r, side="right")`` gives for
     every ``r`` within ``margin`` of ``rt``, or -1 when the block estimates
     cannot prove one.
 
-    ``ends`` holds the running totals of ``d2``'s block sums; each estimate
-    of a prefix sum is within ``margin`` of the exact sequential one.
+    ``ends`` holds the running totals of the sums of ``d2``'s consecutive
+    blocks of ``size`` elements, and ``block(b)`` returns block b of ``d2``;
+    each estimate of a prefix sum is within ``margin`` of the exact
+    sequential one.
     """
     b = int(ends.searchsorted(rt, "right"))
     if b >= len(ends):
         return -1
-    start = b * _PICK_BLOCK
     before = float(ends[b - 1]) if b else 0.0
-    local = np.add.accumulate(d2[start : start + _PICK_BLOCK])
+    local = np.add.accumulate(block(b))
     local += before
     j = int(local.searchsorted(rt, "right"))
     if j < len(local) and (float(local[j - 1]) if j else before) < rt - margin and local[j] > rt + margin:
-        return start + j
+        return b * size + j
     return -1
+
+
+def _padded(chosen: list, n_clusters: int) -> np.ndarray:
+    out = np.empty(n_clusters, dtype=np.float64)
+    out[: len(chosen)] = chosen
+    out[len(chosen):] = chosen[-1]
+    return out
 
 
 def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
@@ -272,35 +294,50 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     ``searchsorted(cum, q * cum[-1], side="right")``, or the last element
     with ``d2 > 0`` when that index runs off the end.  Each pick finds the
     same index without that full-length sequential ``cumsum``.  It sums
-    ``d2`` in blocks of ``_PICK_BLOCK`` elements, finds the block of
-    ``rt = q * total`` in their running totals, and runs a ``cumsum``
-    within that block only (``_certified_pick``).  Any summation order of n
-    non-negative terms is within about ``n * 2**-53`` times their true sum
-    (Higham, ch. 4), so every estimated prefix, the exact ``cum`` and
-    ``q * cum[-1]`` against ``rt`` differ by less than a margin ``m`` of
-    about ``4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK) * 2**-53 * total``.
-    When the estimated prefix before the candidate is below ``rt - m`` and
-    the one through it is above ``rt + m``, the candidate is the sequential
-    draw's index.  Otherwise (a boundary within ``m`` of ``rt``, ``q == 0``,
-    ``rt`` at the top of the range, a non-finite or near-overflow total) the
-    pick falls back to the full sequential ``cumsum``.  Either way the
-    output is the same, bit for bit.
+    ``d2`` in blocks, finds the block of ``rt = q * total`` in their running
+    totals, and runs a ``cumsum`` within that block only
+    (``_certified_pick``).  Any summation order of n non-negative terms is
+    within about ``n * 2**-53`` times their true sum (Higham, ch. 4), so
+    every estimated prefix, the exact ``cum`` and ``q * cum[-1]`` against
+    ``rt`` differ by less than a margin ``m`` (``_pick_margin``).  When the
+    estimated prefix before the candidate is below ``rt - m`` and the one
+    through it is above ``rt + m``, the candidate is the sequential draw's
+    index.  Otherwise (a boundary within ``m`` of ``rt``, ``q == 0``, ``rt``
+    at the top of the range, a non-finite or near-overflow total) the pick
+    runs the sequential ``cumsum``.  Either way the output is the same, bit
+    for bit.
+
+    Two loops keep ``d2`` up to date.  Below ``_SORTED_MIN_CLUSTERS``
+    clusters or ``_SORTED_MIN_SIZE`` elements, each pick updates all of
+    ``d2`` and sums it in blocks of ``_PICK_BLOCK`` (``_kmeanspp_full_pass``).
+    From both on, ``d2`` is kept in value order and each pick updates only
+    the range of values it can move (``_kmeanspp_sorted``): a new pick c
+    between the sorted picks a < c < b lowers no ``d2`` at or below the
+    exact midpoint of a and c, because there ``|x - a| <= |x - c|`` and
+    rounded subtraction and squaring are monotone, so the rounded
+    ``(x - a)**2``, which ``d2`` already undercuts, is at most the rounded
+    ``(x - c)**2``; the same holds at or above the midpoint of c and b.
     """
     arr = _validate_input(v)
     if not 1 <= n_clusters <= 256:
         raise BadConfigError(f"n_clusters must be in [1, 256], got {n_clusters}")
+    if n_clusters >= _SORTED_MIN_CLUSTERS and arr.size >= _SORTED_MIN_SIZE:
+        return _kmeanspp_sorted(arr, n_clusters, rng)
+    return _kmeanspp_full_pass(arr, n_clusters, rng)
 
+
+def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+    """``kmeanspp_init`` on float64 ``arr`` with one full pass over ``d2`` per pick."""
     n = arr.size
     first = arr[int(rng.integers(n))]
     chosen = [first]
     d2 = np.subtract(arr, first)
     np.square(d2, out=d2)
-    cum = np.empty_like(d2)
+    scratch = np.empty_like(d2)
     full = n - n % _PICK_BLOCK
     rows, tail = d2[:full].reshape(-1, _PICK_BLOCK), d2[full:]
     sums = np.empty(len(rows) + (tail.size > 0))
     ends = np.empty_like(sums)
-    slack = 4 * (n + 2 * _PICK_BLOCK + n / _PICK_BLOCK + 8) * 2.0**-53
     while len(chosen) < n_clusters:
         # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
         with np.errstate(over="ignore"):
@@ -315,23 +352,148 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
         q = rng.random()
         idx = -1
         if total < 2.0**1022:  # then no prefix, summed in any order, overflows
-            idx = _certified_pick(d2, ends, q * total, slack * total + n * 2.0**-1074)
+            idx = _certified_pick(ends, lambda b: d2[b * _PICK_BLOCK : (b + 1) * _PICK_BLOCK], _PICK_BLOCK,
+                                  q * total, _pick_margin(n, 2 * _PICK_BLOCK + n / _PICK_BLOCK, total))
         if idx < 0:
-            np.cumsum(d2, out=cum)
-            r = q * cum[-1]
-            idx = int(np.searchsorted(cum, r, side="right"))
-            if idx >= n:  # r rounded up onto the total
-                idx = int(np.flatnonzero(d2 > 0)[-1])
+            idx = _sequential_pick(n, lambda s, out: np.copyto(out, d2[s : s + out.size]), q)
         chosen.append(arr[idx])
-        # cum is scratch outside the sequential fallback, so it holds the new distances.
-        np.subtract(arr, arr[idx], out=cum)
-        np.square(cum, out=cum)
-        np.minimum(d2, cum, out=d2)
+        np.subtract(arr, arr[idx], out=scratch)
+        np.square(scratch, out=scratch)
+        np.minimum(d2, scratch, out=d2)
+    return _padded(chosen, n_clusters)
 
-    out = np.empty(n_clusters, dtype=np.float64)
-    out[: len(chosen)] = chosen
-    out[len(chosen):] = chosen[-1]
-    return out
+
+def _sequential_pick(n: int, fill, q: float) -> int:
+    """The sequential draw's index, ``searchsorted(cum, q * cum[-1],
+    side="right")`` with ``cum = cumsum(d2)``, or the last element with
+    ``d2 > 0`` when that runs off the end; ``fill(s, out)`` writes
+    ``d2[s : s + len(out)]`` into ``out``.
+
+    The ``cumsum`` runs one chunk at a time, each chunk accumulated after
+    the running sum carried from the last, so every prefix, and any overflow
+    warning, is the full-length ``cumsum``'s.
+    """
+    buf = np.empty(min(n, _ASSIGN_CHUNK) + 1)
+    carried = [0.0]  # the running sum before each chunk, then the total
+
+    def prefixes(s):
+        part = buf[: min(_ASSIGN_CHUNK, n - s) + 1]
+        part[0] = carried[s // _ASSIGN_CHUNK]
+        fill(s, part[1:])
+        np.add.accumulate(part, out=part)
+        return part[1:]
+
+    for s in range(0, n, _ASSIGN_CHUNK):
+        carried.append(prefixes(s)[-1])
+    r = q * carried[-1]
+    c = int(np.searchsorted(carried[1:], r, side="right"))
+    if c * _ASSIGN_CHUNK < n:
+        with np.errstate(over="ignore"):  # this chunk has warned once already
+            return c * _ASSIGN_CHUNK + int(np.searchsorted(prefixes(c * _ASSIGN_CHUNK), r, side="right"))
+    for s in reversed(range(0, n, _ASSIGN_CHUNK)):  # r rounded up onto the total
+        part = buf[: min(_ASSIGN_CHUNK, n - s)]
+        fill(s, part)
+        positive = np.flatnonzero(part > 0)
+        if positive.size:
+            return s + int(positive[-1])
+    raise AssertionError("a draw from a zero total")
+
+
+def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+    """``kmeanspp_init`` on float64 ``arr`` with ``d2`` in value order, each
+    pick updating only the sorted range it can move.
+
+    Layout: ``perm`` maps sorted positions to elements and ``inv`` back, both
+    int32 below 2**31 elements, and ``d2`` is in sorted order: 16 bytes an
+    element.  To locate a pick, ``table[row, chunk]`` sums ``d2`` over the
+    sorted positions of one row (``side`` consecutive ones) whose elements
+    lie in one chunk (``side`` consecutive elements); a pick recomputes the
+    rows its range touched.  The column totals are the chunk sums of
+    ``d2`` in element order, so ``_certified_pick`` finds the pick's chunk
+    from them and accumulates that chunk, gathered in element order through
+    ``inv``.  A term passes through at most ``side`` additions in its cell,
+    one per row and chunk in the totals and ``side + 1`` in the chunk, which
+    sets the margin.  When the input's span squared overflows, some squared
+    distance warns in the definition on every pick; the full pass then runs
+    instead, so that every warning is the definition's.
+    """
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (hi - lo) * (hi - lo) < math.inf:
+        return _kmeanspp_full_pass(arr, n_clusters, rng)
+    n = arr.size
+    first = arr[int(rng.integers(n))]
+    index = np.int32 if n < 2**31 else np.int64
+    perm = np.argsort(arr).astype(index)
+    inv = np.empty_like(perm)
+    d2 = np.empty(n)
+    for s in range(0, n, _ASSIGN_CHUNK):
+        e = min(n, s + _ASSIGN_CHUNK)
+        inv[perm[s:e]] = np.arange(s, e, dtype=index)
+        np.take(arr, perm[s:e], out=d2[s:e], mode="clip")
+    d2 -= first
+    np.square(d2, out=d2)
+    # Every 64th sorted value, to find a value's sorted position with one short gather.
+    step = 64
+    coarse = arr[perm[::step]]
+
+    def rank(x: float, side: str) -> int:
+        """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
+        i = int(coarse.searchsorted(x, side))
+        if i == 0:
+            return 0
+        s = step * (i - 1)
+        return s + int(arr[perm[s : s + step]].searchsorted(x, side))
+
+    # Rows and chunks of `side` positions, so that the table holds at most n/64 cells.
+    side = 8
+    while side < n and (-(-n // side)) ** 2 > n / 64:
+        side *= 2
+    count = -(-n // side)
+    table = np.empty((count, count))
+    sums = np.empty(count)
+    ends = np.empty(count)
+    depth = 2 * side + 2 * count
+    picked = [float(first)]
+    chosen = picked.copy()
+    start, stop = 0, n  # the sorted range of d2 that the last pick changed
+    while len(chosen) < n_clusters:
+        # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
+        with np.errstate(over="ignore"):
+            for row in range(start // side, -(-stop // side)):
+                s = row * side
+                table[row] = np.bincount(perm[s : s + side] // side, weights=d2[s : s + side], minlength=count)
+            np.add.reduce(table, axis=0, out=sums)
+            np.add.accumulate(sums, out=ends)
+        total = float(ends[-1])
+        if total == 0.0:
+            break  # every element already coincides with a centroid
+        q = rng.random()
+        idx = -1
+        if total < 2.0**1022:
+            idx = _certified_pick(ends, lambda b: d2[inv[b * side : (b + 1) * side]], side,
+                                  q * total, _pick_margin(n, depth, total))
+        if idx < 0:
+            idx = _sequential_pick(n, lambda s, out: np.take(d2, inv[s : s + out.size], out=out, mode="clip"), q)
+        c = float(arr[idx])
+        chosen.append(c)
+        i = bisect.bisect(picked, c)
+        # Two ulps outward of each rounded midpoint lies beyond the exact one.
+        start = 0 if i == 0 else rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right")
+        stop = n if i == len(picked) else rank(_two_ulps(0.5 * c + 0.5 * picked[i], math.inf), "left")
+        picked.insert(i, c)
+        for s in range(start, stop, _ASSIGN_CHUNK):
+            e = min(stop, s + _ASSIGN_CHUNK)
+            x = arr[perm[s:e]]
+            x -= c
+            np.square(x, out=x)
+            np.minimum(d2[s:e], x, out=d2[s:e])
+            del x  # before the next chunk is gathered
+    return _padded(chosen, n_clusters)
+
+
+def _two_ulps(x: float, toward: float) -> float:
+    """The double two steps from ``x`` toward ``toward``."""
+    return math.nextafter(math.nextafter(x, toward), toward)
 
 
 def _dense_assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -125,6 +125,26 @@ class TestQuantizeCommand:
 
 
 class TestPipelineIdentity:
+    def test_8bit_kmeans_bytes_do_not_depend_on_threads_or_the_kmeanspp_loop(self, tmp_path, monkeypatch,
+                                                                             capsys):
+        # Each tensor is past core._SORTED_MIN_SIZE, so 8-bit k-means++ keeps its
+        # distances in value order; the last run forces the full pass instead.
+        rng = np.random.default_rng(5)
+        bundle = tmp_path / "big.json"
+        tensorio.write_bundle(bundle, {f"w{i}": rng.normal(scale=0.02, size=(384, 384)).astype(np.float32)
+                                       for i in range(3)})
+        outputs = []
+        for threads, sorted_min_clusters in (("1", core._SORTED_MIN_CLUSTERS), ("2", core._SORTED_MIN_CLUSTERS),
+                                             ("2", 257)):
+            monkeypatch.setenv("CBQUANT_THREADS", threads)
+            monkeypatch.setattr(core, "_SORTED_MIN_CLUSTERS", sorted_min_clusters)
+            out = tmp_path / f"q{len(outputs)}"
+            assert cli.main(["quantize", str(bundle), "-o", str(out), "--bits", "8"]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        assert len(outputs[0]) == 4  # three CBQ files and the manifest
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_cli_reconstruction_matches_library_path(self, gaussian_bundle, tmp_path, capsys):
         out = tmp_path / "q"
         rebuilt = tmp_path / "rebuilt.json"
@@ -343,11 +363,13 @@ def _argv(command, bundle, out):
 @pytest.mark.parametrize("command,flag,value", [
     *((c, "--iters", str(2**32)) for c in ("quantize", "sweep", "train-toy")),
     *((c, "--groups", str(2**32)) for c in ("quantize", "sweep")),
+    *((c, "--seeds" if c == "sweep" else "--seed", str(2**64)) for c in ("quantize", "sweep", "train-toy")),
     *((c, "--epsilon", "0.1") for c in ("quantize", "sweep", "train-toy")),
 ])
 def test_values_a_cbq_header_cannot_hold_are_usage_errors(command, flag, value, golden_bundle,
                                                            tmp_path, capsys):
-    # The header stores the iteration cap and the group count as u32s, and no stopping tolerance.
+    # The header stores the iteration cap and the group count as u32s, the seed as a u64,
+    # and no stopping tolerance.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(_argv(command, golden_bundle, out) + [flag, value])
@@ -360,3 +382,9 @@ def test_values_a_cbq_header_cannot_hold_are_usage_errors(command, flag, value, 
 def test_largest_iteration_cap_runs(command, golden_bundle, tmp_path, capsys):
     # Lloyd stops when no label changes, long before the cap.
     assert cli.main(_argv(command, golden_bundle, tmp_path / "out") + ["--iters", str(2**32 - 1)]) == 0
+
+
+@pytest.mark.parametrize("command", ["quantize", "sweep", "train-toy"])
+def test_largest_seed_runs(command, golden_bundle, tmp_path, capsys):
+    flag = "--seeds" if command == "sweep" else "--seed"
+    assert cli.main(_argv(command, golden_bundle, tmp_path / "out") + [flag, str(2**64 - 1)]) == 0

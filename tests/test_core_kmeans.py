@@ -178,15 +178,97 @@ class TestKmeansppPicksAreSequential:
         assert out.tobytes() == sequential_kmeanspp_init(v, 256, np.random.default_rng(1)).tobytes()
 
     def test_holds_two_float64_buffers(self):
-        # d2 and the scratch buffer; no temporary for the first distances.
+        # The full pass: d2 and the scratch buffer; no temporary for the first distances.
+        # The sorted loop: d2 and the two int32 permutations, plus its table and one chunk.
         v = np.random.default_rng(8).normal(size=589_824)
-        tracemalloc.start()
-        try:
-            core.kmeanspp_init(v, 16, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * v.nbytes + (64 << 10)
+        for n_clusters, extra in ((16, 64 << 10), (256, 1 << 20)):
+            tracemalloc.start()
+            try:
+                core.kmeanspp_init(v, n_clusters, np.random.default_rng(0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * v.nbytes + extra, n_clusters
+
+
+LOOPS = [core._kmeanspp_full_pass, core._kmeanspp_sorted]
+
+
+class TestKmeansppLoops:
+    """Both loops behind ``kmeanspp_init`` give the sequential draw's bytes and
+    warnings on any input, whichever of them the selection would choose."""
+
+    # Sizes below and above _SORTED_MIN_SIZE, and lengths that are not multiples
+    # of the sorted loop's rows and chunks (1024 at 8193, 4096 at 70_001 and 131_073).
+    @pytest.mark.parametrize("n", [1, 37, 8193, 70_001, core._SORTED_MIN_SIZE + 1])
+    @pytest.mark.parametrize("n_clusters", [2, 64, 256])
+    @pytest.mark.parametrize("kind", sorted(PICK_INPUTS))
+    def test_sorted_loop_same_bytes_as_sequential_cumsum(self, n, n_clusters, kind):
+        v = PICK_INPUTS[kind](np.random.default_rng(n), n)
+        assert (picks_and_warnings(core._kmeanspp_sorted, v, n_clusters, np.random.default_rng(2))
+                == picks_and_warnings(sequential_kmeanspp_init, v, n_clusters, np.random.default_rng(2)))
+
+    # Two chunks of the sequential path and a short third; with q == 1 the draw
+    # runs off the end, and the last nonzero distance lies two chunks back.
+    @pytest.mark.parametrize("loop", LOOPS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind", sorted(PICK_INPUTS))
+    def test_every_pick_on_the_chunked_sequential_path_gives_the_same_bytes(self, monkeypatch, loop, kind):
+        v = PICK_INPUTS[kind](np.random.default_rng(6), 2 * core._ASSIGN_CHUNK + 5)
+        monkeypatch.setattr(core, "_certified_pick", lambda *args: -1)
+        for n_clusters in (2, 64):
+            assert (picks_and_warnings(loop, v, n_clusters, np.random.default_rng(4))
+                    == picks_and_warnings(sequential_kmeanspp_init, v, n_clusters, np.random.default_rng(4)))
+        v[core._ASSIGN_CHUNK - 3:] = v[0]
+        for q in (0.0, 0.5, 1.0):
+            assert (picks_and_warnings(loop, v, 2, ScriptedRng(q))
+                    == picks_and_warnings(sequential_kmeanspp_init, v, 2, ScriptedRng(q)))
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=lambda f: f.__name__)
+    def test_draws_within_rounding_of_a_prefix_match_the_sequential_pick(self, loop):
+        # As in TestKmeansppPicksAreSequential, over two of the sorted loop's chunks
+        # (1024 elements at this size) and within them.
+        rng = np.random.default_rng(1)
+        v = rng.random(5000) * rng.choice([1.0, 1e-4], 5000)
+        v[0] = 0.0
+        cum = np.cumsum(np.square(v))
+        for i in np.concatenate([[1023, 1024, 2047], rng.choice(np.arange(1, 5000), 20, replace=False)]):
+            q0 = float(cum[i] / cum[-1])
+            for q in q0 + np.arange(-24, 25) * np.spacing(q0):
+                assert (picks_and_warnings(loop, v, 2, ScriptedRng(q))
+                        == picks_and_warnings(sequential_kmeanspp_init, v, 2, ScriptedRng(q)))
+
+    @pytest.mark.parametrize("loop", LOOPS, ids=lambda f: f.__name__)
+    def test_sequential_overflow_under_a_finite_block_total(self, loop):
+        # As in TestKmeansppPicksAreSequential; the span squared is finite, so the
+        # sorted loop runs its own picks here.
+        top = np.finfo(np.float64).max
+        v = np.empty(4096)
+        v[0] = 0.0
+        v[1] = np.sqrt(top - 3000 * math.ulp(top))
+        v[2:] = np.sqrt(0.6 * math.ulp(top))
+        assert (v.max() - v.min()) ** 2 < np.inf
+        assert (picks_and_warnings(loop, v, 2, ScriptedRng(0.5))
+                == picks_and_warnings(sequential_kmeanspp_init, v, 2, ScriptedRng(0.5)))
+
+    @pytest.mark.parametrize("n,n_clusters,v_scale,chosen", [
+        (core._SORTED_MIN_SIZE, core._SORTED_MIN_CLUSTERS, 1.0, "_kmeanspp_sorted"),
+        (core._SORTED_MIN_SIZE, 256, 1.0, "_kmeanspp_sorted"),
+        (core._SORTED_MIN_SIZE - 1, 256, 1.0, "_kmeanspp_full_pass"),
+        (core._SORTED_MIN_SIZE, core._SORTED_MIN_CLUSTERS - 1, 1.0, "_kmeanspp_full_pass"),
+        (core._SORTED_MIN_SIZE, 32, 1.0, "_kmeanspp_full_pass"),
+        # A squared distance overflows: the sorted loop hands the input to the full pass.
+        (core._SORTED_MIN_SIZE, 256, 1e300, "_kmeanspp_full_pass"),
+    ])
+    def test_selection_reads_the_size_the_cluster_count_and_the_range(self, monkeypatch, n, n_clusters,
+                                                                      v_scale, chosen):
+        v = np.linspace(-v_scale, v_scale, n)
+        calls = []
+        monkeypatch.setattr(core, "_kmeanspp_full_pass", lambda *args: calls.append("_kmeanspp_full_pass"))
+        monkeypatch.setattr(core, "_kmeanspp_sorted",
+                            lambda *args, real=core._kmeanspp_sorted: calls.append("_kmeanspp_sorted")
+                            or real(*args))
+        core.kmeanspp_init(v, n_clusters, np.random.default_rng(0))
+        assert calls[-1] == chosen
 
 
 class TestLloydStep:

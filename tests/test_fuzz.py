@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbquant import cli, core, grouping, tensorio
@@ -139,15 +139,29 @@ def test_valid_blobs_fit_the_read_budget(bits, groups):
     _only_cbq_errors(len(blob), tensorio.read_cbq, blob)
 
 
+def _resized(valid: bytes, fmt: str, offset: int, value: int) -> bytes:
+    data = bytearray(valid)
+    struct.pack_into(fmt, data, offset, value)
+    return bytes(data)
+
+
+# Mid-size claims in each header size field, which the memory budget exists for; bits
+# and rank are u8s, so 255 is their largest claim.
 @given(mutated_bytes(VALID_CBQ) | resized_header(VALID_CBQ))
-@settings(max_examples=300, deadline=None)
+@example(_resized(VALID_CBQ, "<B", 7, 255))
+@example(_resized(VALID_CBQ, "<I", 8, 2**20))
+@example(_resized(VALID_CBQ, "<I", 8, 2**24))
+@example(_resized(VALID_CBQ, "<B", 12, 255))
+@example(_resized(VALID_CBQ, "<Q", 13, 2**20))
+@example(_resized(VALID_CBQ, "<Q", 13, 2**24))
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_read_cbq_raises_only_cbq_errors(data):
     _only_cbq_errors(len(data), tensorio.read_cbq, data)
 
 
 @pytest.mark.parametrize("kind", ["bundle", "quantized"])
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 def test_manifest_readers_raise_only_cbq_errors(directories, kind, data):
     bundle, quantized = directories
     manifest_path = bundle if kind == "bundle" else quantized
@@ -179,7 +193,7 @@ ARGV_FLAGS = {
     "sweep": {"--bits": QUANT_FLAGS["--bits"],
               "--iters": QUANT_FLAGS["--iters"],
               "--schemes": (["linear", "kmeans"], ["zzz"]),
-              "--seeds": (["0", "1"], ["-1", "x"]),
+              "--seeds": (["0", "1"], [str(2**64), "-1", "x"]),
               "--groups": (["1", "4"], ["5", "99999999999", "0", "x"]),
               "--format": FORMAT},
     "train-toy": {**QUANT_FLAGS,
