@@ -261,12 +261,12 @@ class TestKmeansppLoops:
     ])
     def test_selection_reads_the_size_the_cluster_count_and_the_range(self, monkeypatch, n, n_clusters,
                                                                       v_scale, chosen):
+        # The sorted loop runs for real, so that its hand-off to the full pass shows.
         v = np.linspace(-v_scale, v_scale, n)
-        calls = []
+        calls, sorted_loop = [], core._kmeanspp_sorted
         monkeypatch.setattr(core, "_kmeanspp_full_pass", lambda *args: calls.append("_kmeanspp_full_pass"))
         monkeypatch.setattr(core, "_kmeanspp_sorted",
-                            lambda *args, real=core._kmeanspp_sorted: calls.append("_kmeanspp_sorted")
-                            or real(*args))
+                            lambda *args: calls.append("_kmeanspp_sorted") or sorted_loop(*args))
         core.kmeanspp_init(v, n_clusters, np.random.default_rng(0))
         assert calls[-1] == chosen
 
