@@ -686,6 +686,21 @@ def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> fl
     return float(np.sum(np.square(diff, out=diff)))
 
 
+def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Assign every element to its nearest centroid, then move each centroid with members to their mean.
+
+    Returns the new centroids, the new labels as uint8, and whether any label
+    differs from ``labels`` (always True when ``labels`` is None).
+    """
+    # _assign's int64 labels live only for the counts and the change test.
+    new_labels = _assign(arr, centroids)
+    changed = labels is None or bool(np.any(new_labels != labels))
+    occupancy = np.bincount(new_labels, minlength=len(centroids))
+    sums = np.bincount(new_labels, weights=arr, minlength=len(centroids))
+    new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
+    return new_centroids, new_labels.astype(np.uint8), changed
+
+
 def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     """One assignment + centroid-update pass of Lloyd's algorithm.
 
@@ -700,19 +715,8 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     arr = _validate_input(v)
     if not 1 <= len(state.centroids) <= 256:
         raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(state.centroids)}")
-    centroids = np.asarray(state.centroids, dtype=np.float64)
-
-    # _assign's int64 labels live only for the counts; the SSE gather and the state use uint8.
-    labels = _assign(arr, centroids)
-    changed = state.labels is None or bool(np.any(labels != state.labels))
-
-    occupancy = np.bincount(labels, minlength=len(centroids))
-    sums = np.bincount(labels, weights=arr, minlength=len(centroids))
-    new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
-
-    labels = labels.astype(np.uint8)
-    sse = _state_sse(arr, labels, new_centroids)
-    return LloydState(new_centroids, labels, sse, state.iterations + 1), changed
+    centroids, labels, changed = _lloyd_update(arr, np.asarray(state.centroids, dtype=np.float64), state.labels)
+    return LloydState(centroids, labels, _state_sse(arr, labels, centroids), state.iterations + 1), changed
 
 
 def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:
@@ -722,23 +726,25 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     by the input, ``cfg`` and ``(tensor_name, group_index)``.  Returns the
     final state: its ``iterations`` counts the steps run, and with
     ``max_iterations == 0`` it holds the k-means++ centroids and the labels
-    and SSE of one assignment to them.
+    and SSE of one assignment to them.  The SSE is computed once, for the
+    returned state.
     """
     if cfg.scheme is not Scheme.KMEANS:
         raise BadConfigError("k-means operations require cfg.scheme == Scheme.KMEANS")
     arr = _validate_input(v)
     rng = np.random.default_rng(derive_stream_seed(cfg.seed, tensor_name, group_index))
-    state = LloydState(kmeanspp_init(arr, cfg.n_levels, rng))
+    centroids = kmeanspp_init(arr, cfg.n_levels, rng)
 
-    for _ in range(cfg.max_iterations):
-        state, changed = lloyd_step(arr, state)
+    labels, iterations = None, 0
+    while iterations < cfg.max_iterations:
+        centroids, labels, changed = _lloyd_update(arr, centroids, labels)
+        iterations += 1
         if not changed:
             break
 
-    if state.labels is None:  # max_iterations == 0: assign once, keep init centroids
-        labels = _assign(arr, state.centroids).astype(np.uint8)
-        state = LloydState(state.centroids, labels, _state_sse(arr, labels, state.centroids))
-    return state
+    if labels is None:  # max_iterations == 0: assign once, keep init centroids
+        labels = _assign(arr, centroids).astype(np.uint8)
+    return LloydState(centroids, labels, _state_sse(arr, labels, centroids), iterations)
 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:

@@ -25,6 +25,10 @@ class BadKError(CbqError):
     """Cluster count outside [1, 256] for the optimal-clustering oracle."""
 
 
+class SplitLabelError(CbqError):
+    """A label covers more than one run of the sorted values."""
+
+
 class LengthMismatchError(CbqError):
     """Two sequences that must have equal length do not."""
 

@@ -131,26 +131,40 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     return GroupedQuantizedTensor(arr.shape, cfg, centroids, occupancy, labels)
 
 
+def _chunk_shape(length: int) -> tuple[int, int]:
+    """Rows and columns of one chunk of a block of labels with ``length`` labels a
+    row: whole rows of at most ``core._ASSIGN_CHUNK`` labels in all, or one
+    piece of a longer row."""
+    return max(1, core._ASSIGN_CHUNK // length), min(length, core._ASSIGN_CHUNK)
+
+
+def _label_chunks(rows: int, length: int):
+    """Walk a (rows, length) block of labels, one group per row, in chunks of
+    ``_chunk_shape(length)``; a piece of a long row starts at a multiple of
+    ``core._ASSIGN_CHUNK``.  Yields ``(rows, cols)`` slices of the block.
+    """
+    rows_per_chunk, cols_per_chunk = _chunk_shape(length)
+    for r in range(0, rows, rows_per_chunk):
+        for c in range(0, length, cols_per_chunk):
+            yield slice(r, r + rows_per_chunk), slice(c, c + cols_per_chunk)
+
+
 def _codebook_index(labels: np.ndarray, n_levels: int):
-    """Walk a 2-D block of labels, one group per row, in chunks of at most
-    ``core._ASSIGN_CHUNK`` labels: whole rows, or pieces of a row longer than that.
+    """Walk a 2-D block of labels by ``_label_chunks``.
 
     Yields ``(rows, cols, index)``: ``index`` is ``labels[rows, cols]`` plus
     ``n_levels`` times each label's row within ``rows``, so it indexes the
     flattened codebooks of those rows.  ``index`` is one buffer, rewritten on
     the next step.
     """
-    length = labels.shape[1]
-    rows_per_chunk, cols_per_chunk = max(1, core._ASSIGN_CHUNK // length), min(length, core._ASSIGN_CHUNK)
+    rows_per_chunk, cols_per_chunk = _chunk_shape(labels.shape[1])
     buf = np.empty(min(labels.size, rows_per_chunk * cols_per_chunk), dtype=np.intp)
     row_base = n_levels * np.arange(min(len(labels), rows_per_chunk), dtype=np.intp)[:, None]
-    for r in range(0, len(labels), rows_per_chunk):
-        rows = slice(r, r + rows_per_chunk)
-        for c in range(0, length, cols_per_chunk):
-            block = labels[rows, c : c + cols_per_chunk]
-            index = buf[: block.size].reshape(block.shape)
-            np.add(block, row_base[: len(block)], out=index)
-            yield rows, slice(c, c + cols_per_chunk), index
+    for rows, cols in _label_chunks(*labels.shape):
+        block = labels[rows, cols]
+        index = buf[: block.size].reshape(block.shape)
+        np.add(block, row_base[: len(block)], out=index)
+        yield rows, cols, index
 
 
 def reconstruct_grouped(g: GroupedQuantizedTensor) -> np.ndarray:

@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedVersionError,
 )
-from .grouping import GroupedQuantizedTensor, _codebook_index, group_blocks
+from .grouping import GroupedQuantizedTensor, _codebook_index, _label_chunks, group_blocks
 
 __all__ = [
     "CBQ_MAGIC",
@@ -89,22 +89,34 @@ def _pack_rows(labels: np.ndarray, bits: int) -> np.ndarray:
     return stream[:, : (length * bits + 7) // 8]
 
 
-def _unpack_rows(packed: np.ndarray, length: int, bits: int) -> np.ndarray:
-    """Inverse of ``_pack_rows``; rejects nonzero pad bits."""
-    rows, nbytes = packed.shape
+def _unpack_rows(packed: np.ndarray, out: np.ndarray, bits: int) -> None:
+    """Inverse of ``_pack_rows``: decodes each row of ``packed`` into the same row
+    of the uint8 (rows, length) array ``out``; rejects nonzero pad bits.
+
+    Decodes one chunk of ``grouping._label_chunks`` at a time, so besides
+    ``out`` it holds about four label-sized buffers of one chunk.
+    """
+    rows, length = out.shape
     tail = length * bits % 8
     if tail and (packed[:, -1] >> tail).any():
         raise NonzeroPaddingError("pad bits beyond the last label are not zero")
-    lanes = np.zeros((rows, -(-length // 8), 8), dtype=np.uint8)
-    stream = np.pad(packed, ((0, 0), (0, lanes.shape[1] * bits - nbytes)))
-    lanes[..., :bits] = stream.reshape(rows, -1, bits)
-    words = lanes.view("<u8")[..., 0]
-    labels = np.empty_like(lanes)
-    field = np.empty_like(words)  # one scratch buffer for every shift
-    for k in range(8):
-        np.right_shift(words, k * bits, out=field)
-        labels[..., k] = np.bitwise_and(field, (1 << bits) - 1, out=field)
-    return labels.reshape(rows, -1)[:, :length]
+    if length == 0:
+        return
+    for chunk_rows, cols in _label_chunks(rows, length):
+        dest = out[chunk_rows, cols]
+        lanes = np.zeros((len(dest), -(-dest.shape[1] // 8), 8), dtype=np.uint8)
+        stream = np.zeros((len(dest), lanes.shape[1] * bits), dtype=np.uint8)
+        start = cols.start * bits // 8  # a piece of a row starts on a whole byte
+        src = packed[chunk_rows, start : start + stream.shape[1]]
+        stream[:, : src.shape[1]] = src
+        lanes[..., :bits] = stream.reshape(len(dest), -1, bits)
+        words = lanes.view("<u8")[..., 0]
+        labels = np.empty_like(lanes)
+        field = np.empty_like(words)  # one scratch buffer for every shift
+        for k in range(8):
+            np.right_shift(words, k * bits, out=field)
+            labels[..., k] = np.bitwise_and(field, (1 << bits) - 1, out=field)
+        dest[...] = labels.reshape(len(dest), -1)[:, : dest.shape[1]]
 
 
 def pack_indices(labels, bits: int) -> bytes:
@@ -130,7 +142,9 @@ def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     expected = (n * bits + 7) // 8
     if len(data) != expected:
         raise LengthMismatchError(f"expected {expected} packed bytes for n={n}, got {len(data)}")
-    return _unpack_rows(np.frombuffer(data, dtype=np.uint8).reshape(1, -1), n, bits)[0]
+    out = np.empty(n, dtype=np.uint8)
+    _unpack_rows(np.frombuffer(data, dtype=np.uint8).reshape(1, -1), out.reshape(1, -1), bits)
+    return out
 
 
 def _group_row_bytes(bits: int, length: int) -> int:
@@ -170,6 +184,18 @@ def write_cbq(g: GroupedQuantizedTensor) -> bytes:
                                 g.occupancy[groups].astype("<u4").view(np.uint8),
                                 _pack_rows(g.labels[elements].reshape(-1, length), cfg.bits)]).tobytes())
     return b"".join(parts)
+
+
+def _label_counts(labels: np.ndarray, n_levels: int) -> np.ndarray:
+    """Occurrences of each label in each row of a 2-D block, counted chunk by chunk.
+
+    Integer counts add up exactly.  The index chunk dies on return, so two
+    blocks never hold one each.
+    """
+    counts = np.zeros((len(labels), n_levels), dtype=np.int64)
+    for chunk, _, index in _codebook_index(labels, n_levels):
+        counts[chunk] += np.bincount(index.reshape(-1), minlength=index.shape[0] * n_levels).reshape(-1, n_levels)
+    return counts
 
 
 def read_cbq(data) -> GroupedQuantizedTensor:
@@ -219,12 +245,9 @@ def read_cbq(data) -> GroupedQuantizedTensor:
         pos += rows.size
         centroids[groups] = rows[:, : 4 * m].copy().view("<f4")
         occupancy[groups] = rows[:, 4 * m : 8 * m].copy().view("<u4")
-        labels[elements] = _unpack_rows(rows[:, 8 * m :], length, bits).reshape(-1)
-        # Count the decoded labels chunk by chunk; integer counts add up exactly.
-        counts = np.zeros((len(rows), m), dtype=np.int64)
-        for chunk, _, index in _codebook_index(labels[elements].reshape(-1, length), m):
-            counts[chunk] += np.bincount(index.reshape(-1), minlength=index.shape[0] * m).reshape(-1, m)
-        if not np.array_equal(counts, occupancy[groups]):
+        block = labels[elements].reshape(-1, length)
+        _unpack_rows(rows[:, 8 * m :], block, bits)
+        if not np.array_equal(_label_counts(block, m), occupancy[groups]):
             raise CorruptIndexError("stored occupancy disagrees with decoded labels")
     return GroupedQuantizedTensor(shape, cfg, centroids, occupancy, labels)
 

@@ -110,10 +110,11 @@ def directories(tmp_path_factory):
 
 # A reader's memory budget: READ_FACTOR times the bytes supplied plus READ_CONSTANT,
 # whatever sizes a header or manifest claims.  Valid CBQ blobs at 1 to 8 bits (1 to
-# 10**6 labels, 1 to 4096 groups) peak at most 33.6 times their bytes on blobs over
-# 100 kB, at 1 bit: a label takes 1/8 byte in the blob and about 4 bytes while it is
-# decoded.  The constant is the 2**16-entry intp index chunk (512 KiB) plus 128 KiB.
-READ_FACTOR = 40
+# 10**6 labels, 1 to 4096 groups) peak at most 7.9 times their bytes beyond the
+# constant, at 1 bit: a label takes 1/8 byte in the blob and 1 byte once decoded, and
+# decoding holds a few more bytes per label of one 2**16-label chunk only.  The
+# constant is the 2**16-entry intp index chunk (512 KiB) plus 128 KiB.
+READ_FACTOR = 10
 READ_CONSTANT = 8 * 2**16 + 128 * 1024
 
 

@@ -1,16 +1,17 @@
 """Dynamic-programming clustering oracle against brute-force enumeration and the scalar DP."""
 
 import warnings
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbquant import core, oracle
-from cbquant.errors import BadKError, EmptyInputError, NonFiniteInputError
+from cbquant.errors import BadKError, EmptyInputError, NonFiniteInputError, SplitLabelError
 
 
 def brute_force_min_sse(v, max_clusters):
@@ -69,6 +70,43 @@ def assert_matches_scalar(v, n_clusters):
     assert opt.sse.hex() == sse.hex()
 
 
+def block_dp_tables(v, n_clusters):
+    """Reference: the block DP without exclusions, over every start of each block of ends.
+
+    Returns ``(dp, parent)``; the DP with exclusions must reproduce both bit for bit.
+    """
+    x = oracle._sorted_input(v)
+    n = x.size
+    k_max = min(n_clusters, n)
+    s1, s2 = oracle._prefix_sums(x)
+    dp = np.full((k_max + 1, n + 1), np.inf)
+    dp[0][0] = 0.0
+    parent = np.zeros((k_max + 1, n + 1), dtype=np.int64)
+    rows = max(1, (1 << 16) // n)
+    buf = np.empty(rows * n)
+    for lo in range(1, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        ends = np.arange(lo, hi)
+        starts = np.arange(hi - 1)
+        with np.errstate(invalid="ignore"):
+            cost = oracle._segment_cost(s1, s2, starts, ends[:, None])
+        cost[:, lo:][starts[lo:] >= ends[:, None]] = np.inf
+        for k in range(1, min(k_max, hi - 1) + 1):
+            first = max(lo, k)
+            cand = buf[: (hi - first) * (hi - k)].reshape(hi - first, hi - k)
+            np.add(dp[k - 1, k - 1 : hi - 1], cost[first - lo :, k - 1 :], out=cand)
+            best = cand.argmin(axis=1)
+            dp[k, first:hi] = cand[np.arange(hi - first), best]
+            parent[k, first:hi] = best + (k - 1)
+    return dp, parent
+
+
+def paper_eval_sample(n=4000):
+    """The benchmark's oracle input: n evenly spaced weights of a 768x768 N(0, 0.02^2) float32 tensor."""
+    flat = np.random.default_rng(0).normal(0.0, 0.02, size=768 * 768).astype(np.float32)
+    return flat[np.linspace(0, flat.size - 1, n).astype(np.int64)].astype(np.float64)
+
+
 finite_values = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
 
@@ -90,16 +128,88 @@ def dp_inputs(draw):
 class TestDpAgainstScalarReference:
     @given(dp_inputs(),
            st.one_of(st.integers(min_value=1, max_value=70), st.just(256)),
-           st.sampled_from([1, 5, 64, oracle._DP_BLOCK_CELLS]))
+           st.sampled_from([1, 5, 64, oracle._DP_BLOCK_CELLS]),
+           st.sampled_from([1, 2, 5, oracle._DP_START_BLOCK]))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical(self, values, n_clusters, block_cells):
-        # Small budgets make even n=2 cross blocks of one or a few segment ends.
-        with mock.patch.object(oracle, "_DP_BLOCK_CELLS", block_cells):
+    def test_bit_identical(self, values, n_clusters, block_cells, start_block):
+        # Small budgets make even n=2 cross blocks of one or a few segment ends, and
+        # small start blocks let those blocks exclude starts.
+        with mock.patch.object(oracle, "_DP_BLOCK_CELLS", block_cells), \
+                mock.patch.object(oracle, "_DP_START_BLOCK", start_block):
             assert_matches_scalar(values, n_clusters)
 
     def test_bit_identical_n1500(self):
         v = np.random.default_rng(7).normal(size=1500).round(2)
         assert_matches_scalar(v, 16)
+
+
+def _rng(seed=0):
+    return np.random.default_rng(seed)
+
+
+# (values, cluster count): the kinds of input whose exclusions differ most.
+BLOCK_CASES = {
+    "paper-eval": (paper_eval_sample(), 16),
+    "duplicates": (_rng(1).choice(_rng(2).normal(size=40), size=3000), 16),
+    "zeros": (np.zeros(2000), 16),  # every candidate ties: only the first may win
+    "offset": (1e6 + _rng(3).normal(size=6000), 16),  # E dwarfs the costs
+    "uniform": (_rng(4).uniform(-1.0, 1.0, size=5000), 16),
+    "two-scale": (np.concatenate([_rng(5).normal(0.0, 1e-3, 2500), _rng(6).normal(0.0, 10.0, 500)]), 16),
+    "k1": (_rng(7).normal(size=2000), 1),
+    "k3": (_rng(8).normal(size=2000), 3),
+    "k256": (_rng(9).normal(size=2000), 256),
+    "n37": (_rng(10).normal(size=37), 16),
+    "n10000": (_rng(11).normal(0.0, 0.02, size=10_000), 16),
+}
+
+
+class TestDpAgainstBlockReference:
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_tables_bit_identical(self, case):
+        values, n_clusters = BLOCK_CASES[case]
+        ref_dp, ref_parent = block_dp_tables(values, n_clusters)
+        x = oracle._sorted_input(values)
+        s1, s2 = oracle._prefix_sums(x)
+        dp, parent = oracle._dp_tables(x, s1, s2, min(n_clusters, x.size))
+        assert dp.tobytes() == ref_dp.tobytes()
+        assert parent.tobytes() == ref_parent.tobytes()
+        best_k = int(np.argmin(ref_dp[1:, -1])) + 1
+        assert oracle.dp_optimal_quantize(values, n_clusters).sse.hex() == float(ref_dp[best_k, -1]).hex()
+
+
+def _exact_sse(x, a, b):
+    seg = [Fraction(float(t)) for t in x[a:b]]
+    mean = sum(seg) / len(seg)
+    return sum((t - mean) ** 2 for t in seg)
+
+
+class TestExclusionBound:
+    @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e-3, 0.0), (1.0, 1e6), (1.0, -3e9), (1e5, 1e5)])
+    def test_error_bound_covers_every_segment_cost(self, scale, offset):
+        x = np.sort(offset + scale * _rng(12).normal(size=40))
+        s1, s2 = oracle._prefix_sums(x)
+        err = Fraction(oracle._cost_error_bound(x, s2))
+        for a in range(x.size):
+            for b in range(a + 1, x.size + 1):
+                assert abs(Fraction(float(oracle._segment_cost(s1, s2, a, b))) - _exact_sse(x, a, b)) <= err
+
+    @given(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=-1e300, max_value=1e300),
+           st.floats(min_value=0.0, max_value=1e300))
+    @example(0.1, 0.2, 0.0)  # 0.1 + 0.2 rounds up
+    @example(1.0, 2.0**-53, 0.0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bound_is_never_above_its_exact_value(self, block_min, last_cost, err):
+        scale = abs(block_min + last_cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lower = float(oracle._lower_bounds(np.array([block_min]), last_cost, err, scale)[0])
+        assert Fraction(lower) <= Fraction(block_min) + Fraction(last_cost) - 4 * Fraction(err)
+
+    def test_starts_below_the_cluster_count_bound_to_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lower = oracle._lower_bounds(np.array([np.inf, 1.0]), np.array([2.0, 2.0]), 1e-9, 4.0)
+        assert lower[0] == np.inf and lower[1] < 3.0
 
 
 class TestDpExamples:
@@ -154,6 +264,16 @@ class TestPartitionCost:
             seg = v[q.indices.labels == j]
             direct += float(np.sum((seg - seg.mean()) ** 2))
         assert oracle.partition_cost(v, q.indices.labels) == pytest.approx(direct, rel=1e-12)
+
+    def test_equal_values_are_cut_by_label(self):
+        # The two 1.0s carry labels 1 and 0: sorted by label they make the runs [0, 1] and [1, 2].
+        assert oracle.partition_cost([1.0, 0.0, 1.0, 2.0], [1, 0, 0, 1]) == 1.0
+        assert oracle.dp_optimal_quantize([1.0, 0.0, 1.0, 2.0], 2).sse <= 1.0
+
+    def test_a_label_in_two_runs_is_rejected(self):
+        # Labels 0 and 1 alternate along the sorted values: no interval partition matches.
+        with pytest.raises(SplitLabelError):
+            oracle.partition_cost([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1])
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("bits", [1, 2])

@@ -207,6 +207,33 @@ class TestCbqFormat:
         assert peak <= 12 * len(blob)
         assert tensorio.write_cbq(g) == blob
 
+    @pytest.mark.parametrize("groups", [1, 64])
+    def test_one_bit_read_holds_about_its_output(self, groups):
+        # 10**6 one-bit labels: a 125 kB blob that decodes to 1 MB of uint8 labels.
+        # Beyond those the reader holds one chunk of 2**16 intp indices (512 KiB)
+        # and small change; decoding the whole blob at once held 4.1 MB.
+        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=1, group_count=groups)
+        blob = tensorio.write_cbq(grouping.quantize_grouped(np.random.default_rng(3).normal(size=10**6), cfg))
+        tracemalloc.start()
+        try:
+            tensorio.read_cbq(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10**6 + 768 * 1024
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    @pytest.mark.parametrize("groups", [1, 3, 40])
+    def test_chunked_unpack_round_trips(self, monkeypatch, bits, groups):
+        # 64-label chunks: two whole rows at 40 groups, pieces of rows at 1 and 3.
+        monkeypatch.setattr(core, "_ASSIGN_CHUNK", 64)
+        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=bits, group_count=groups)
+        g = grouping.quantize_grouped(np.random.default_rng(bits).normal(size=1001), cfg)
+        blob = tensorio.write_cbq(g)
+        assert np.array_equal(tensorio.read_cbq(blob).labels, g.labels)
+        packed = tensorio.pack_indices(g.labels, bits)
+        assert np.array_equal(tensorio.unpack_indices(packed, g.n, bits), g.labels)
+
     @pytest.mark.parametrize("groups", [1, 3, 16])
     def test_occupancy_mismatch_is_found_in_any_chunk(self, monkeypatch, groups):
         monkeypatch.setattr(core, "_ASSIGN_CHUNK", 64)
