@@ -4,11 +4,13 @@ The network is ``y = W2 @ tanh(W1 @ x + b1) + b2`` with closed-form
 gradients.  Each weight matrix is one field of the model, held either as a
 dense array or, after ``quantize_model``, as a one-group
 ``GroupedQuantizedTensor`` in the weight's shape: its labels are frozen at
-quantization time and only the codebook centroids train.  The forward pass
-uses the reconstructed weights; in the backward pass each centroid receives
-the average of the gradients of the weights assigned to it, and is updated
-with the base learning rate scaled by a multiplier (biases and dense weights
-use plain SGD at the base rate).
+quantization time and only the codebook centroids train.  ``ToyModel``
+rejects a quantized weight of more than one group.  The forward pass uses the
+reconstructed weights; in the backward pass each centroid receives the
+average of the gradients of the weights assigned to it, and is updated with
+the base learning rate scaled by a multiplier (biases and dense weights use
+plain SGD at the base rate).  ``train_step`` runs these updates over a
+sequence of batches.
 """
 
 import math
@@ -82,6 +84,9 @@ class ToyModel:
     b2: np.ndarray  # (out,)
 
     def __post_init__(self):
+        if any(isinstance(w, grouping.GroupedQuantizedTensor) and w.cfg.group_count > 1
+               for w in (self.w1, self.w2)):
+            raise BadConfigError("centroid fine-tuning needs one group per weight matrix")
         w1, w2 = tuple(self.w1.shape), tuple(self.w2.shape)
         if (len(w1) != 2 or len(w2) != 2 or w2[1] != w1[0]
                 or np.shape(self.b1) != w1[:1] or np.shape(self.b2) != w2[:1]):
@@ -91,7 +96,8 @@ class ToyModel:
 
 def _dense(w) -> np.ndarray:
     if isinstance(w, grouping.GroupedQuantizedTensor):
-        return grouping.reconstruct_grouped(w).astype(np.float64)
+        # One group, so every label indexes the one codebook row.
+        return w.centroids[0].take(w.labels).reshape(w.shape).astype(np.float64)
     return w
 
 
@@ -170,33 +176,37 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
     return np.divide(sums, counts, out=np.zeros(n_clusters), where=counts > 0)
 
 
-def _updated_centroids(q: grouping.GroupedQuantizedTensor, weight_grads,
-                       lr: float) -> grouping.GroupedQuantizedTensor:
-    grad = centroid_gradients(weight_grads, q.labels, q.cfg.n_levels)
-    # Labels stay frozen; only the centroid values move.
-    return replace(q, centroids=(q.centroids.astype(np.float64) - lr * grad).astype(np.float32))
+def train_step(model: ToyModel, batches, cfg: TrainConfig) -> tuple[ToyModel, list[float]]:
+    """One SGD step per ``(x, y)`` batch, in order; returns the updated model
+    and each batch's pre-update loss.
 
-
-def train_step(model: ToyModel, batch: tuple[np.ndarray, np.ndarray],
-               cfg: TrainConfig) -> tuple[ToyModel, float]:
-    """One SGD step; returns the updated model and the pre-update batch loss."""
-    x, y = batch
-    loss, grads = loss_and_gradients(model, x, y)
-    lr = cfg.base_learning_rate
-    updates = {}
-    for name, grad in grads.items():
-        param = getattr(model, name)
-        if isinstance(param, grouping.GroupedQuantizedTensor):
-            updates[name] = _updated_centroids(param, grad, lr * cfg.quantized_lr_multiplier)
-        else:
-            updates[name] = param - lr * grad
-    return replace(model, **updates), loss
+    The steps run on a dense float64 copy of the model.  A quantized weight
+    trains as its float32 centroid row over its frozen labels, and its
+    ``GroupedQuantizedTensor`` is built once, when the call ends.
+    """
+    quantized = {name: q for name, q in vars(model).items() if isinstance(q, grouping.GroupedQuantizedTensor)}
+    rows = {name: q.centroids[0] for name, q in quantized.items()}
+    work = ToyModel(**{name: np.array(_dense(p), dtype=np.float64) for name, p in vars(model).items()})
+    lr, losses = cfg.base_learning_rate, []
+    for x, y in batches:
+        loss, grads = loss_and_gradients(work, x, y)
+        losses.append(loss)
+        for name, q in quantized.items():
+            step = centroid_gradients(grads.pop(name), q.labels, q.cfg.n_levels)
+            # Labels stay frozen; only the centroid values move.
+            rows[name] = (rows[name] - lr * cfg.quantized_lr_multiplier * step).astype(np.float32)
+            getattr(work, name)[...] = rows[name].take(q.labels).reshape(q.shape)
+        for name, grad in grads.items():
+            getattr(work, name)[...] -= lr * grad
+    updates = {name: replace(q, centroids=rows[name][None]) for name, q in quantized.items()}
+    return replace(model, **{**vars(work), **updates}), losses
 
 
 def quantize_model(model: ToyModel, cfg: core.QuantConfig) -> ToyModel:
-    """Quantize both weight matrices (never the biases) as one group each; labels freeze here."""
-    if cfg.group_count != 1:
-        raise BadConfigError("centroid fine-tuning needs one group per weight matrix")
+    """Quantize both weight matrices (never the biases); labels freeze here.
+
+    ``ToyModel`` rejects a ``cfg`` of more than one group with ``BadConfigError``.
+    """
     return replace(model, w1=grouping.quantize_grouped(_dense(model.w1), cfg, tensor_name="w1"),
                    w2=grouping.quantize_grouped(_dense(model.w2), cfg, tensor_name="w2"))
 
@@ -206,9 +216,8 @@ def _run_epochs(model: ToyModel, x, y, cfg: TrainConfig, epochs: int,
     losses = []
     for _ in range(epochs):
         order = shuffle_rng.permutation(len(x))
-        for start in range(0, len(x), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            model, _ = train_step(model, (x[idx], y[idx]), cfg)
+        spans = (order[start : start + cfg.batch_size] for start in range(0, len(x), cfg.batch_size))
+        model, _ = train_step(model, ((x[idx], y[idx]) for idx in spans), cfg)
         losses.append(model_loss(model, x, y))
     return model, losses
 
@@ -254,6 +263,8 @@ def run_experiment(train_cfg: TrainConfig, quant_cfg: core.QuantConfig, task_see
         raise BadConfigError("task_seed must be >= 0")
     if pretrain_epochs < 0:
         raise BadConfigError("pretrain_epochs must be >= 0")
+    if hidden_dim < 1:
+        raise BadConfigError("hidden_dim must be >= 1")
     data_rng = np.random.default_rng(train_cfg.data_seed)
     x, y = synthetic_regression(_N_SAMPLES, _IN_DIM, hidden_dim, _OUT_DIM, data_rng)
 

@@ -4,12 +4,18 @@ import csv
 import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cbquant import cli, core, grouping, tensorio
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -253,6 +259,32 @@ class TestTrainToyCommand:
         first = lines[0].split(",")
         assert len(first) == 5
         assert first[1] in ("linear", "kmeans")
+
+    def test_benchmark_run_keeps_its_bytes(self, tmp_path, capsys):
+        # The paper-eval workload's train-toy command.  Its stdout digest is read
+        # from perfbench; the curve file's digest was taken from the per-batch
+        # fine-tuning loop that train_step's batched form replaced.
+        curves = tmp_path / "curves.csv"
+        code, text = run_cli(capsys, "train-toy", "--bits", "2", "--seed", "0", "--data-seed", "0",
+                             "--task-seed", "0", "--format", "csv", "--curves", str(curves))
+        assert code == 0
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == digests["paper-eval"]["train-toy.csv"]
+        assert (hashlib.sha256(curves.read_bytes()).hexdigest()
+                == "1961e38f8a66b9029df8b2e1bf77aa2771d3b497009d8cad0c2f41559482cdc4")
+
+    def test_diverging_fine_tune_exits_3_and_writes_no_curves(self, tmp_path):
+        # A subprocess, because pytest turns the float32 cast's overflow
+        # RuntimeWarning into an error, which main reports as exit 4.
+        curves = tmp_path / "curves.csv"
+        proc = subprocess.run([sys.executable, "-m", "cbquant.cli", "train-toy", "--bits", "2",
+                               "--epochs", "3", "--pretrain-epochs", "0", "--lr", "50",
+                               "--curves", str(curves)],
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "codebook contains non-finite centroids" in proc.stderr
+        assert not curves.exists()
 
 
 

@@ -145,8 +145,8 @@ class TestTrainStep:
         model = small_quantized_model()
         x = np.random.default_rng(5).normal(size=(6, 3))
         y, _ = training.forward(model, x)
-        updated, loss = training.train_step(model, (x, y), self.cfg())
-        assert loss == 0.0
+        updated, losses = training.train_step(model, [(x, y)], self.cfg())
+        assert losses[0] == 0.0
         np.testing.assert_array_equal(updated.w1.centroids, model.w1.centroids)
         np.testing.assert_array_equal(updated.b1, model.b1)
 
@@ -156,14 +156,14 @@ class TestTrainStep:
         x = rng.normal(size=(32, 3))
         y = rng.normal(size=(32, 2))
         before = training.model_loss(model, x, y)
-        updated, _ = training.train_step(model, (x, y), self.cfg())
+        updated, _ = training.train_step(model, [(x, y)], self.cfg())
         assert training.model_loss(updated, x, y) < before
 
     def test_zero_multiplier_freezes_centroids(self):
         model = small_quantized_model()
         rng = np.random.default_rng(8)
         batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
-        updated, _ = training.train_step(model, batch, self.cfg(quantized_lr_multiplier=0.0))
+        updated, _ = training.train_step(model, [batch], self.cfg(quantized_lr_multiplier=0.0))
         np.testing.assert_array_equal(updated.w1.centroids, model.w1.centroids)
         assert not np.array_equal(updated.b1, model.b1)
 
@@ -173,7 +173,7 @@ class TestTrainStep:
         labels_before = model.w1.labels.tobytes()
         for _ in range(25):
             batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
-            model, _ = training.train_step(model, batch, self.cfg(base_learning_rate=0.05))
+            model, _ = training.train_step(model, [batch], self.cfg(base_learning_rate=0.05))
         assert model.w1.labels.tobytes() == labels_before
 
     def test_distinct_weight_values_stay_bounded(self):
@@ -182,9 +182,77 @@ class TestTrainStep:
         rng = np.random.default_rng(10)
         for _ in range(10):
             batch = (rng.normal(size=(16, 3)), rng.normal(size=(16, 2)))
-            model, _ = training.train_step(model, batch, self.cfg(base_learning_rate=0.05))
+            model, _ = training.train_step(model, [batch], self.cfg(base_learning_rate=0.05))
             w1 = grouping.reconstruct_grouped(model.w1)
             assert len(np.unique(w1)) <= 2**bits
+
+    @pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    @pytest.mark.parametrize("multiplier", [0.0, 10.0])
+    def test_matches_the_per_batch_update_bit_for_bit(self, scheme, bits, batch_size, multiplier):
+        rng = np.random.default_rng(bits)
+        x, y = training.synthetic_regression(70, 4, 12, 2, rng)
+        dense = training.make_toy_model(4, 12, 2, rng)
+        model = expected = training.quantize_model(dense, core.QuantConfig(scheme=scheme, bits=bits, seed=3))
+        cfg = self.cfg(base_learning_rate=0.05, batch_size=batch_size, quantized_lr_multiplier=multiplier)
+        for _ in range(2):
+            order = rng.permutation(len(x))
+            batches = [(x[order[i : i + batch_size]], y[order[i : i + batch_size]])
+                       for i in range(0, len(x), batch_size)]
+            model, losses = training.train_step(model, batches, cfg)
+            expected, expected_losses = per_batch_steps(expected, batches, cfg)
+            assert np.array(losses).tobytes() == np.array(expected_losses).tobytes()
+            for name in ("w1", "w2"):
+                assert getattr(model, name).centroids.tobytes() == getattr(expected, name).centroids.tobytes()
+                assert getattr(model, name).labels.tobytes() == getattr(expected, name).labels.tobytes()
+            for name in ("b1", "b2"):
+                assert getattr(model, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_one_call_builds_each_quantized_layer_once(self, monkeypatch):
+        model = small_quantized_model()
+        rng = np.random.default_rng(11)
+        batches = [(rng.normal(size=(8, 3)), rng.normal(size=(8, 2))) for _ in range(6)]
+        built = []
+        post_init = grouping.GroupedQuantizedTensor.__post_init__
+
+        def counted_post_init(g):
+            built.append(g.shape)
+            post_init(g)
+
+        def no_reconstruct(g):
+            raise AssertionError("fine-tuning reconstructed a grouped tensor")
+
+        monkeypatch.setattr(grouping.GroupedQuantizedTensor, "__post_init__", counted_post_init)
+        monkeypatch.setattr(grouping, "reconstruct_grouped", no_reconstruct)
+        updated, losses = training.train_step(model, batches, self.cfg(base_learning_rate=0.05))
+        assert len(losses) == len(batches)
+        assert sorted(built) == sorted([model.w1.shape, model.w2.shape])
+        assert updated.w1.centroids.tobytes() != model.w1.centroids.tobytes()
+
+
+def per_batch_steps(model, batches, cfg):
+    """SGD as one model rebuild per batch: the forward pass runs on
+    ``reconstruct_grouped`` weights, and each quantized layer is rebuilt with
+    ``replace`` from its updated float32 centroids."""
+    losses = []
+    for x, y in batches:
+        dense = replace(model, **{name: grouping.reconstruct_grouped(getattr(model, name)).astype(np.float64)
+                                  for name in ("w1", "w2")})
+        loss, grads = training.loss_and_gradients(dense, x, y)
+        losses.append(loss)
+        updates = {}
+        for name, grad in grads.items():
+            param = getattr(model, name)
+            if isinstance(param, grouping.GroupedQuantizedTensor):
+                step = training.centroid_gradients(grad, param.labels, param.cfg.n_levels)
+                lr = cfg.base_learning_rate * cfg.quantized_lr_multiplier
+                updates[name] = replace(param, centroids=(param.centroids.astype(np.float64) - lr * step)
+                                        .astype(np.float32))
+            else:
+                updates[name] = param - cfg.base_learning_rate * grad
+        model = replace(model, **updates)
+    return model, losses
 
 
 class TestTrainConfig:
@@ -218,6 +286,14 @@ class TestQuantizeModel:
         with pytest.raises(BadConfigError):
             training.quantize_model(model, cfg)
 
+    @pytest.mark.parametrize("name", ["w1", "w2"])
+    def test_a_two_group_weight_is_rejected_at_construction(self, name):
+        dense = training.make_toy_model(3, 6, 2, np.random.default_rng(0))
+        cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=1, group_count=2)
+        two_groups = grouping.quantize_grouped(getattr(dense, name), cfg)
+        with pytest.raises(BadConfigError):
+            replace(dense, **{name: two_groups})
+
 
 class TestRunExperiment:
     @pytest.mark.parametrize("kw", [{"task_seed": -1}, {"pretrain_epochs": -1}])
@@ -226,6 +302,17 @@ class TestRunExperiment:
         qc = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=2)
         with pytest.raises(BadConfigError):
             training.run_experiment(tc, qc, **kw)
+
+    @pytest.mark.parametrize("hidden_dim", [0, -1])
+    def test_hidden_dim_below_one_is_rejected_before_any_work(self, hidden_dim, monkeypatch):
+        def no_task(*args):
+            raise AssertionError("the task was sampled")
+
+        monkeypatch.setattr(training, "synthetic_regression", no_task)
+        tc = training.TrainConfig(base_learning_rate=0.02, epochs=1)
+        qc = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=2)
+        with pytest.raises(BadConfigError):
+            training.run_experiment(tc, qc, hidden_dim=hidden_dim)
 
     def test_eight_bit_quantization_is_near_lossless(self):
         tc = training.TrainConfig(base_learning_rate=0.02, epochs=0, batch_size=64,
