@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -245,6 +246,24 @@ class TestSweepCommand:
         assert code == 0
         assert len(read_csv(text)) == 12
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_benchmark_sweep_keeps_its_bytes(self, tmp_path, capsys, monkeypatch):
+        # The paper-eval workload's full-size, seed-0 sweep, with the benchmark's
+        # bundle, arguments and thread count; its stdout digest is read from perfbench.
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        rng = np.random.default_rng(bench.DEFAULT_SEED)
+        source = {name: rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+                  for name, shape in bench.make_workloads()["paper-eval"].tensors}
+        bench.write_bundle(tmp_path / "source.json", source)
+        monkeypatch.setenv("CBQUANT_THREADS", str(bench.MAX_THREADS))
+        code, text = run_cli(capsys, "sweep", str(tmp_path / "source.json"),
+                             "--bits", *map(str, bench.SWEEP_BITS), "--schemes", *bench.SWEEP_SCHEMES,
+                             "--seeds", *map(str, bench.SWEEP_SEEDS), "--format", "csv")
+        assert code == 0
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == digests["paper-eval"]["sweep.csv"]
 
 
 class TestTrainToyCommand:

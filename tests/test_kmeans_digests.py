@@ -5,8 +5,8 @@ update, linear binning, index packing or the group split moves at least one of
 these digests.  The inputs cover distinct Gaussian values, heavy duplication
 (fewer distinct values than clusters, so k-means++ pads the codebook with
 copies), points exactly midway between integer-valued centroids (which are
-exactly on linear bin edges), and constant spans that make whole groups
-constant.
+exactly on linear bin edges), constant spans that make whole groups
+constant, and one vector long enough for k-means++'s value-order loop.
 """
 
 import hashlib
@@ -36,6 +36,11 @@ def constant_spans():
 
 def small_weights():
     return np.random.default_rng(3).normal(0.0, 0.02, size=2048).astype(np.float32)
+
+
+def large_weights():
+    # Just above core._SORTED_MIN_SIZE, so 6 and 8 bits take the value-order k-means++ loop.
+    return np.random.default_rng(4).normal(0.0, 0.02, size=2**17 + 3)
 
 
 # id -> (tensor, bits, seed, group_count, max_iterations, leaves padded centroids, sha256)
@@ -68,6 +73,14 @@ CASES = {
                        "33172e7e5c83fd9ef00afbb6225c0e462779e7254de3584fad881bf62c046758"),
     "f32-b8-s0-g7": (small_weights(), 8, 0, 7, 3, False,
                      "0505000d5c435ba47617785da1bd0b1fff344616fbdd334bad90a2ffa7a62506"),
+    "large-b6-s0-g1": (large_weights(), 6, 0, 1, 3, False,
+                       "2ee85677b34fd53a9debd05a149764d4c815804efdc4040b4893a56827287403"),
+    "large-b6-s1-g1": (large_weights(), 6, 1, 1, 3, False,
+                       "895c904a6dcc2db51265fd54266bafc379f5b7e8dff759e9fdd3faac2809f46a"),
+    "large-b8-s0-g1": (large_weights(), 8, 0, 1, 3, False,
+                       "5b124140add219f0e89bb502e4c95a8d97d1da639e42e9011d919ac76c3d8c23"),
+    "large-b8-s1-g1": (large_weights(), 8, 1, 1, 3, False,
+                       "bb2b15189e35aec878f1aba07e15f4eec6929a73e34317592576b65e8b837fb5"),
 }
 
 
