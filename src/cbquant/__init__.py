@@ -27,6 +27,7 @@ from .core import (
 from .errors import CbqError
 from .grouping import (
     GroupedQuantizedTensor,
+    ValueOrder,
     quantize_grouped,
     reconstruct_grouped,
     split_groups,
@@ -53,6 +54,7 @@ __all__ = [
     "ErrorStats",
     "LloydState",
     "GroupedQuantizedTensor",
+    "ValueOrder",
     "OptimalClustering",
     "CbqError",
     "quantize",

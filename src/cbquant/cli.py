@@ -84,7 +84,7 @@ def cmd_quantize(args) -> int:
         if args.exclude and args.exclude.search(name):
             return tensor, [name, tensor.size, "", "", "excluded"]
         g = grouping.quantize_grouped(tensor, cfg, tensor_name=name)
-        mse = core.error_stats(tensor, grouping.reconstruct_grouped(g)).mse
+        mse = _grouped_sse(tensor, g) / tensor.size
         blob = tensorio.write_cbq(g)
         ratio = (32.0 * tensor.size) / (8.0 * len(blob))
         return blob, [name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"]
@@ -118,32 +118,53 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _grouped_sse(tensor, g: grouping.GroupedQuantizedTensor) -> float:
+    """``core.error_stats(tensor, grouping.reconstruct_grouped(g)).sse``, bit
+    for bit, without the float32 reconstruction: the centroids are gathered
+    as float64 into one buffer, which then holds the differences and their
+    squares for one contiguous sum."""
+    diff = np.empty(g.n)
+    grouping._reconstruct_into(g, diff)
+    np.subtract(np.reshape(tensor, -1), diff, out=diff)
+    return float(np.sum(np.square(diff, out=diff)))
+
+
 def cmd_sweep(args) -> int:
     # One float64 copy per tensor, shared by every combination's worker.
     tensors = {name: t.astype(np.float64) for name, t in tensorio.read_bundle(args.bundle).items()}
     if not tensors:
         raise EmptyInputError("bundle contains no tensors")
     names = sorted(tensors)
+    # And one value order per tensor, shared by every k-means combination.
+    orders = ({name: grouping.ValueOrder(tensors[name], args.groups) for name in names}
+              if "kmeans" in args.schemes else {})
+    seeds = sorted(set(args.seeds))
     combos = sorted(
         (scheme, bits, seed)
         for scheme in set(args.schemes)
         for bits in set(args.bits)
-        for seed in set(args.seeds)
+        for seed in seeds
     )
 
-    def work(combo):
-        scheme, bits, seed = combo
+    def job(scheme, bits, seed):
+        """Linear quantization reads no seed: one job per bit width serves every seed's row."""
+        return scheme, bits, seed if scheme == "kmeans" else seeds[0]
+
+    def work(key):
+        scheme, bits, seed = key
         cfg = core.QuantConfig(scheme=core.Scheme[scheme.upper()], bits=bits,
                                max_iterations=args.iters, seed=seed, group_count=args.groups)
         sse = 0.0
         count = 0
         for name in names:
-            g = grouping.quantize_grouped(tensors[name], cfg, tensor_name=name)
-            sse += core.error_stats(tensors[name], grouping.reconstruct_grouped(g)).sse
+            g = grouping.quantize_grouped(tensors[name], cfg, tensor_name=name, order=orders.get(name))
+            sse += _grouped_sse(tensors[name], g)
             count += tensors[name].size
-        return scheme, bits, seed, sse / count
+        return sse / count
 
-    results = _parallel_map(work, combos)
+    jobs = sorted({job(*combo) for combo in combos})
+    mse = dict(zip(jobs, _parallel_map(work, jobs)))
+    results = [(*combo, mse[job(*combo)]) for combo in combos]
     if args.format == "csv":
         _emit(["scheme", "bits", "seed", "mse"],
               [[s, b, seed, f"{mse:.9g}"] for s, b, seed, mse in results], "csv")

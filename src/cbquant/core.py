@@ -316,7 +316,12 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     exact midpoint of a and c, because there ``|x - a| <= |x - c|`` and
     rounded subtraction and squaring are monotone, so the rounded
     ``(x - a)**2``, which ``d2`` already undercuts, is at most the rounded
-    ``(x - c)**2``; the same holds at or above the midpoint of c and b.
+    ``(x - c)**2``; the same holds at or above the midpoint of c and b.  By
+    the same argument an element's ``d2``, the running minimum over every
+    pick, is the smaller rounded square distance to its two neighbouring
+    picks, so the sorted loop recomputes a chunk of ``d2`` in element order
+    from the input rather than keeping a map back from elements to sorted
+    positions.
     """
     arr = _validate_input(v)
     if not 1 <= n_clusters <= 256:
@@ -357,6 +362,7 @@ def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generat
         if idx < 0:
             idx = _sequential_pick(n, lambda s, out: np.copyto(out, d2[s : s + out.size]), q)
         chosen.append(arr[idx])
+        # Updated after the last pick too: its overflow warnings are the definition's.
         np.subtract(arr, arr[idx], out=scratch)
         np.square(scratch, out=scratch)
         np.minimum(d2, scratch, out=d2)
@@ -399,69 +405,118 @@ def _sequential_pick(n: int, fill, q: float) -> int:
     raise AssertionError("a draw from a zero total")
 
 
-def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def _limits(arr: np.ndarray, order) -> tuple[float, float]:
+    """The min and max of ``arr``, read off the ends of ``order``'s sorted values when there is one."""
+    lo, hi = (arr.min(), arr.max()) if order is None else (order[1][0], order[1][-1])
+    return float(lo), float(hi)
+
+
+def _neighbour_d2(x: np.ndarray, picks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` each element's smaller rounded square distance to
+    its two neighbouring values among the sorted ``picks``, which is the
+    minimum over all of them (``kmeanspp_init``).  An element beyond the
+    picks on one side takes the outermost pick twice."""
+    rank = picks.searchsorted(x, "right")
+    # picks[rank - 1] and picks[rank], each clipped into range.
+    np.subtract(x, np.append(picks[:1], picks).take(rank, mode="clip"), out=out)
+    np.square(out, out=out)
+    above = np.subtract(x, picks.take(rank, mode="clip"))
+    np.minimum(out, np.square(above, out=above), out=out)
+    return out
+
+
+def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator, order=None) -> np.ndarray:
     """``kmeanspp_init`` on float64 ``arr`` with ``d2`` in value order, each
     pick updating only the sorted range it can move.
 
-    Layout: ``perm`` maps sorted positions to elements and ``inv`` back, both
-    int32 below 2**31 elements, and ``d2`` is in sorted order: 16 bytes an
-    element.  To locate a pick, ``table[row, chunk]`` sums ``d2`` over the
-    sorted positions of one row (``side`` consecutive ones) whose elements
-    lie in one chunk (``side`` consecutive elements); a pick recomputes the
-    rows its range touched.  The column totals are the chunk sums of
-    ``d2`` in element order, so ``_certified_pick`` finds the pick's chunk
-    from them and accumulates that chunk, gathered in element order through
-    ``inv``.  A term passes through at most ``side`` additions in its cell,
-    one per row and chunk in the totals and ``side + 1`` in the chunk, which
-    sets the margin.  When the input's span squared overflows, some squared
+    ``order`` is ``(perm, values)``: ``perm`` maps sorted positions to
+    elements and ``values`` is ``arr[perm]``, ascending.  Without it the
+    loop sorts ``arr`` itself and gathers sorted chunks through ``perm``.
+    Layout: ``perm``, int32 below 2**31 elements, and ``d2`` in sorted
+    order: 12 bytes an element, 8 with a given order.  To locate a pick,
+    ``table[row, chunk]`` sums ``d2`` over the sorted positions of one row
+    (``side`` consecutive ones) whose elements lie in one chunk (``width``
+    consecutive elements, a quarter of ``side``); a pick recomputes the
+    rows its range touched.  The column totals are the chunk sums of ``d2``
+    in element order, so ``_certified_pick`` finds the pick's chunk from
+    them and accumulates that chunk, recomputed in element order from the
+    input and the picks so far (``_neighbour_d2``); the first pick that
+    falls back to the sequential ``cumsum`` builds the inverse permutation
+    ``inv`` (4 more bytes an element) to gather ``d2`` in element order.
+    A term passes through at most ``side`` additions in its cell, one per
+    row and chunk in the totals and ``width + 1`` in the chunk, which sets
+    the margin.  When the input's span squared overflows, some squared
     distance warns in the definition on every pick; the full pass then runs
-    instead, so that every warning is the definition's.
+    instead, so that every warning is the definition's.  Nothing overflows
+    here otherwise, so ``d2`` is not updated after the last pick.
     """
-    lo, hi = float(arr.min()), float(arr.max())
+    lo, hi = _limits(arr, order)
     if not (hi - lo) * (hi - lo) < math.inf:
         return _kmeanspp_full_pass(arr, n_clusters, rng)
     n = arr.size
     first = arr[int(rng.integers(n))]
-    index = np.int32 if n < 2**31 else np.int64
-    perm = np.argsort(arr).astype(index)
-    inv = np.empty_like(perm)
+    if order is None:
+        perm = np.argsort(arr).astype(np.int32 if n < 2**31 else np.int64)
+        # Every 64th sorted value, to find a value's sorted position with one short gather.
+        step = 64
+        coarse = arr[perm[::step]]
+
+        def shifted(s: int, e: int, c: float) -> np.ndarray:
+            """Sorted values s to e minus c, in a new array."""
+            x = arr.take(perm[s:e], mode="clip")
+            x -= c
+            return x
+
+        def rank(x: float, side: str) -> int:
+            """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
+            i = int(coarse.searchsorted(x, side))
+            if i == 0:
+                return 0
+            s = step * (i - 1)
+            return s + int(arr[perm[s : s + step]].searchsorted(x, side))
+    else:
+        perm, values = order
+
+        def shifted(s: int, e: int, c: float) -> np.ndarray:
+            return np.subtract(values[s:e], c)
+
+        def rank(x: float, side: str) -> int:
+            return int(values.searchsorted(x, side))
+
     d2 = np.empty(n)
     for s in range(0, n, _ASSIGN_CHUNK):
         e = min(n, s + _ASSIGN_CHUNK)
-        inv[perm[s:e]] = np.arange(s, e, dtype=index)
-        np.take(arr, perm[s:e], out=d2[s:e], mode="clip")
-    d2 -= first
+        d2[s:e] = shifted(s, e, first)
     np.square(d2, out=d2)
-    # Every 64th sorted value, to find a value's sorted position with one short gather.
-    step = 64
-    coarse = arr[perm[::step]]
 
-    def rank(x: float, side: str) -> int:
-        """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
-        i = int(coarse.searchsorted(x, side))
-        if i == 0:
-            return 0
-        s = step * (i - 1)
-        return s + int(arr[perm[s : s + step]].searchsorted(x, side))
-
-    # Rows and chunks of `side` positions, so that the table holds at most n/64 cells.
+    # Rows of `side` sorted positions and chunks of `width` elements, a
+    # quarter as long, so that the table holds at most n/16 cells.
     side = 8
     while side < n and (-(-n // side)) ** 2 > n / 64:
         side *= 2
-    count = -(-n // side)
-    table = np.empty((count, count))
-    sums = np.empty(count)
-    ends = np.empty(count)
-    depth = 2 * side + 2 * count
+    width = side // 4
+    rows, cols = -(-n // side), -(-n // width)
+    table = np.empty((rows, cols))
+    sums = np.empty(cols)
+    ends = np.empty(cols)
+    depth = side + rows + cols + width + 1
     picked = [float(first)]
     chosen = picked.copy()
     start, stop = 0, n  # the sorted range of d2 that the last pick changed
+    out = np.empty(min(n, width))
+    inv = None  # sorted position of each element, built by the first pick that falls back
+
+    def chunk_d2(b: int) -> np.ndarray:
+        """Chunk b of ``d2`` in element order, in ``out``."""
+        x = arr[b * width : (b + 1) * width]
+        return _neighbour_d2(x, picks, out[: x.size])
+
     while len(chosen) < n_clusters:
         # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
         with np.errstate(over="ignore"):
             for row in range(start // side, -(-stop // side)):
                 s = row * side
-                table[row] = np.bincount(perm[s : s + side] // side, weights=d2[s : s + side], minlength=count)
+                table[row] = np.bincount(perm[s : s + side] // width, weights=d2[s : s + side], minlength=cols)
             np.add.reduce(table, axis=0, out=sums)
             np.add.accumulate(sums, out=ends)
         total = float(ends[-1])
@@ -469,13 +524,21 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator)
             break  # every element already coincides with a centroid
         q = rng.random()
         idx = -1
+        picks = np.array(picked)
         if total < 2.0**1022:
-            idx = _certified_pick(ends, lambda b: d2[inv[b * side : (b + 1) * side]], side,
-                                  q * total, _pick_margin(n, depth, total))
+            idx = _certified_pick(ends, chunk_d2, width, q * total, _pick_margin(n, depth, total))
         if idx < 0:
-            idx = _sequential_pick(n, lambda s, out: np.take(d2, inv[s : s + out.size], out=out, mode="clip"), q)
+            # The sequential pick reads all of d2 in element order: one gather
+            # through inv is far cheaper than a search per element.
+            if inv is None:
+                inv = np.empty_like(perm)
+                for s in range(0, n, _ASSIGN_CHUNK):
+                    inv[perm[s : s + _ASSIGN_CHUNK]] = np.arange(s, min(n, s + _ASSIGN_CHUNK), dtype=perm.dtype)
+            idx = _sequential_pick(n, lambda s, part: np.take(d2, inv[s : s + part.size], out=part, mode="clip"), q)
         c = float(arr[idx])
         chosen.append(c)
+        if len(chosen) == n_clusters:
+            break
         i = bisect.bisect(picked, c)
         # Two ulps outward of each rounded midpoint lies beyond the exact one.
         start = 0 if i == 0 else rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right")
@@ -483,8 +546,7 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator)
         picked.insert(i, c)
         for s in range(start, stop, _ASSIGN_CHUNK):
             e = min(stop, s + _ASSIGN_CHUNK)
-            x = arr[perm[s:e]]
-            x -= c
+            x = shifted(s, e, c)
             np.square(x, out=x)
             np.minimum(d2[s:e], x, out=d2[s:e])
             del x  # before the next chunk is gathered
@@ -577,6 +639,30 @@ def _thresholds(a: np.ndarray, b: np.ndarray, b_first: np.ndarray) -> np.ndarray
     return t
 
 
+def _switch_points(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``_assign``'s rule as ``(t, rep, band_lo, band_hi)``: an element x in
+    ``[band_lo, band_hi]`` goes to ``rep[searchsorted(t, x, side="right")]``.
+
+    ``rep`` holds, for each run of equal sorted centroids, its lowest
+    original index, and ``t`` the thresholds between consecutive runs; one
+    run has no thresholds and an unbounded band.
+    """
+    order = np.argsort(centroids, kind="stable")
+    ordered = centroids[order]
+    run_start = np.empty(len(centroids), dtype=bool)
+    run_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    values, rep = ordered[run_start], order[run_start]
+    if len(values) == 1:
+        return values[:0], rep, -math.inf, math.inf
+    a, b = values[:-1], values[1:]
+    with np.errstate(over="ignore"):
+        t = _thresholds(a, b, rep[1:] < rep[:-1])
+        reach = min(float((b - a).min()) * 2.0**49, 2.0**1000)
+    # Python floats: the band ends may overflow to +-inf without a warning.
+    return t, rep, float(values[-1]) - reach, float(values[0]) + reach
+
+
 def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels; ties go to the lowest cluster index.
 
@@ -608,24 +694,12 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Cost per call: O(m) work on the table (a few scalar searches for pairs
     near zero), then about ten passes over the elements.
     """
-    m = len(centroids)
-    if arr.size * m <= _DENSE_PAIRS:
+    if arr.size * len(centroids) <= _DENSE_PAIRS:
         with np.errstate(over="ignore"):
             return _dense_assign(arr, centroids)
-    order = np.argsort(centroids, kind="stable")
-    ordered = centroids[order]
-    run_start = np.empty(m, dtype=bool)
-    run_start[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-    values, rep = ordered[run_start], order[run_start]
-    if len(values) == 1:
+    t, rep, band_lo, band_hi = _switch_points(centroids)
+    if not len(t):
         return np.full(arr.size, rep[0], dtype=np.int64)
-    a, b = values[:-1], values[1:]
-    with np.errstate(over="ignore"):
-        t = _thresholds(a, b, rep[1:] < rep[:-1])
-        reach = min(float((b - a).min()) * 2.0**49, 2.0**1000)
-    # Python floats: the band ends may overflow to +-inf without a warning.
-    band_lo, band_hi = float(values[-1]) - reach, float(values[0]) + reach
 
     cells = 4 * len(t)
     t0, t1 = t[0], t[-1]
@@ -672,6 +746,47 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _sorted_assign(values: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_assign`` of the ascending ``values`` as uint8 labels, and each
+    cluster's member count.
+
+    Between consecutive thresholds of ``_switch_points`` the label is one
+    run's, so one ``searchsorted`` of the thresholds into ``values`` cuts
+    the labels into runs, whose lengths are the counts.  The values outside
+    the band, a prefix and a suffix, go to ``_dense_assign``.
+    """
+    t, rep, band_lo, band_hi = _switch_points(centroids)
+    n = values.size
+    lengths = np.diff(values.searchsorted(t), prepend=0, append=n)
+    labels = np.repeat(rep.astype(np.uint8), lengths)
+    far = [part for part in (slice(0, values.searchsorted(band_lo)), slice(values.searchsorted(band_hi, "right"), n))
+           if part.start < part.stop]
+    for part in far:
+        with np.errstate(over="ignore"):
+            labels[part] = _dense_assign(values[part], centroids)
+    if far:
+        return labels, np.bincount(labels, minlength=len(centroids))
+    occupancy = np.zeros(len(centroids), dtype=np.intp)
+    occupancy[rep] = lengths  # each run's representative is its own label
+    return labels, occupancy
+
+
+def _labels(arr: np.ndarray, centroids: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels of ``arr`` and each cluster's member count.
+
+    The labels are ``_assign``'s, or with ``order``, ``(perm, values)`` as
+    ``_kmeanspp_sorted`` takes it, the same labels as uint8, taken in value
+    order and scattered through ``perm``.
+    """
+    if order is None:
+        labels = _assign(arr, centroids)
+        return labels, np.bincount(labels, minlength=len(centroids))
+    perm, values = order
+    labels = np.empty(arr.size, dtype=np.uint8)
+    labels[perm], occupancy = _sorted_assign(values, centroids)
+    return labels, occupancy
+
+
 def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """``sum((arr - centroids[labels])**2)`` in one float64 buffer: gather, subtract, square.
 
@@ -686,19 +801,26 @@ def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> fl
     return float(np.sum(np.square(diff, out=diff)))
 
 
-def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, bool]:
+def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels, order=None,
+                  wide=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Assign every element to its nearest centroid, then move each centroid with members to their mean.
 
-    Returns the new centroids, the new labels as uint8, and whether any label
-    differs from ``labels`` (always True when ``labels`` is None).
+    Returns the new centroids, the new labels as uint8, their member counts,
+    and whether any label differs from ``labels`` (always True when
+    ``labels`` is None).  ``order`` is as ``_labels`` takes it; the sums run
+    in element order either way.  ``wide``, an intp array of ``arr.size``,
+    takes the uint8 labels of an order for the sums; without it ``bincount``
+    would widen them into a new array on every step, which fragments a
+    worker thread's heap.
     """
-    # _assign's int64 labels live only for the counts and the change test.
-    new_labels = _assign(arr, centroids)
+    # _assign's int64 labels live only for the sums and the change test.
+    new_labels, occupancy = _labels(arr, centroids, order)
     changed = labels is None or bool(np.any(new_labels != labels))
-    occupancy = np.bincount(new_labels, minlength=len(centroids))
-    sums = np.bincount(new_labels, weights=arr, minlength=len(centroids))
+    if wide is not None:
+        np.copyto(wide, new_labels)
+    sums = np.bincount(new_labels if wide is None else wide, weights=arr, minlength=len(centroids))
     new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
-    return new_centroids, new_labels.astype(np.uint8), changed
+    return new_centroids, new_labels.astype(np.uint8, copy=False), occupancy, changed
 
 
 def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
@@ -715,7 +837,7 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     arr = _validate_input(v)
     if not 1 <= len(state.centroids) <= 256:
         raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(state.centroids)}")
-    centroids, labels, changed = _lloyd_update(arr, np.asarray(state.centroids, dtype=np.float64), state.labels)
+    centroids, labels, _, changed = _lloyd_update(arr, np.asarray(state.centroids, dtype=np.float64), state.labels)
     return LloydState(centroids, labels, _state_sse(arr, labels, centroids), state.iterations + 1), changed
 
 
@@ -729,32 +851,51 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     and SSE of one assignment to them.  The SSE is computed once, for the
     returned state.
     """
+    arr = _validate_input(v)
+    centroids, labels, _, iterations = _kmeans_cluster(arr, cfg, tensor_name, group_index)
+    return LloydState(centroids, labels, _state_sse(arr, labels, centroids), iterations)
+
+
+def _kmeans_cluster(arr: np.ndarray, cfg: QuantConfig, tensor_name: str, group_index: int,
+                    order=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``kmeans_cluster`` of the checked float64 ``arr``, unscored: the final
+    centroids, uint8 labels, their member counts and the steps run.  With
+    ``order``, ``(perm, values)`` as ``_kmeanspp_sorted`` takes it, k-means++
+    runs the sorted loop on it and every assignment takes its labels in
+    value order."""
     if cfg.scheme is not Scheme.KMEANS:
         raise BadConfigError("k-means operations require cfg.scheme == Scheme.KMEANS")
-    arr = _validate_input(v)
     rng = np.random.default_rng(derive_stream_seed(cfg.seed, tensor_name, group_index))
-    centroids = kmeanspp_init(arr, cfg.n_levels, rng)
+    if order is None:
+        centroids = kmeanspp_init(arr, cfg.n_levels, rng)
+    else:
+        centroids = _kmeanspp_sorted(arr, cfg.n_levels, rng, order)
 
     labels, iterations = None, 0
+    wide = None if order is None or not cfg.max_iterations else np.empty(arr.size, dtype=np.intp)
     while iterations < cfg.max_iterations:
-        centroids, labels, changed = _lloyd_update(arr, centroids, labels)
+        centroids, labels, occupancy, changed = _lloyd_update(arr, centroids, labels, order, wide)
         iterations += 1
         if not changed:
             break
 
     if labels is None:  # max_iterations == 0: assign once, keep init centroids
-        labels = _assign(arr, centroids).astype(np.uint8)
-    return LloydState(centroids, labels, _state_sse(arr, labels, centroids), iterations)
+        labels, occupancy = _labels(arr, centroids, order)
+        labels = labels.astype(np.uint8, copy=False)
+    return centroids, labels, occupancy, iterations
 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:
     """Quantize ``v`` by k-means clustering into ``2**bits`` clusters."""
-    arr = _validate_input(v)
-    _check_float32_range(arr.min(), arr.max())
-    result = kmeans_cluster(arr, cfg, tensor_name, group_index)
-    occupancy = np.bincount(result.labels, minlength=len(result.centroids))
-    return QuantizedVector(Codebook(result.centroids.astype(np.float32), occupancy.astype(np.uint32)),
-                           IndexVector(result.labels))
+    return _kmeans_quantize(_validate_input(v), cfg, tensor_name, group_index)
+
+
+def _kmeans_quantize(arr: np.ndarray, cfg: QuantConfig, tensor_name: str, group_index: int,
+                     order=None) -> QuantizedVector:
+    """``kmeans_quantize`` of the checked float64 ``arr``, with ``order`` as ``_kmeans_cluster`` takes it."""
+    _check_float32_range(*_limits(arr, order))
+    centroids, labels, occupancy, _ = _kmeans_cluster(arr, cfg, tensor_name, group_index, order)
+    return QuantizedVector(Codebook(centroids.astype(np.float32), occupancy.astype(np.uint32)), IndexVector(labels))
 
 
 def quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:

@@ -8,7 +8,7 @@ blocks of equal-length groups, and only k-means loops over single groups.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import (
 
 __all__ = [
     "GroupedQuantizedTensor",
+    "ValueOrder",
     "group_blocks",
     "split_groups",
     "quantize_grouped",
@@ -97,7 +98,46 @@ class GroupedQuantizedTensor:
                      for c, o, (i, length) in zip(self.centroids, self.occupancy, self.spans))
 
 
-def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> GroupedQuantizedTensor:
+@dataclass(frozen=True, eq=False)
+class ValueOrder:
+    """Each group of ``tensor`` in ascending order, for many k-means runs on it.
+
+    Built once, it serves every ``quantize_grouped(tensor, cfg, order=...)``
+    call with ``group_count`` groups, whatever the bits, seed or iteration
+    cap: k-means++ and every Lloyd assignment then run in value order, with
+    the same bytes as without it.  Over each group's span, ``perm`` lists
+    the group's element offsets by ascending value (int32 below 2**31
+    elements a group) and ``values`` the float64 values in that order: 12
+    bytes an element.  Building it rejects empty or non-finite input as
+    ``quantize_grouped`` does.  The order refers to ``tensor`` itself, which
+    must not change while the order is in use.
+    """
+
+    tensor: object
+    group_count: int
+    perm: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        flat = np.asarray(self.tensor).reshape(-1)
+        blocks = group_blocks(flat.size, self.group_count)
+        perm = np.empty(flat.size, dtype=np.int32 if blocks[0][2] < 2**31 else np.int64)
+        values = np.empty(flat.size)
+        for _, elements, length in blocks:
+            rows = np.asarray(flat[elements], dtype=np.float64).reshape(-1, length)
+            order = np.argsort(rows, axis=1)
+            perm[elements] = order.reshape(-1)
+            order += length * np.arange(len(rows))[:, None]
+            ascending = np.take(rows, order, out=values[elements].reshape(-1, length))
+            # NaN sorts last, so each row's ends show any non-finite value.
+            if not np.isfinite(ascending[:, [0, -1]]).all():
+                raise NonFiniteInputError("input contains NaN or infinity")
+        object.__setattr__(self, "perm", core._frozen(perm))
+        object.__setattr__(self, "values", core._frozen(values))
+
+
+def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "",
+                     order: ValueOrder | None = None) -> GroupedQuantizedTensor:
     """Quantize each contiguous span of the flattened tensor independently.
 
     Per-group RNG streams are derived from ``(cfg.seed, tensor_name, group
@@ -106,10 +146,18 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     rows of a block of equal-length groups, at most ``core._ASSIGN_CHUNK``
     elements at a time unless one row is longer; k-means runs once per group.
     Each chunk or group is cast to float64 on its own, never the whole tensor.
+
+    ``order``, a ``ValueOrder`` of this very ``tensor`` object and
+    ``cfg.group_count`` groups, lets k-means run in value order; the output
+    is the same.  Linear quantization does not read it.
     """
     arr = np.asarray(tensor)
     flat = arr.reshape(-1)
     blocks = group_blocks(flat.size, cfg.group_count)  # checks G <= n before the codebooks are allocated
+    if order is not None and order.group_count != cfg.group_count:
+        raise ShapeMismatchError(f"the order splits {order.group_count} groups, the config {cfg.group_count}")
+    if order is not None and order.tensor is not tensor:
+        raise ShapeMismatchError("the order was built for another tensor")
     levels = (cfg.group_count, cfg.n_levels)
     centroids = np.empty(levels, dtype=np.float32)
     occupancy = np.empty(levels, dtype=np.uint32)
@@ -124,10 +172,15 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
                     rows[chunk], cfg.n_levels)
     else:
         for i, (offset, length) in enumerate(split_groups(flat.size, cfg.group_count)):
+            span = slice(offset, offset + length)
             # Copied out of the per-vector result, whose occupancy perfbench/trace_shim.py counts.
-            qv = core.kmeans_quantize(flat[offset : offset + length], cfg, tensor_name, i)
+            if order is None:
+                qv = core.kmeans_quantize(flat[span], cfg, tensor_name, i)
+            else:  # the order checked the values
+                qv = core._kmeans_quantize(np.asarray(flat[span], dtype=np.float64), cfg, tensor_name, i,
+                                           (order.perm[span], order.values[span]))
             centroids[i], occupancy[i] = qv.codebook.centroids, qv.codebook.occupancy
-            labels[offset : offset + length] = qv.indices.labels
+            labels[span] = qv.indices.labels
     return GroupedQuantizedTensor(arr.shape, cfg, centroids, occupancy, labels)
 
 
@@ -173,9 +226,15 @@ def reconstruct_grouped(g: GroupedQuantizedTensor) -> np.ndarray:
     Beyond the output it holds one chunk of ``core._ASSIGN_CHUNK`` indices.
     """
     out = np.empty(g.n, dtype=np.float32)
+    _reconstruct_into(g, out)
+    return out.reshape(g.shape)
+
+
+def _reconstruct_into(g: GroupedQuantizedTensor, out: np.ndarray) -> None:
+    """Write every label's centroid into the flat ``out``, in ``out``'s float dtype."""
+    centroids = g.centroids.astype(out.dtype, copy=False)
     for groups, elements, length in group_blocks(g.n, g.cfg.group_count):
-        codebooks, dest = g.centroids[groups], out[elements].reshape(-1, length)
+        codebooks, dest = centroids[groups], out[elements].reshape(-1, length)
         for rows, cols, index in _codebook_index(g.labels[elements].reshape(-1, length), g.cfg.n_levels):
             # Labels were checked at construction; "clip" lets take write to out unbuffered.
             np.take(codebooks[rows].reshape(-1), index, out=dest[rows, cols], mode="clip")
-    return out.reshape(g.shape)

@@ -171,9 +171,14 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
         raise LengthMismatchError("one gradient per label required")
     if lab.size and not 0 <= lab.min() <= lab.max() < n_clusters:
         raise CorruptIndexError(f"labels must lie in [0, {n_clusters})")
-    counts = np.bincount(lab, minlength=n_clusters)
-    sums = np.bincount(lab, weights=grads, minlength=n_clusters)
-    return np.divide(sums, counts, out=np.zeros(n_clusters), where=counts > 0)
+    return _cluster_means(grads, lab, np.bincount(lab, minlength=n_clusters))
+
+
+def _cluster_means(grads: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``centroid_gradients`` of checked flat ``grads`` and ``labels``, whose
+    per-cluster ``counts`` are given."""
+    sums = np.bincount(labels, weights=grads, minlength=len(counts))
+    return np.divide(sums, counts, out=np.zeros(len(counts)), where=counts > 0)
 
 
 def train_step(model: ToyModel, batches, cfg: TrainConfig) -> tuple[ToyModel, list[float]]:
@@ -181,21 +186,25 @@ def train_step(model: ToyModel, batches, cfg: TrainConfig) -> tuple[ToyModel, li
     and each batch's pre-update loss.
 
     The steps run on a dense float64 copy of the model.  A quantized weight
-    trains as its float32 centroid row over its frozen labels, and its
-    ``GroupedQuantizedTensor`` is built once, when the call ends.
+    trains as its float32 centroid row over its frozen labels, whose
+    cluster counts are taken once, and its ``GroupedQuantizedTensor`` is
+    built once, when the call ends.
     """
     quantized = {name: q for name, q in vars(model).items() if isinstance(q, grouping.GroupedQuantizedTensor)}
     rows = {name: q.centroids[0] for name, q in quantized.items()}
+    # The tensor checked its labels against its codebook when it was built.
+    labels = {name: q.labels.astype(np.intp) for name, q in quantized.items()}
+    counts = {name: np.bincount(labels[name], minlength=q.cfg.n_levels) for name, q in quantized.items()}
     work = ToyModel(**{name: np.array(_dense(p), dtype=np.float64) for name, p in vars(model).items()})
     lr, losses = cfg.base_learning_rate, []
     for x, y in batches:
         loss, grads = loss_and_gradients(work, x, y)
         losses.append(loss)
         for name, q in quantized.items():
-            step = centroid_gradients(grads.pop(name), q.labels, q.cfg.n_levels)
+            step = _cluster_means(grads.pop(name).reshape(-1), labels[name], counts[name])
             # Labels stay frozen; only the centroid values move.
             rows[name] = (rows[name] - lr * cfg.quantized_lr_multiplier * step).astype(np.float32)
-            getattr(work, name)[...] = rows[name].take(q.labels).reshape(q.shape)
+            getattr(work, name)[...] = rows[name].take(labels[name]).reshape(q.shape)
         for name, grad in grads.items():
             getattr(work, name)[...] -= lr * grad
     updates = {name: replace(q, centroids=rows[name][None]) for name, q in quantized.items()}

@@ -247,6 +247,53 @@ class TestSweepCommand:
         assert len(read_csv(text)) == 12
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_one_order_per_tensor_and_one_linear_run_per_bit_width(self, gaussian_bundle, capsys, monkeypatch):
+        quantized, orders = [], []
+        quantize_grouped, value_order = grouping.quantize_grouped, grouping.ValueOrder
+
+        def counted_quantize(tensor, cfg, tensor_name="", order=None):
+            quantized.append((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, order is not None))
+            return quantize_grouped(tensor, cfg, tensor_name, order)
+
+        monkeypatch.setattr(grouping, "quantize_grouped", counted_quantize)
+        monkeypatch.setattr(grouping, "ValueOrder", lambda *args: orders.append(args[1]) or value_order(*args))
+        code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "1", "2", "--seeds", "0", "1", "2",
+                             "--groups", "3", "--format", "csv")
+        assert code == 0
+        assert orders == [3, 3, 3]
+        linear = [q for q in quantized if q[0] == "LINEAR"]
+        assert sorted(q[1:4] for q in linear) == sorted((bits, 0, name) for bits in (1, 2)
+                                                        for name in ("classifier.weight", "layer.0.weight",
+                                                                     "layer.1.weight"))
+        assert len(quantized) - len(linear) == 2 * 3 * 3
+        assert all(q[4] for q in quantized if q[0] == "KMEANS")
+        rows = read_csv(text)
+        for bits in ("1", "2"):
+            assert len({r["mse"] for r in rows if r["scheme"] == "linear" and r["bits"] == bits}) == 1
+            assert [r["seed"] for r in rows if r["scheme"] == "linear" and r["bits"] == bits] == ["0", "1", "2"]
+
+    def test_shared_orders_under_many_threads_and_fast_switching(self, gaussian_bundle, capsys, monkeypatch):
+        # Eight workers on two cores read each tensor's one value order at once.
+        argv = ("sweep", str(gaussian_bundle), "--bits", "1", "3", "--seeds", "0", "1", "2", "--groups", "2",
+                "--format", "csv")
+        monkeypatch.setenv("CBQUANT_THREADS", "1")
+        _, expected = run_cli(capsys, *argv)
+        monkeypatch.setenv("CBQUANT_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, text = run_cli(capsys, *argv)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert text == expected
+
+    def test_linear_only_sweep_builds_no_order(self, gaussian_bundle, capsys, monkeypatch):
+        monkeypatch.setattr(grouping, "ValueOrder", None)
+        code, _ = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "2", "--schemes", "linear",
+                          "--format", "csv")
+        assert code == 0
+
     def test_benchmark_sweep_keeps_its_bytes(self, tmp_path, capsys, monkeypatch):
         # The paper-eval workload's full-size, seed-0 sweep, with the benchmark's
         # bundle, arguments and thread count; its stdout digest is read from perfbench.
@@ -264,6 +311,23 @@ class TestSweepCommand:
         assert code == 0
         digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
         assert hashlib.sha256(text.encode()).hexdigest() == digests["paper-eval"]["sweep.csv"]
+
+
+# Sizes one below, at and one past a chunk of core._ASSIGN_CHUNK, and past two.
+SSE_SIZES = [core._ASSIGN_CHUNK - 1, core._ASSIGN_CHUNK, core._ASSIGN_CHUNK + 1, 2 * core._ASSIGN_CHUNK + 5]
+
+
+@pytest.mark.parametrize("n", SSE_SIZES)
+@pytest.mark.parametrize("groups", [1, 3, 7, 1000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scheme", [core.Scheme.LINEAR, core.Scheme.KMEANS])
+def test_grouped_sse_is_the_error_stats_sse_bit_for_bit(n, groups, dtype, scheme):
+    rng = np.random.default_rng(n + groups)
+    tensor = (rng.normal(scale=0.02, size=n) * 10.0 ** rng.integers(-3, 3, n)).astype(dtype)
+    g = grouping.quantize_grouped(tensor, core.QuantConfig(scheme=scheme, bits=3, max_iterations=1,
+                                                           group_count=groups))
+    expected = core.error_stats(tensor, grouping.reconstruct_grouped(g)).sse
+    assert cli._grouped_sse(tensor, g).hex() == expected.hex()
 
 
 class TestTrainToyCommand:

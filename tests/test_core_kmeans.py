@@ -191,7 +191,36 @@ class TestKmeansppPicksAreSequential:
             assert peak <= 2 * v.nbytes + extra, n_clusters
 
 
-LOOPS = [core._kmeanspp_full_pass, core._kmeanspp_sorted]
+def kmeanspp_shared_order(v, n_clusters, rng):
+    """The sorted loop on a ``ValueOrder`` of ``v``, as ``quantize_grouped`` runs it."""
+    order = grouping.ValueOrder(v, 1)
+    return core._kmeanspp_sorted(np.asarray(v, dtype=np.float64), n_clusters, rng, (order.perm, order.values))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("falls_back", [False, True])
+def test_sorted_loop_holds_its_distances_and_one_permutation(monkeypatch, shared, falls_back):
+    # d2 (8 bytes an element) and one int32 permutation (4), which the argsort's
+    # int64 output briefly precedes; a shared order brings both the permutation
+    # and the sorted values, so the loop adds only d2.  A pick that falls back
+    # to the sequential cumsum adds the int32 inverse permutation.  The table
+    # and the transients of a chunk or two of 2**16 fit in the constant.
+    v = np.random.default_rng(8).normal(size=589_824)
+    order = grouping.ValueOrder(v, 1) if shared else None
+    loop_args = (v, 256 if not falls_back else 16, np.random.default_rng(0))
+    loop_args += ((order.perm, order.values),) if shared else ()
+    if falls_back:
+        monkeypatch.setattr(core, "_certified_pick", lambda *args: -1)
+    tracemalloc.start()
+    try:
+        core._kmeanspp_sorted(*loop_args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.0 if shared else 1.5) * v.nbytes + falls_back * v.size * 4 + (2 << 20)
+
+
+LOOPS = [core._kmeanspp_full_pass, core._kmeanspp_sorted, kmeanspp_shared_order]
 
 
 class TestKmeansppLoops:
@@ -206,6 +235,15 @@ class TestKmeansppLoops:
     def test_sorted_loop_same_bytes_as_sequential_cumsum(self, n, n_clusters, kind):
         v = PICK_INPUTS[kind](np.random.default_rng(n), n)
         assert (picks_and_warnings(core._kmeanspp_sorted, v, n_clusters, np.random.default_rng(2))
+                == picks_and_warnings(sequential_kmeanspp_init, v, n_clusters, np.random.default_rng(2)))
+
+    # The same cases on a shared order, and 16 clusters, which the sweep runs at 4 bits.
+    @pytest.mark.parametrize("n", [1, 37, 8193, 70_001, core._SORTED_MIN_SIZE + 1])
+    @pytest.mark.parametrize("n_clusters", [2, 16, 64, 256])
+    @pytest.mark.parametrize("kind", sorted(PICK_INPUTS))
+    def test_shared_order_loop_same_bytes_as_sequential_cumsum(self, n, n_clusters, kind):
+        v = PICK_INPUTS[kind](np.random.default_rng(n), n)
+        assert (picks_and_warnings(kmeanspp_shared_order, v, n_clusters, np.random.default_rng(2))
                 == picks_and_warnings(sequential_kmeanspp_init, v, n_clusters, np.random.default_rng(2)))
 
     # Two chunks of the sequential path and a short third; with q == 1 the draw

@@ -121,8 +121,50 @@ def test_assign_matches_dense_argmin_across_the_float64_range(centroids, points,
     np.testing.assert_array_equal(loud_assign(np.resize(x, n), c), np.resize(quiet_dense_argmin(x, c), n))
 
 
+def loud_sorted_assign(values, c):
+    """``core._sorted_assign`` with every RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return core._sorted_assign(values, c)
+
+
+def assert_sorted_assign_matches_dense(x, c):
+    """The value-order assignment of the sorted points gives the dense labels and their counts."""
+    order = np.argsort(x, kind="stable")
+    expected = quiet_dense_argmin(x, c)[order]
+    labels, occupancy = loud_sorted_assign(x[order], c)
+    assert labels.dtype == np.uint8
+    np.testing.assert_array_equal(labels, expected)
+    np.testing.assert_array_equal(occupancy, np.bincount(expected, minlength=len(c)))
+
+
 def assert_assign_matches_dense(x, c):
     np.testing.assert_array_equal(loud_assign(x, c), quiet_dense_argmin(x, c))
+    assert_sorted_assign_matches_dense(x, c)
+
+
+@given(st.lists(wide_values, min_size=1, max_size=256), st.lists(wide_values, min_size=1, max_size=40),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_sorted_assign_matches_dense_argmin_across_the_float64_range(centroids, points, data):
+    c = np.asarray(centroids)
+    s = np.unique(c)
+    top = np.finfo(float).max
+    near = np.concatenate([c, s[:-1] / 2 + s[1:] / 2, np.nextafter(c, top), np.nextafter(c, -top)])
+    x = np.asarray(points + data.draw(st.lists(st.sampled_from(near.tolist()), max_size=40)))
+    assert_sorted_assign_matches_dense(x, c)
+
+
+@given(st.lists(finite_values, min_size=1, max_size=64, unique=True), st.lists(finite_values, min_size=1, max_size=60),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_neighbour_d2_is_the_minimum_over_every_pick(picks, points, data):
+    # k-means++ keeps each distance as the smallest rounded square over the
+    # picks so far; the two neighbouring picks give the same double.
+    p = np.unique(picks)
+    x = np.asarray(points + data.draw(st.lists(st.sampled_from(p.tolist()), max_size=20)))
+    got = core._neighbour_d2(x, p, np.empty(x.size))
+    np.testing.assert_array_equal(got, np.min(np.square(x[:, None] - p[None, :]), axis=1))
 
 
 @pytest.mark.parametrize("c", [[-1.0, 1.0], [1.0, -1.0]])

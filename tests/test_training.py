@@ -230,6 +230,24 @@ class TestTrainStep:
         assert sorted(built) == sorted([model.w1.shape, model.w2.shape])
         assert updated.w1.centroids.tobytes() != model.w1.centroids.tobytes()
 
+    def test_one_call_counts_each_quantized_layer_once(self, monkeypatch):
+        # The labels are frozen, so the cluster counts are taken once per call,
+        # not once per batch; the weighted sums still run on every batch.
+        model = small_quantized_model()
+        rng = np.random.default_rng(12)
+        batches = [(rng.normal(size=(8, 3)), rng.normal(size=(8, 2))) for _ in range(6)]
+        calls = []
+        bincount = np.bincount
+
+        def counted(x, weights=None, minlength=0):
+            calls.append(weights is None)
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        training.train_step(model, batches, self.cfg(base_learning_rate=0.05))
+        assert calls.count(True) == 2
+        assert calls.count(False) == 2 * len(batches)
+
 
 def per_batch_steps(model, batches, cfg):
     """SGD as one model rebuild per batch: the forward pass runs on

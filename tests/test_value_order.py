@@ -1,0 +1,205 @@
+"""A shared ``grouping.ValueOrder`` gives the same bytes as quantizing without one.
+
+``quantize_grouped(t, cfg, order=ValueOrder(t, G))`` runs k-means++ on the
+order's sorted values and takes every Lloyd assignment from the switch
+points in value order; the CBQ bytes, and per group the k-means state
+(centroids, labels, iterations and SSE) and the warnings, must match the
+element-order path exactly.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from cbquant import core, grouping, tensorio
+from cbquant.errors import EmptyInputError, NonFiniteInputError, ShapeMismatchError, TooManyGroupsError
+
+
+def gaussian():
+    return np.random.default_rng(0).normal(size=(20, 50))
+
+
+def duplicates():
+    # Seven distinct values: from 3 bits on, k-means++ pads the codebook.
+    return np.random.default_rng(1).integers(-3, 4, size=700) * 0.125
+
+
+def midpoint_ties():
+    # Odd integers sit exactly midway between neighbouring even integers.
+    return np.tile(np.arange(-8.0, 9.0), 40)
+
+
+def signed_zeros():
+    return np.concatenate([np.full(40, -0.0), np.full(40, 0.0), np.linspace(-1.0, 1.0, 41)])
+
+
+def outside_the_band():
+    # Once both values one ulp apart are centroids, _assign's band reaches
+    # about 0.125 around them, so the values near +-1000 go to _dense_assign.
+    rng = np.random.default_rng(2)
+    return np.concatenate([np.full(60, 1.0), np.full(60, np.nextafter(1.0, 2.0)), 1000.0 * rng.normal(size=60)])
+
+
+INPUTS = {f.__name__: f for f in (gaussian, duplicates, midpoint_ties, signed_zeros, outside_the_band)}
+
+
+def with_warnings(fn, *args):
+    """``fn(*args)`` and the messages of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def kmeans_cfg(bits, groups, iterations, seed=0):
+    return core.QuantConfig(scheme=core.Scheme.KMEANS, bits=bits, max_iterations=iterations, seed=seed,
+                            group_count=groups)
+
+
+def assert_same_groups(tensor, cfg):
+    """Per group, ``kmeans_cluster`` and the order path give the same state and warnings."""
+    order = grouping.ValueOrder(tensor, cfg.group_count)
+    flat = np.reshape(tensor, -1)
+    for i, (offset, length) in enumerate(grouping.split_groups(flat.size, cfg.group_count)):
+        span = slice(offset, offset + length)
+        arr = flat[span].astype(np.float64)
+        state, expected_warnings = with_warnings(core.kmeans_cluster, arr, cfg, "w", i)
+        (centroids, labels, occupancy, iterations, sse), got_warnings = with_warnings(
+            scored_cluster, arr, cfg, i, (order.perm[span], order.values[span]))
+        assert got_warnings == expected_warnings
+        assert centroids.tobytes() == state.centroids.tobytes()
+        assert labels.dtype == np.uint8 and labels.tobytes() == state.labels.tobytes()
+        assert occupancy.tolist() == np.bincount(state.labels, minlength=cfg.n_levels).tolist()
+        assert iterations == state.iterations
+        assert sse.hex() == state.sse.hex()
+
+
+def scored_cluster(arr, cfg, group_index, order):
+    """``core._kmeans_cluster`` with an order, and the SSE that ``kmeans_cluster`` adds."""
+    centroids, labels, occupancy, iterations = core._kmeans_cluster(arr, cfg, "w", group_index, order)
+    return centroids, labels, occupancy, iterations, core._state_sse(arr, labels, centroids)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 3, 20])
+@pytest.mark.parametrize("groups", [1, 3, 7])
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_shared_order_gives_the_same_bytes(kind, groups, iterations):
+    tensor = INPUTS[kind]()
+    for bits in range(1, 9):
+        cfg = kmeans_cfg(bits, groups, iterations, seed=bits)
+        plain = tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, tensor_name="w"))
+        order = grouping.ValueOrder(tensor, groups)
+        shared = tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, tensor_name="w", order=order))
+        assert shared == plain, bits
+        assert_same_groups(tensor, cfg)
+
+
+def test_one_order_serves_every_bit_width_and_seed():
+    tensor = gaussian().astype(np.float32)
+    order = grouping.ValueOrder(tensor, 3)
+    for bits in (1, 4, 8):
+        for seed in (0, 5):
+            cfg = kmeans_cfg(bits, 3, 3, seed)
+            assert (tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, order=order))
+                    == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
+
+
+def test_values_outside_the_band_reach_the_dense_assignment(monkeypatch):
+    # The band is [1 + ulp - 0.125, 1 + 0.125]: the 60 values near +-1000 lie outside it.
+    values, centroids = np.sort(outside_the_band()), np.array([np.nextafter(1.0, 2.0), 1.0])
+    calls = []
+    dense = core._dense_assign
+    monkeypatch.setattr(core, "_dense_assign", lambda x, c: calls.append(x.size) or dense(x, c))
+    labels, occupancy = core._sorted_assign(values, centroids)
+    assert sum(calls) == 60
+    expected = core._assign(values, centroids)
+    assert labels.tolist() == expected.tolist()
+    assert occupancy.tolist() == np.bincount(expected, minlength=2).tolist()
+
+
+def test_large_vector_gives_the_same_bytes():
+    # Past _SORTED_MIN_SIZE, where calls without an order also take the value-order k-means++ loop.
+    tensor = np.random.default_rng(4).normal(0.0, 0.02, size=core._SORTED_MIN_SIZE + 3)
+    for bits in (2, 6, 8):
+        cfg = kmeans_cfg(bits, 1, 3, seed=bits)
+        order = grouping.ValueOrder(tensor, 1)
+        assert (tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, order=order))
+                == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
+
+
+@pytest.mark.parametrize("bits", [1, 4, 8])
+def test_span_squared_overflow_gives_the_same_state_and_warnings(bits):
+    # k-means++ hands such input to the full pass, whose squares overflow and
+    # warn; the float32 codebook of quantize_grouped rejects it outright.
+    tensor = np.random.default_rng(5).choice([-1e300, 1e300], 300) * np.random.default_rng(6).random(300)
+    cfg = kmeans_cfg(bits, 1, 3)
+    assert_same_groups(tensor, cfg)
+    for order in (None, grouping.ValueOrder(tensor, 1)):
+        with pytest.raises(NonFiniteInputError, match="float32"):
+            grouping.quantize_grouped(tensor, cfg, order=order)
+
+
+class TestMismatchedOrder:
+    def quantize(self, tensor, cfg, order, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("quantized before the order was checked")
+
+        monkeypatch.setattr(core, "_kmeans_quantize", no_work)
+        monkeypatch.setattr(core, "kmeans_quantize", no_work)
+        grouping.quantize_grouped(tensor, cfg, order=order)
+
+    def test_another_group_count(self, monkeypatch):
+        tensor = gaussian()
+        with pytest.raises(ShapeMismatchError, match="groups"):
+            self.quantize(tensor, kmeans_cfg(2, 3, 3), grouping.ValueOrder(tensor, 2), monkeypatch)
+
+    def test_another_array_of_the_same_values(self, monkeypatch):
+        tensor = gaussian()
+        with pytest.raises(ShapeMismatchError, match="another tensor"):
+            self.quantize(tensor.copy(), kmeans_cfg(2, 1, 3), grouping.ValueOrder(tensor, 1), monkeypatch)
+
+    def test_another_shape(self, monkeypatch):
+        tensor = gaussian()
+        with pytest.raises(ShapeMismatchError, match="another tensor"):
+            self.quantize(tensor.reshape(50, 20), kmeans_cfg(2, 1, 3), grouping.ValueOrder(tensor, 1), monkeypatch)
+
+    def test_linear_quantization_checks_the_order_too(self):
+        tensor = gaussian()
+        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2)
+        with pytest.raises(ShapeMismatchError):
+            grouping.quantize_grouped(tensor, cfg, order=grouping.ValueOrder(tensor.copy(), 1))
+        order = grouping.ValueOrder(tensor, 1)
+        assert (tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, order=order))
+                == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
+
+
+class TestValueOrder:
+    @pytest.mark.parametrize("n,groups", [(1, 1), (10, 3), (1000, 7), (1000, 1000)])
+    def test_each_group_in_ascending_order(self, n, groups):
+        tensor = np.random.default_rng(n).normal(size=n).astype(np.float32)
+        order = grouping.ValueOrder(tensor, groups)
+        assert order.perm.dtype == np.int32 and order.values.dtype == np.float64
+        for offset, length in grouping.split_groups(n, groups):
+            span = slice(offset, offset + length)
+            assert sorted(order.perm[span].tolist()) == list(range(length))
+            np.testing.assert_array_equal(order.values[span], tensor[span][order.perm[span]])
+            assert (np.diff(order.values[span]) >= 0).all()
+
+    def test_arrays_are_read_only(self):
+        order = grouping.ValueOrder(gaussian(), 1)
+        with pytest.raises(ValueError):
+            order.values[0] = 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_rejected(self, bad):
+        tensor = gaussian()
+        tensor[3, 7] = bad
+        with pytest.raises(NonFiniteInputError):
+            grouping.ValueOrder(tensor, 3)
+
+    def test_empty_input_and_too_many_groups_are_rejected(self):
+        with pytest.raises(EmptyInputError):
+            grouping.ValueOrder(np.zeros(0), 1)
+        with pytest.raises(TooManyGroupsError):
+            grouping.ValueOrder(np.zeros(3), 4)
