@@ -157,7 +157,7 @@ def cmd_sweep(args) -> int:
         sse = 0.0
         count = 0
         for name in names:
-            g = grouping.quantize_grouped(tensors[name], cfg, tensor_name=name, order=orders.get(name))
+            g = grouping.quantize_grouped(orders.get(name, tensors[name]), cfg, tensor_name=name)
             sse += _grouped_sse(tensors[name], g)
             count += tensors[name].size
         return sse / count

@@ -14,6 +14,7 @@ import bisect
 import enum
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -62,6 +63,8 @@ class QuantConfig:
 
     These are exactly the config fields of a CBQ header, so a config
     survives a write/read round trip; the two counts must fit its u32s.
+    The four numbers are stored as ``int``; numpy integers are taken, bools
+    and non-integers refused.
     """
 
     scheme: Scheme
@@ -73,6 +76,8 @@ class QuantConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise BadConfigError(f"unknown scheme: {self.scheme!r}")
+        for name in ("bits", "max_iterations", "seed", "group_count"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.bits <= 8:
             raise BadConfigError(f"bits must be in [1, 8], got {self.bits}")
         if not 0 <= self.max_iterations < 2**32:
@@ -85,6 +90,16 @@ class QuantConfig:
     @property
     def n_levels(self) -> int:
         return 1 << self.bits
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a bool, or anything ``operator.index`` refuses, raises ``BadConfigError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -405,12 +420,6 @@ def _sequential_pick(n: int, fill, q: float) -> int:
     raise AssertionError("a draw from a zero total")
 
 
-def _limits(arr: np.ndarray, order) -> tuple[float, float]:
-    """The min and max of ``arr``, read off the ends of ``order``'s sorted values when there is one."""
-    lo, hi = (arr.min(), arr.max()) if order is None else (order[1][0], order[1][-1])
-    return float(lo), float(hi)
-
-
 def _neighbour_d2(x: np.ndarray, picks: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into ``out`` each element's smaller rounded square distance to
     its two neighbouring values among the sorted ``picks``, which is the
@@ -450,7 +459,8 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
     instead, so that every warning is the definition's.  Nothing overflows
     here otherwise, so ``d2`` is not updated after the last pick.
     """
-    lo, hi = _limits(arr, order)
+    # Python floats: the span squared may overflow to inf without a warning.
+    lo, hi = (float(arr.min()), float(arr.max())) if order is None else (float(order[1][0]), float(order[1][-1]))
     if not (hi - lo) * (hi - lo) < math.inf:
         return _kmeanspp_full_pass(arr, n_clusters, rng)
     n = arr.size
@@ -886,15 +896,15 @@ def _kmeans_cluster(arr: np.ndarray, cfg: QuantConfig, tensor_name: str, group_i
 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:
-    """Quantize ``v`` by k-means clustering into ``2**bits`` clusters."""
-    return _kmeans_quantize(_validate_input(v), cfg, tensor_name, group_index)
+    """Quantize ``v`` by k-means clustering into ``2**bits`` clusters.
 
-
-def _kmeans_quantize(arr: np.ndarray, cfg: QuantConfig, tensor_name: str, group_index: int,
-                     order=None) -> QuantizedVector:
-    """``kmeans_quantize`` of the checked float64 ``arr``, with ``order`` as ``_kmeans_cluster`` takes it."""
-    _check_float32_range(*_limits(arr, order))
-    centroids, labels, occupancy, _ = _kmeans_cluster(arr, cfg, tensor_name, group_index, order)
+    ``grouping.quantize_grouped`` of a ``ValueOrder`` runs the same
+    ``_kmeans_cluster`` in value order and writes its arrays straight into
+    the grouped ones, with the same bytes.
+    """
+    arr = _validate_input(v)
+    _check_float32_range(arr.min(), arr.max())
+    centroids, labels, occupancy, _ = _kmeans_cluster(arr, cfg, tensor_name, group_index)
     return QuantizedVector(Codebook(centroids.astype(np.float32), occupancy.astype(np.uint32)), IndexVector(labels))
 
 

@@ -102,15 +102,15 @@ class GroupedQuantizedTensor:
 class ValueOrder:
     """Each group of ``tensor`` in ascending order, for many k-means runs on it.
 
-    Built once, it serves every ``quantize_grouped(tensor, cfg, order=...)``
-    call with ``group_count`` groups, whatever the bits, seed or iteration
+    Built once, it serves every ``quantize_grouped(order, cfg)`` call with
+    ``group_count`` groups, whatever the scheme, bits, seed or iteration
     cap: k-means++ and every Lloyd assignment then run in value order, with
-    the same bytes as without it.  Over each group's span, ``perm`` lists
-    the group's element offsets by ascending value (int32 below 2**31
-    elements a group) and ``values`` the float64 values in that order: 12
-    bytes an element.  Building it rejects empty or non-finite input as
-    ``quantize_grouped`` does.  The order refers to ``tensor`` itself, which
-    must not change while the order is in use.
+    the same bytes as quantizing ``tensor`` itself.  Over each group's span,
+    ``perm`` lists the group's element offsets by ascending value (int32
+    below 2**31 elements a group) and ``values`` the float64 values in that
+    order: 12 bytes an element.  Building it rejects empty or non-finite
+    input as ``quantize_grouped`` does.  The order refers to ``tensor``
+    itself, which must not change while the order is in use.
     """
 
     tensor: object
@@ -136,8 +136,7 @@ class ValueOrder:
         object.__setattr__(self, "values", core._frozen(values))
 
 
-def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "",
-                     order: ValueOrder | None = None) -> GroupedQuantizedTensor:
+def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> GroupedQuantizedTensor:
     """Quantize each contiguous span of the flattened tensor independently.
 
     Per-group RNG streams are derived from ``(cfg.seed, tensor_name, group
@@ -147,17 +146,16 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "",
     elements at a time unless one row is longer; k-means runs once per group.
     Each chunk or group is cast to float64 on its own, never the whole tensor.
 
-    ``order``, a ``ValueOrder`` of this very ``tensor`` object and
-    ``cfg.group_count`` groups, lets k-means run in value order; the output
-    is the same.  Linear quantization does not read it.
+    ``tensor`` may be a ``ValueOrder`` of ``cfg.group_count`` groups: the
+    order's own tensor is then quantized, k-means in value order, with the
+    same output.  Linear quantization does not read the sorted values.
     """
-    arr = np.asarray(tensor)
+    order = tensor if isinstance(tensor, ValueOrder) else None
+    arr = np.asarray(tensor if order is None else order.tensor)
     flat = arr.reshape(-1)
     blocks = group_blocks(flat.size, cfg.group_count)  # checks G <= n before the codebooks are allocated
     if order is not None and order.group_count != cfg.group_count:
         raise ShapeMismatchError(f"the order splits {order.group_count} groups, the config {cfg.group_count}")
-    if order is not None and order.tensor is not tensor:
-        raise ShapeMismatchError("the order was built for another tensor")
     levels = (cfg.group_count, cfg.n_levels)
     centroids = np.empty(levels, dtype=np.float32)
     occupancy = np.empty(levels, dtype=np.uint32)
@@ -173,14 +171,16 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "",
     else:
         for i, (offset, length) in enumerate(split_groups(flat.size, cfg.group_count)):
             span = slice(offset, offset + length)
-            # Copied out of the per-vector result, whose occupancy perfbench/trace_shim.py counts.
             if order is None:
+                # Copied out of the per-vector result, whose occupancy perfbench/trace_shim.py counts.
                 qv = core.kmeans_quantize(flat[span], cfg, tensor_name, i)
-            else:  # the order checked the values
-                qv = core._kmeans_quantize(np.asarray(flat[span], dtype=np.float64), cfg, tensor_name, i,
-                                           (order.perm[span], order.values[span]))
-            centroids[i], occupancy[i] = qv.codebook.centroids, qv.codebook.occupancy
-            labels[span] = qv.indices.labels
+                centroids[i], occupancy[i] = qv.codebook.centroids, qv.codebook.occupancy
+                labels[span] = qv.indices.labels
+            else:  # the order checked the values; its sorted ends are the group's min and max
+                values = order.values[span]
+                core._check_float32_range(values[0], values[-1])
+                centroids[i], labels[span], occupancy[i], _ = core._kmeans_cluster(
+                    np.asarray(flat[span], dtype=np.float64), cfg, tensor_name, i, (order.perm[span], values))
     return GroupedQuantizedTensor(arr.shape, cfg, centroids, occupancy, labels)
 
 

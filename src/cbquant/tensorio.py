@@ -29,6 +29,7 @@ into place with the manifest last.
 import contextlib
 import json
 import math
+import operator
 import os
 import struct
 from pathlib import Path
@@ -123,11 +124,14 @@ def pack_indices(labels, bits: int) -> bytes:
     """Pack labels into a fixed-width little-endian bit stream.
 
     Bit ``j`` of the stream lands in bit ``j % 8`` of byte ``j // 8``; the
-    result is ``ceil(n * bits / 8)`` bytes with zeroed pad bits.
+    result is ``ceil(n * bits / 8)`` bytes with zeroed pad bits.  Labels
+    must be integers (or bools) in ``[0, 2**bits)``.
     """
     if not 1 <= bits <= 8:
         raise BadConfigError(f"bits must be in [1, 8], got {bits}")
     lab = np.asarray(labels).reshape(1, -1)
+    if lab.size and lab.dtype.kind not in "biu":
+        raise LabelOverflowError(f"labels must be integers, got {lab.dtype}")
     if lab.size and (lab.min() < 0 or lab.max() >= (1 << bits)):
         raise LabelOverflowError(f"labels do not fit in {bits} bits")
     return _pack_rows(lab.astype(np.uint8), bits).tobytes()
@@ -137,6 +141,10 @@ def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     """Inverse of ``pack_indices``; validates length and zero padding."""
     if not 1 <= bits <= 8:
         raise BadConfigError(f"bits must be in [1, 8], got {bits}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise LengthMismatchError(f"label count must be an integer, got {n!r}") from None
     if n < 0:
         raise LengthMismatchError(f"label count must be >= 0, got {n}")
     expected = (n * bits + 7) // 8

@@ -251,12 +251,17 @@ class TestSweepCommand:
         quantized, orders = [], []
         quantize_grouped, value_order = grouping.quantize_grouped, grouping.ValueOrder
 
-        def counted_quantize(tensor, cfg, tensor_name="", order=None):
-            quantized.append((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, order is not None))
-            return quantize_grouped(tensor, cfg, tensor_name, order)
+        def counted_quantize(tensor, cfg, tensor_name=""):
+            quantized.append((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, isinstance(tensor, value_order)))
+            return quantize_grouped(tensor, cfg, tensor_name)
+
+        class CountedOrder(value_order):
+            def __post_init__(self):
+                orders.append(self.group_count)
+                super().__post_init__()
 
         monkeypatch.setattr(grouping, "quantize_grouped", counted_quantize)
-        monkeypatch.setattr(grouping, "ValueOrder", lambda *args: orders.append(args[1]) or value_order(*args))
+        monkeypatch.setattr(grouping, "ValueOrder", CountedOrder)
         code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "1", "2", "--seeds", "0", "1", "2",
                              "--groups", "3", "--format", "csv")
         assert code == 0
@@ -289,7 +294,11 @@ class TestSweepCommand:
         assert text == expected
 
     def test_linear_only_sweep_builds_no_order(self, gaussian_bundle, capsys, monkeypatch):
-        monkeypatch.setattr(grouping, "ValueOrder", None)
+        class NoOrder(grouping.ValueOrder):
+            def __post_init__(self):
+                raise AssertionError("a linear-only sweep built a value order")
+
+        monkeypatch.setattr(grouping, "ValueOrder", NoOrder)
         code, _ = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "2", "--schemes", "linear",
                           "--format", "csv")
         assert code == 0

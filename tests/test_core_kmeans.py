@@ -179,7 +179,8 @@ class TestKmeansppPicksAreSequential:
 
     def test_holds_two_float64_buffers(self):
         # The full pass: d2 and the scratch buffer; no temporary for the first distances.
-        # The sorted loop: d2 and the two int32 permutations, plus its table and one chunk.
+        # The sorted loop: d2 and one int32 permutation, which the argsort's int64
+        # output briefly precedes, plus its table and one chunk.
         v = np.random.default_rng(8).normal(size=589_824)
         for n_clusters, extra in ((16, 64 << 10), (256, 1 << 20)):
             tracemalloc.start()
@@ -479,17 +480,31 @@ class TestKmeansQuantize:
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.iterations = 5
 
-    def test_float64_input_is_held_about_twice(self):
-        # k-means++ holds two float64 buffers, more than any Lloyd step holds.
+    @pytest.mark.parametrize("bits,call,factor,extra", [
+        (2, "kmeans_cluster", 2.25, 0),
+        (8, "kmeans_cluster", 2, 1 << 20),
+        (8, "quantize_grouped", 2, 1 << 20),
+        (8, "quantize_grouped of a shared order", 1.5, 1 << 20),
+    ])
+    def test_float64_input_is_held_about_twice(self, bits, call, factor, extra):
+        # k-means++ holds two float64 buffers, more than any Lloyd step holds;
+        # at 8 bits its sorted loop holds the distances, one int32 permutation
+        # and a table.  An order built beforehand brings the permutation and
+        # the sorted values, so the call adds the distances, then a Lloyd
+        # step's intp buffer and uint8 labels.
         v = np.random.default_rng(6).normal(size=589_824)
+        cfg = kcfg(bits, seed=0)
+        source = grouping.ValueOrder(v, 1) if call.endswith("shared order") else v
         tracemalloc.start()
         try:
-            result = core.kmeans_cluster(v, kcfg(2, seed=0))
+            if call == "kmeans_cluster":
+                assert core.kmeans_cluster(v, cfg).iterations == 3
+            else:
+                grouping.quantize_grouped(source, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.iterations == 3
-        assert peak <= 2.25 * v.nbytes
+        assert peak <= factor * v.nbytes + extra
 
     def test_every_referenced_cluster_is_occupied(self):
         v = np.random.default_rng(21).normal(size=300)

@@ -114,6 +114,26 @@ class TestLinearErrors:
             with pytest.raises(BadConfigError):
                 core.QuantConfig(scheme=core.Scheme.LINEAR, bits=1, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("bits", 2.5), ("bits", True), ("bits", np.True_), ("bits", "3"), ("seed", 1.5), ("seed", False),
+        ("max_iterations", 2.5), ("group_count", 2.0), ("group_count", None),
+    ])
+    def test_fields_must_be_integers(self, field, value):
+        # Refused when the config is built, not later as a TypeError or struct.error.
+        with pytest.raises(BadConfigError, match="integer"):
+            core.QuantConfig(**{"scheme": core.Scheme.LINEAR, "bits": 1, field: value})
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        plain = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=3, max_iterations=2, seed=2**64 - 1,
+                                 group_count=2)
+        cfg = core.QuantConfig(scheme=core.Scheme.KMEANS, bits=np.int64(3), max_iterations=np.uint32(2),
+                               seed=np.uint64(2**64 - 1), group_count=np.int8(2))
+        assert cfg == plain
+        assert all(type(getattr(cfg, f)) is int for f in ("bits", "max_iterations", "seed", "group_count"))
+        tensor = np.random.default_rng(3).normal(size=50)
+        assert (tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg))
+                == tensorio.write_cbq(grouping.quantize_grouped(tensor, plain)))
+
 
 class TestErrorStats:
     def test_lossless_case(self):

@@ -14,6 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                            text=True, timeout=120)
+    # RuntimeWarnings fail a demo, as pyproject.toml's filter makes them fail a test.
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env,
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

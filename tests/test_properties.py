@@ -75,7 +75,11 @@ def test_assign_matches_dense_argmin(centroids, data):
     points = data.draw(st.lists(st.one_of(st.sampled_from(special.tolist()), finite_values),
                                 min_size=1, max_size=40))
     x = np.asarray(points)
-    np.testing.assert_array_equal(core._assign(x, c), dense_argmin(x, c))
+    expected = dense_argmin(x, c)
+    np.testing.assert_array_equal(core._assign(x, c), expected)
+    # Repeated past _DENSE_PAIRS pairs, the same points reach the threshold table.
+    n = core._DENSE_PAIRS // len(c) + 1
+    np.testing.assert_array_equal(core._assign(np.resize(x, n), c), np.resize(expected, n))
 
 
 def test_assign_matches_dense_argmin_across_chunks():

@@ -64,6 +64,16 @@ class TestPackIndices:
         with pytest.raises(LabelOverflowError):
             tensorio.pack_indices([4], 2)
 
+    @pytest.mark.parametrize("labels", [[1.5, 2.9], [1.0, 2.0], np.array([0.5], dtype=np.float32), ["1"]])
+    def test_labels_must_be_integers(self, labels):
+        # [1.5, 2.9] would otherwise pack as the truncated labels 1 and 2.
+        with pytest.raises(LabelOverflowError, match="integers"):
+            tensorio.pack_indices(labels, 2)
+
+    def test_bool_and_numpy_integer_labels_are_accepted(self):
+        assert tensorio.pack_indices(np.array([True, False, True, True]), 1) == bytes([0x0D])
+        assert tensorio.pack_indices(np.array([3, 2, 1, 0], dtype=np.int16), 2) == bytes([0x1B])
+
 
 class TestUnpackIndices:
     def test_one_bit_example(self):
@@ -83,6 +93,14 @@ class TestUnpackIndices:
         # (n * bits + 7) // 8 is 0 for n in [-7, -1], so the byte count alone cannot catch them.
         with pytest.raises(LengthMismatchError):
             tensorio.unpack_indices(data, n, 1)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", None])
+    def test_count_must_be_an_integer(self, n):
+        with pytest.raises(LengthMismatchError, match="integer"):
+            tensorio.unpack_indices(bytes([0x09]), n, 2)
+
+    def test_numpy_integer_count_is_accepted(self):
+        np.testing.assert_array_equal(tensorio.unpack_indices(bytes([0x09]), np.int64(2), 2), [1, 2])
 
     @pytest.mark.parametrize("seed", range(25))
     def test_round_trip_random_labels(self, seed):
