@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadConfigError, EmptyInputError, LengthMismatchError, NonFiniteInputError
+from .errors import BadConfigError, EmptyInputError, LengthMismatchError, NonFiniteInputError, ShapeMismatchError
 
 __all__ = [
     "Scheme",
@@ -92,14 +92,14 @@ class QuantConfig:
         return 1 << self.bits
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; a bool, or anything ``operator.index`` refuses, raises ``BadConfigError``."""
+def _integer(name: str, value, error: type = BadConfigError) -> int:
+    """``value`` as an ``int``; a bool, or anything ``operator.index`` refuses, raises ``error``."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise BadConfigError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -320,7 +320,9 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     index.  Otherwise (a boundary within ``m`` of ``rt``, ``q == 0``, ``rt``
     at the top of the range, a non-finite or near-overflow total) the pick
     runs the sequential ``cumsum``.  Either way the output is the same, bit
-    for bit.
+    for bit.  One function, ``_draw``, holds this whole rule, from the
+    zero-total stop before ``rng.random()`` to the sequential fallback, and
+    both loops below pick through it.
 
     Two loops keep ``d2`` up to date.  Below ``_SORTED_MIN_CLUSTERS``
     clusters or ``_SORTED_MIN_SIZE`` elements, each pick updates all of
@@ -339,6 +341,7 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     positions.
     """
     arr = _validate_input(v)
+    n_clusters = _integer("n_clusters", n_clusters)
     if not 1 <= n_clusters <= 256:
         raise BadConfigError(f"n_clusters must be in [1, 256], got {n_clusters}")
     if n_clusters >= _SORTED_MIN_CLUSTERS and arr.size >= _SORTED_MIN_SIZE:
@@ -365,23 +368,35 @@ def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generat
             if tail.size:
                 sums[-1] = np.add.reduce(tail)
             np.add.accumulate(sums, out=ends)
-        total = float(ends[-1])
-        # The terms are non-negative, so any sum of them is 0 iff all are.
-        if total == 0.0:
-            break  # every element already coincides with a centroid
-        q = rng.random()
-        idx = -1
-        if total < 2.0**1022:  # then no prefix, summed in any order, overflows
-            idx = _certified_pick(ends, lambda b: d2[b * _PICK_BLOCK : (b + 1) * _PICK_BLOCK], _PICK_BLOCK,
-                                  q * total, _pick_margin(n, 2 * _PICK_BLOCK + n / _PICK_BLOCK, total))
+        idx = _draw(rng, n, ends, lambda b: d2[b * _PICK_BLOCK : (b + 1) * _PICK_BLOCK], _PICK_BLOCK,
+                    2 * _PICK_BLOCK + n / _PICK_BLOCK, lambda s, out: np.copyto(out, d2[s : s + out.size]))
         if idx < 0:
-            idx = _sequential_pick(n, lambda s, out: np.copyto(out, d2[s : s + out.size]), q)
+            break  # every element already coincides with a centroid
         chosen.append(arr[idx])
         # Updated after the last pick too: its overflow warnings are the definition's.
         np.subtract(arr, arr[idx], out=scratch)
         np.square(scratch, out=scratch)
         np.minimum(d2, scratch, out=d2)
     return _padded(chosen, n_clusters)
+
+
+def _draw(rng: np.random.Generator, n: int, ends: np.ndarray, block, size: int, depth: float, fill) -> int:
+    """One k-means++ pick from ``d2`` of ``n`` elements: the sequential
+    draw's index (``kmeanspp_init``), or -1, with nothing drawn, when every
+    ``d2`` is 0.  Both loops of ``kmeanspp_init`` pick through this one rule.
+
+    ``ends``, ``block`` and ``size`` are as ``_certified_pick`` takes them,
+    and each block estimate passes a term through at most ``depth``
+    additions; ``fill`` is as ``_sequential_pick`` takes it.
+    """
+    total = float(ends[-1])
+    # The terms are non-negative, so any sum of them is 0 iff all are.
+    if total == 0.0:
+        return -1
+    q = rng.random()
+    # Below 2**1022 no prefix, summed in any order, overflows.
+    idx = _certified_pick(ends, block, size, q * total, _pick_margin(n, depth, total)) if total < 2.0**1022 else -1
+    return idx if idx >= 0 else _sequential_pick(n, fill, q)
 
 
 def _sequential_pick(n: int, fill, q: float) -> int:
@@ -440,8 +455,12 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
 
     ``order`` is ``(perm, values)``: ``perm`` maps sorted positions to
     elements and ``values`` is ``arr[perm]``, ascending.  Without it the
-    loop sorts ``arr`` itself and gathers sorted chunks through ``perm``.
-    Layout: ``perm``, int32 below 2**31 elements, and ``d2`` in sorted
+    loop sorts ``arr`` itself.  Either way one reader serves the loop: a
+    chunk of sorted values is the order's, or gathered through ``perm``,
+    and a value's sorted position comes from every 64th sorted value and
+    one short gather, exact for both.  Each pick goes through ``_draw``,
+    the one copy of the draw rule, which the full pass uses too.  Layout:
+    ``perm``, int32 below 2**31 elements, and ``d2`` in sorted
     order: 12 bytes an element, 8 with a given order.  To locate a pick,
     ``table[row, chunk]`` sums ``d2`` over the sorted positions of one row
     (``side`` consecutive ones) whose elements lie in one chunk (``width``
@@ -459,39 +478,25 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
     instead, so that every warning is the definition's.  Nothing overflows
     here otherwise, so ``d2`` is not updated after the last pick.
     """
+    n = arr.size
+    perm, values = order or (np.argsort(arr).astype(np.int32 if n < 2**31 else np.int64), None)
     # Python floats: the span squared may overflow to inf without a warning.
-    lo, hi = (float(arr.min()), float(arr.max())) if order is None else (float(order[1][0]), float(order[1][-1]))
+    lo, hi = float(arr[perm[0]]), float(arr[perm[-1]])
     if not (hi - lo) * (hi - lo) < math.inf:
         return _kmeanspp_full_pass(arr, n_clusters, rng)
-    n = arr.size
     first = arr[int(rng.integers(n))]
-    if order is None:
-        perm = np.argsort(arr).astype(np.int32 if n < 2**31 else np.int64)
-        # Every 64th sorted value, to find a value's sorted position with one short gather.
-        step = 64
-        coarse = arr[perm[::step]]
+    # Every 64th sorted value, to find a value's sorted position with one short gather.
+    step = 64
+    coarse = arr[perm[::step]]
 
-        def shifted(s: int, e: int, c: float) -> np.ndarray:
-            """Sorted values s to e minus c, in a new array."""
-            x = arr.take(perm[s:e], mode="clip")
-            x -= c
-            return x
+    def shifted(s: int, e: int, c: float) -> np.ndarray:
+        """Sorted values s to e minus c, in a new array."""
+        return np.subtract(arr.take(perm[s:e], mode="clip") if values is None else values[s:e], c)
 
-        def rank(x: float, side: str) -> int:
-            """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
-            i = int(coarse.searchsorted(x, side))
-            if i == 0:
-                return 0
-            s = step * (i - 1)
-            return s + int(arr[perm[s : s + step]].searchsorted(x, side))
-    else:
-        perm, values = order
-
-        def shifted(s: int, e: int, c: float) -> np.ndarray:
-            return np.subtract(values[s:e], c)
-
-        def rank(x: float, side: str) -> int:
-            return int(values.searchsorted(x, side))
+    def rank(x: float, side: str) -> int:
+        """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
+        s = step * max(int(coarse.searchsorted(x, side)) - 1, 0)
+        return s + int(arr.take(perm[s : s + step]).searchsorted(x, side))
 
     d2 = np.empty(n)
     for s in range(0, n, _ASSIGN_CHUNK):
@@ -521,6 +526,17 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
         x = arr[b * width : (b + 1) * width]
         return _neighbour_d2(x, picks, out[: x.size])
 
+    def fill(s: int, part: np.ndarray) -> None:
+        """``d2[s : s + len(part)]`` in element order, in ``part``."""
+        nonlocal inv
+        # The sequential pick reads all of d2 in element order: one gather
+        # through inv is far cheaper than a search per element.
+        if inv is None:
+            inv = np.empty_like(perm)
+            for t in range(0, n, _ASSIGN_CHUNK):
+                inv[perm[t : t + _ASSIGN_CHUNK]] = np.arange(t, min(n, t + _ASSIGN_CHUNK), dtype=perm.dtype)
+        np.take(d2, inv[s : s + part.size], out=part, mode="clip")
+
     while len(chosen) < n_clusters:
         # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
         with np.errstate(over="ignore"):
@@ -529,22 +545,10 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
                 table[row] = np.bincount(perm[s : s + side] // width, weights=d2[s : s + side], minlength=cols)
             np.add.reduce(table, axis=0, out=sums)
             np.add.accumulate(sums, out=ends)
-        total = float(ends[-1])
-        if total == 0.0:
-            break  # every element already coincides with a centroid
-        q = rng.random()
-        idx = -1
         picks = np.array(picked)
-        if total < 2.0**1022:
-            idx = _certified_pick(ends, chunk_d2, width, q * total, _pick_margin(n, depth, total))
+        idx = _draw(rng, n, ends, chunk_d2, width, depth, fill)
         if idx < 0:
-            # The sequential pick reads all of d2 in element order: one gather
-            # through inv is far cheaper than a search per element.
-            if inv is None:
-                inv = np.empty_like(perm)
-                for s in range(0, n, _ASSIGN_CHUNK):
-                    inv[perm[s : s + _ASSIGN_CHUNK]] = np.arange(s, min(n, s + _ASSIGN_CHUNK), dtype=perm.dtype)
-            idx = _sequential_pick(n, lambda s, part: np.take(d2, inv[s : s + part.size], out=part, mode="clip"), q)
+            break  # every element already coincides with a centroid
         c = float(arr[idx])
         chosen.append(c)
         if len(chosen) == n_clusters:
@@ -781,22 +785,6 @@ def _sorted_assign(values: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarra
     return labels, occupancy
 
 
-def _labels(arr: np.ndarray, centroids: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels of ``arr`` and each cluster's member count.
-
-    The labels are ``_assign``'s, or with ``order``, ``(perm, values)`` as
-    ``_kmeanspp_sorted`` takes it, the same labels as uint8, taken in value
-    order and scattered through ``perm``.
-    """
-    if order is None:
-        labels = _assign(arr, centroids)
-        return labels, np.bincount(labels, minlength=len(centroids))
-    perm, values = order
-    labels = np.empty(arr.size, dtype=np.uint8)
-    labels[perm], occupancy = _sorted_assign(values, centroids)
-    return labels, occupancy
-
-
 def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
     """``sum((arr - centroids[labels])**2)`` in one float64 buffer: gather, subtract, square.
 
@@ -817,14 +805,22 @@ def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels, order=None,
 
     Returns the new centroids, the new labels as uint8, their member counts,
     and whether any label differs from ``labels`` (always True when
-    ``labels`` is None).  ``order`` is as ``_labels`` takes it; the sums run
-    in element order either way.  ``wide``, an intp array of ``arr.size``,
-    takes the uint8 labels of an order for the sums; without it ``bincount``
-    would widen them into a new array on every step, which fragments a
-    worker thread's heap.
+    ``labels`` is None).  The labels are ``_assign``'s, or with ``order``,
+    ``(perm, values)`` as ``_kmeanspp_sorted`` takes it, the same labels
+    taken in value order (``_sorted_assign``) and scattered through
+    ``perm``; the sums run in element order either way.  ``wide``, an intp
+    array of ``arr.size``, takes the uint8 labels of an order for the sums;
+    without it ``bincount`` would widen them into a new array on every
+    step, which fragments a worker thread's heap.
     """
-    # _assign's int64 labels live only for the sums and the change test.
-    new_labels, occupancy = _labels(arr, centroids, order)
+    if order is None:
+        # _assign's int64 labels live only for the sums and the change test.
+        new_labels = _assign(arr, centroids)
+        occupancy = np.bincount(new_labels, minlength=len(centroids))
+    else:
+        perm, values = order
+        new_labels = np.empty(arr.size, dtype=np.uint8)
+        new_labels[perm], occupancy = _sorted_assign(values, centroids)
     changed = labels is None or bool(np.any(new_labels != labels))
     if wide is not None:
         np.copyto(wide, new_labels)
@@ -842,12 +838,20 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     (with the new labels as uint8, the SSE of the new labels against the new
     centroids, and one more iteration) and a flag that is True iff any label
     changed.  Labels are uint8, so more than 256 centroids raise
-    ``BadConfigError``.
+    ``BadConfigError``.  Centroids that are not one finite row, or labels
+    of another length than ``v``, raise before any work.
     """
     arr = _validate_input(v)
-    if not 1 <= len(state.centroids) <= 256:
-        raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(state.centroids)}")
-    centroids, labels, _, changed = _lloyd_update(arr, np.asarray(state.centroids, dtype=np.float64), state.labels)
+    centroids = np.asarray(state.centroids, dtype=np.float64)
+    if centroids.ndim != 1:
+        raise ShapeMismatchError(f"centroids must be one row, got shape {centroids.shape}")
+    if not 1 <= len(centroids) <= 256:
+        raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(centroids)}")
+    if not np.isfinite(centroids).all():
+        raise NonFiniteInputError("centroids contain NaN or infinity")
+    if state.labels is not None and np.shape(state.labels) != arr.shape:
+        raise LengthMismatchError(f"{np.size(state.labels)} labels for {arr.size} elements")
+    centroids, labels, _, changed = _lloyd_update(arr, centroids, state.labels)
     return LloydState(centroids, labels, _state_sse(arr, labels, centroids), state.iterations + 1), changed
 
 
@@ -890,8 +894,7 @@ def _kmeans_cluster(arr: np.ndarray, cfg: QuantConfig, tensor_name: str, group_i
             break
 
     if labels is None:  # max_iterations == 0: assign once, keep init centroids
-        labels, occupancy = _labels(arr, centroids, order)
-        labels = labels.astype(np.uint8, copy=False)
+        _, labels, occupancy, _ = _lloyd_update(arr, centroids, None, order)
     return centroids, labels, occupancy, iterations
 
 

@@ -37,6 +37,7 @@ def group_blocks(n: int, group_count: int) -> tuple[tuple[slice, slice, int], ..
     The groups in slice ``groups`` cover slice ``elements``, ``length`` each:
     the first ``n % G`` get ``ceil(n/G)``, the rest ``floor(n/G)``.
     """
+    n, group_count = core._integer("element count", n), core._integer("group count", group_count)
     if n < 1:
         raise EmptyInputError("cannot split zero elements")
     if group_count < 1:
@@ -70,16 +71,21 @@ class GroupedQuantizedTensor:
     labels: np.ndarray  # uint8, (n,)
 
     def __post_init__(self):
-        for name, dtype in (("centroids", np.float32), ("occupancy", np.uint32), ("labels", np.uint8)):
+        for name, dtype in (("centroids", np.float32), ("occupancy", np.uint32)):
             object.__setattr__(self, name, core._frozen(np.ascontiguousarray(getattr(self, name), dtype=dtype)))
+        labels = np.asarray(self.labels)
         group_blocks(self.n, self.cfg.group_count)
         levels = (self.cfg.group_count, self.cfg.n_levels)
-        if (self.centroids.shape, self.occupancy.shape, self.labels.shape) != (levels, levels, (self.n,)):
+        if (self.centroids.shape, self.occupancy.shape, labels.shape) != (levels, levels, (self.n,)):
             raise ShapeMismatchError(f"expected {levels} codebooks and {self.n} labels")
         if not np.isfinite(self.centroids).all():
             raise NonFiniteInputError("codebook contains non-finite centroids")
-        if int(self.labels.max()) >= self.cfg.n_levels:
+        # Checked before the uint8 cast, which would wrap or truncate a bad label.
+        if labels.dtype.kind not in "biu":
+            raise CorruptIndexError(f"labels must be integers, got {labels.dtype}")
+        if (labels.dtype.kind == "i" and labels.min() < 0) or labels.max() >= self.cfg.n_levels:
             raise CorruptIndexError(f"label out of range for codebooks of {self.cfg.n_levels}")
+        object.__setattr__(self, "labels", core._frozen(np.ascontiguousarray(labels, dtype=np.uint8)))
 
     @property
     def n(self) -> int:

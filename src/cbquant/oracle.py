@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .errors import BadKError, EmptyInputError, LengthMismatchError, NonFiniteInputError, SplitLabelError
 
 __all__ = ["OptimalClustering", "dp_optimal_quantize", "partition_cost"]
@@ -209,6 +210,7 @@ def dp_optimal_quantize(v, n_clusters: int) -> OptimalClustering:
     n=10^4).  Deterministic; ties prefer fewer clusters and earlier split
     points.
     """
+    n_clusters = core._integer("cluster count", n_clusters, BadKError)
     if not 1 <= n_clusters <= 256:
         raise BadKError(f"cluster count must be in [1, 256], got {n_clusters}")
     x = _sorted_input(v)

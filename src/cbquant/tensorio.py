@@ -29,7 +29,6 @@ into place with the manifest last.
 import contextlib
 import json
 import math
-import operator
 import os
 import struct
 from pathlib import Path
@@ -141,10 +140,7 @@ def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     """Inverse of ``pack_indices``; validates length and zero padding."""
     if not 1 <= bits <= 8:
         raise BadConfigError(f"bits must be in [1, 8], got {bits}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise LengthMismatchError(f"label count must be an integer, got {n!r}") from None
+    n = core._integer("label count", n, LengthMismatchError)
     if n < 0:
         raise LengthMismatchError(f"label count must be >= 0, got {n}")
     expected = (n * bits + 7) // 8
@@ -174,6 +170,7 @@ def compression_ratio(n: int, cfg: core.QuantConfig) -> float:
     ``n`` elements: packed indices plus per-group codebooks (centroid values
     and occupancy counts) plus the fixed header.
     """
+    n = core._integer("element count", n)
     if n < 1:
         raise BadConfigError("element count must be >= 1")
     return (32.0 * n) / (8.0 * cbq_size_bytes(n, 1, cfg.bits, cfg.group_count))

@@ -57,6 +57,8 @@ class TrainConfig:
     data_seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "data_seed"):
+            object.__setattr__(self, name, core._integer(name, getattr(self, name)))
         if not 0 < self.base_learning_rate < math.inf:
             raise BadConfigError("base_learning_rate must be finite and positive")
         if self.epochs < 0:
@@ -167,6 +169,7 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
     """Average the per-weight gradients within each cluster; empty clusters get 0."""
     grads = np.asarray(weight_grads, dtype=np.float64).reshape(-1)
     lab = np.asarray(labels).reshape(-1)
+    n_clusters = core._integer("n_clusters", n_clusters)
     if grads.size != lab.size:
         raise LengthMismatchError("one gradient per label required")
     if lab.size and not 0 <= lab.min() <= lab.max() < n_clusters:
@@ -268,6 +271,9 @@ def run_experiment(train_cfg: TrainConfig, quant_cfg: core.QuantConfig, task_see
     per-scheme curves differ only in the quantizer.  ``quant_cfg.scheme`` is
     replaced by linear, then k-means.
     """
+    task_seed = core._integer("task_seed", task_seed)
+    hidden_dim = core._integer("hidden_dim", hidden_dim)
+    pretrain_epochs = core._integer("pretrain_epochs", pretrain_epochs)
     if task_seed < 0:
         raise BadConfigError("task_seed must be >= 0")
     if pretrain_epochs < 0:

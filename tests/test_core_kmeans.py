@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from cbquant import core, grouping, oracle
-from cbquant.errors import BadConfigError, EmptyInputError
+from cbquant.errors import (
+    BadConfigError,
+    EmptyInputError,
+    LengthMismatchError,
+    NonFiniteInputError,
+    ShapeMismatchError,
+)
 
 
 def kcfg(bits, **kw):
@@ -192,6 +198,29 @@ class TestKmeansppPicksAreSequential:
             assert peak <= 2 * v.nbytes + extra, n_clusters
 
 
+class TestCertifiedPick:
+    """``_certified_pick`` proves an index only when the estimated prefixes
+    on both sides of it lie strictly more than the margin from the draw:
+    the margin bounds the rounding and may be reached, so an estimate at
+    exactly its edge proves nothing."""
+
+    # Two blocks of two ones: block totals end at 2 and 4, and the second
+    # block's prefixes are 3 and 4, so a draw in (2, 3) lands on element 2.
+    ENDS = np.array([2.0, 4.0])
+
+    @staticmethod
+    def block(b):
+        return np.ones(2)
+
+    def test_a_draw_clear_of_both_prefixes_is_certified(self):
+        assert core._certified_pick(self.ENDS, self.block, 2, 2.5, 0.25) == 2
+
+    # The prefix before (2) or the one through (3) element 2 at exactly the margin.
+    @pytest.mark.parametrize("rt", [2.25, 2.75])
+    def test_a_prefix_at_exactly_the_margin_is_not_certified(self, rt):
+        assert core._certified_pick(self.ENDS, self.block, 2, rt, 0.25) == -1
+
+
 def kmeanspp_shared_order(v, n_clusters, rng):
     """The sorted loop on a ``ValueOrder`` of ``v``, as ``quantize_grouped`` runs it."""
     order = grouping.ValueOrder(v, 1)
@@ -289,6 +318,16 @@ class TestKmeansppLoops:
         assert (picks_and_warnings(loop, v, 2, ScriptedRng(0.5))
                 == picks_and_warnings(sequential_kmeanspp_init, v, 2, ScriptedRng(0.5)))
 
+    @pytest.mark.parametrize("loop", LOOPS, ids=lambda f: f.__name__)
+    def test_a_zero_total_stops_before_drawing(self, loop):
+        # Three distinct values for eight clusters: the loop stops at a zero
+        # total without a draw, so a generator the caller shares goes on from
+        # where the sequential definition leaves it.
+        v = np.random.default_rng(5).permutation(np.repeat([-1.0, 0.0, 2.5], 40))
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        assert loop(v, 8, rng).tobytes() == sequential_kmeanspp_init(v, 8, reference).tobytes()
+        assert rng.random() == reference.random()
+
     @pytest.mark.parametrize("n,n_clusters,v_scale,chosen", [
         (core._SORTED_MIN_SIZE, core._SORTED_MIN_CLUSTERS, 1.0, "_kmeanspp_sorted"),
         (core._SORTED_MIN_SIZE, 256, 1.0, "_kmeanspp_sorted"),
@@ -376,6 +415,21 @@ class TestLloydStep:
     def test_more_than_256_centroids_are_rejected(self):
         with pytest.raises(BadConfigError):
             core.lloyd_step(np.arange(300.0), core.LloydState(np.arange(257.0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_centroids_are_rejected(self, bad):
+        # A NaN would win every argmin and take every element.
+        with pytest.raises(NonFiniteInputError):
+            core.lloyd_step([0.0, 1.0, 2.0], core.LloydState(np.array([0.0, bad])))
+
+    def test_centroids_must_be_one_row(self):
+        with pytest.raises(ShapeMismatchError):
+            core.lloyd_step([0.0, 1.0, 2.0], core.LloydState(np.array([[0.0, 2.0]])))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0]])
+    def test_labels_must_match_the_input_length(self, labels):
+        with pytest.raises(LengthMismatchError):
+            core.lloyd_step([0.0, 1.0, 2.0], core.LloydState(np.array([0.0, 2.0]), labels=np.array(labels)))
 
     def test_256_centroids_use_every_label(self):
         state, _ = core.lloyd_step(np.arange(256.0), core.LloydState(np.arange(256.0)))

@@ -122,6 +122,25 @@ class TestReconstructGrouped:
         with pytest.raises(CorruptIndexError):
             grouping.GroupedQuantizedTensor((4,), cfg, codebooks, codebooks, [0, 1, 2, 0])
 
+    # Each of these used to be stored as a wrapped or truncated uint8 label.
+    @pytest.mark.parametrize("bits,labels", [
+        (8, [-1, 0]), (8, [511, 0]), (8, [256, 0]), (2, [3.9, 0.2]), (2, [1.0, 0.0]), (2, [4, 0]),
+        (2, np.array([-1, 0], dtype=np.int8)), (2, np.array([4, 0], dtype=np.uint64)),
+    ])
+    def test_labels_are_checked_before_the_uint8_cast(self, bits, labels):
+        cfg = cfg_for(core.Scheme.LINEAR, bits)
+        codebooks = np.zeros((1, 2**bits))
+        with pytest.raises(CorruptIndexError):
+            grouping.GroupedQuantizedTensor((2,), cfg, codebooks, codebooks, labels)
+
+    @pytest.mark.parametrize("labels", [[3, 0], np.array([3, 0], dtype=np.int64), np.array([3, 0], dtype=np.uint16),
+                                        np.array([True, False])])
+    def test_integer_and_bool_labels_in_range_are_stored_as_uint8(self, labels):
+        codebooks = np.zeros((1, 4))
+        g = grouping.GroupedQuantizedTensor((2,), cfg_for(core.Scheme.LINEAR, 2), codebooks, codebooks, labels)
+        assert g.labels.dtype == np.uint8
+        assert g.labels.tolist() == np.asarray(labels, dtype=np.int64).tolist()
+
     def test_codebooks_must_match_the_group_count(self):
         cfg = cfg_for(core.Scheme.LINEAR, 1, groups=2)
         with pytest.raises(ShapeMismatchError):

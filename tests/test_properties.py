@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbquant import core, grouping, tensorio
+from cbquant import core, grouping, oracle, tensorio, training
+from cbquant.errors import BadConfigError, BadKError, LengthMismatchError
 
 finite_values = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
@@ -329,3 +330,45 @@ def test_quantized_values_are_read_only():
         q.indices.labels[0] = 1
     with pytest.raises(ValueError):
         q.codebook.centroids[0] = 0.0
+
+
+def _counted_calls():
+    """One ``(error, call(count))`` per public count argument, with the argument as its id."""
+    v = np.random.default_rng(0).normal(size=20)
+    cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2)
+    train = dict(base_learning_rate=0.02, epochs=1)
+    # run_experiment's checks come before any training, so a zero-epoch config stays cheap.
+    quick = training.TrainConfig(base_learning_rate=0.02, epochs=0)
+    return [
+        pytest.param(BadConfigError, lambda k: core.kmeanspp_init(v, k, np.random.default_rng(0)), id="kmeanspp_init"),
+        pytest.param(BadKError, lambda k: oracle.dp_optimal_quantize(v, k), id="dp_optimal_quantize"),
+        pytest.param(BadConfigError, lambda k: grouping.split_groups(k, 1), id="split_groups.n"),
+        pytest.param(BadConfigError, lambda k: grouping.split_groups(10, k), id="split_groups.group_count"),
+        pytest.param(BadConfigError, lambda k: grouping.ValueOrder(v, k), id="ValueOrder"),
+        pytest.param(BadConfigError, lambda k: training.TrainConfig(0.02, k), id="TrainConfig.epochs"),
+        pytest.param(BadConfigError, lambda k: training.TrainConfig(**train, batch_size=k),
+                     id="TrainConfig.batch_size"),
+        pytest.param(BadConfigError, lambda k: training.TrainConfig(**train, data_seed=k), id="TrainConfig.data_seed"),
+        pytest.param(BadConfigError, lambda k: training.run_experiment(quick, cfg, hidden_dim=k, pretrain_epochs=0),
+                     id="run_experiment.hidden_dim"),
+        pytest.param(BadConfigError, lambda k: training.run_experiment(quick, cfg, task_seed=k, pretrain_epochs=0),
+                     id="run_experiment.task_seed"),
+        pytest.param(BadConfigError, lambda k: training.run_experiment(quick, cfg, pretrain_epochs=k),
+                     id="run_experiment.pretrain_epochs"),
+        pytest.param(BadConfigError, lambda k: training.centroid_gradients(v[:2], [0, 1], k), id="centroid_gradients"),
+        pytest.param(BadConfigError, lambda k: tensorio.compression_ratio(k, cfg), id="compression_ratio"),
+        pytest.param(LengthMismatchError, lambda k: tensorio.unpack_indices(bytes([0x09]), k, 2), id="unpack_indices"),
+    ]
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+@pytest.mark.parametrize("error,call", _counted_calls())
+def test_count_arguments_must_be_integers(error, call, value):
+    # Refused as the argument's own range error would be, not later as a TypeError or a wrong count.
+    with pytest.raises(error, match="integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("error,call", _counted_calls())
+def test_count_arguments_take_numpy_integers(error, call):
+    call(np.int64(2))
