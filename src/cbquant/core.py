@@ -171,6 +171,11 @@ def derive_stream_seed(seed: int, tensor_name: str = "", group_index: int = 0) -
     (u64 LE), read back as a little-endian integer.  The stream itself is
     PCG64 as constructed by ``numpy.random.default_rng``.
     """
+    seed, group_index = _integer("seed", seed), _integer("group_index", group_index)
+    if not (0 <= seed < 2**64 and 0 <= group_index < 2**64):
+        raise BadConfigError("seed and group_index must fit in an unsigned 64-bit integer")
+    if not isinstance(tensor_name, str):
+        raise BadConfigError(f"tensor_name must be a str, got {tensor_name!r}")
     h = hashlib.blake2b(digest_size=8)
     h.update(struct.pack("<Q", seed))
     h.update(tensor_name.encode("utf-8"))
@@ -265,21 +270,23 @@ def _pick_margin(n: int, depth: float, total: float) -> float:
     return 4 * (n + depth + 8) * 2.0**-53 * total + n * 2.0**-1074
 
 
-def _certified_pick(ends: np.ndarray, block, size: int, rt: float, margin: float) -> int:
+def _certified_pick(ends: np.ndarray, fill, size: int, n: int, rt: float, margin: float) -> int:
     """The index that ``searchsorted(cumsum(d2), r, side="right")`` gives for
     every ``r`` within ``margin`` of ``rt``, or -1 when the block estimates
     cannot prove one.
 
-    ``ends`` holds the running totals of the sums of ``d2``'s consecutive
-    blocks of ``size`` elements, and ``block(b)`` returns block b of ``d2``;
-    each estimate of a prefix sum is within ``margin`` of the exact
-    sequential one.
+    ``ends`` holds the running totals of the sums of the consecutive blocks
+    of ``size`` elements of ``d2``, which has ``n``; ``fill`` is as
+    ``_sequential_pick`` takes it.  Each estimate of a prefix sum is within
+    ``margin`` of the exact sequential one.
     """
     b = int(ends.searchsorted(rt, "right"))
     if b >= len(ends):
         return -1
     before = float(ends[b - 1]) if b else 0.0
-    local = np.add.accumulate(block(b))
+    local = np.empty(min(size, n - b * size))
+    fill(b * size, local)
+    np.add.accumulate(local, out=local)
     local += before
     j = int(local.searchsorted(rt, "right"))
     if j < len(local) and (float(local[j - 1]) if j else before) < rt - margin and local[j] > rt + margin:
@@ -352,42 +359,41 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
 def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     """``kmeanspp_init`` on float64 ``arr`` with one full pass over ``d2`` per pick."""
     n = arr.size
-    first = arr[int(rng.integers(n))]
-    chosen = [first]
-    d2 = np.subtract(arr, first)
-    np.square(d2, out=d2)
+    d2 = np.full(n, np.inf)
     scratch = np.empty_like(d2)
     full = n - n % _PICK_BLOCK
     rows, tail = d2[:full].reshape(-1, _PICK_BLOCK), d2[full:]
     sums = np.empty(len(rows) + (tail.size > 0))
     ends = np.empty_like(sums)
-    while len(chosen) < n_clusters:
+    chosen = []
+    idx = int(rng.integers(n))  # the first pick is uniform
+    while idx >= 0:  # -1: every element already coincides with a centroid
+        chosen.append(arr[idx])
+        # Updated after the last pick too: its overflow warnings are the definition's.
+        np.subtract(arr, arr[idx], out=scratch)
+        np.square(scratch, out=scratch)
+        np.minimum(d2, scratch, out=d2)
+        if len(chosen) == n_clusters:
+            break
         # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
         with np.errstate(over="ignore"):
             np.add.reduce(rows, axis=1, out=sums[: len(rows)])
             if tail.size:
                 sums[-1] = np.add.reduce(tail)
             np.add.accumulate(sums, out=ends)
-        idx = _draw(rng, n, ends, lambda b: d2[b * _PICK_BLOCK : (b + 1) * _PICK_BLOCK], _PICK_BLOCK,
-                    2 * _PICK_BLOCK + n / _PICK_BLOCK, lambda s, out: np.copyto(out, d2[s : s + out.size]))
-        if idx < 0:
-            break  # every element already coincides with a centroid
-        chosen.append(arr[idx])
-        # Updated after the last pick too: its overflow warnings are the definition's.
-        np.subtract(arr, arr[idx], out=scratch)
-        np.square(scratch, out=scratch)
-        np.minimum(d2, scratch, out=d2)
+        idx = _draw(rng, n, ends, _PICK_BLOCK, 2 * _PICK_BLOCK + n / _PICK_BLOCK,
+                    lambda s, out: np.copyto(out, d2[s : s + out.size]))
     return _padded(chosen, n_clusters)
 
 
-def _draw(rng: np.random.Generator, n: int, ends: np.ndarray, block, size: int, depth: float, fill) -> int:
+def _draw(rng: np.random.Generator, n: int, ends: np.ndarray, size: int, depth: float, fill) -> int:
     """One k-means++ pick from ``d2`` of ``n`` elements: the sequential
     draw's index (``kmeanspp_init``), or -1, with nothing drawn, when every
     ``d2`` is 0.  Both loops of ``kmeanspp_init`` pick through this one rule.
 
-    ``ends``, ``block`` and ``size`` are as ``_certified_pick`` takes them,
-    and each block estimate passes a term through at most ``depth``
-    additions; ``fill`` is as ``_sequential_pick`` takes it.
+    ``ends`` and ``size`` are as ``_certified_pick`` takes them, and each
+    block estimate passes a term through at most ``depth`` additions;
+    ``fill`` is as ``_sequential_pick`` takes it.
     """
     total = float(ends[-1])
     # The terms are non-negative, so any sum of them is 0 iff all are.
@@ -395,7 +401,7 @@ def _draw(rng: np.random.Generator, n: int, ends: np.ndarray, block, size: int, 
         return -1
     q = rng.random()
     # Below 2**1022 no prefix, summed in any order, overflows.
-    idx = _certified_pick(ends, block, size, q * total, _pick_margin(n, depth, total)) if total < 2.0**1022 else -1
+    idx = _certified_pick(ends, fill, size, n, q * total, _pick_margin(n, depth, total)) if total < 2.0**1022 else -1
     return idx if idx >= 0 else _sequential_pick(n, fill, q)
 
 
@@ -468,10 +474,12 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
     rows its range touched.  The column totals are the chunk sums of ``d2``
     in element order, so ``_certified_pick`` finds the pick's chunk from
     them and accumulates that chunk, recomputed in element order from the
-    input and the picks so far (``_neighbour_d2``); the first pick that
-    falls back to the sequential ``cumsum`` builds the inverse permutation
-    ``inv`` (4 more bytes an element) to gather ``d2`` in element order.
-    A term passes through at most ``side`` additions in its cell, one per
+    input and the picks so far (``_neighbour_d2``).  That is the loop's one
+    reader of ``d2`` in element order: a pick that falls back to the
+    sequential ``cumsum`` recomputes every chunk the same way, so the loop
+    keeps no map from elements back to sorted positions.  ``d2`` starts at
+    ``+inf`` and the first pick, drawn uniformly, updates all of it, as
+    every later pick updates its own range.  A term passes through at most ``side`` additions in its cell, one per
     row and chunk in the totals and ``width + 1`` in the chunk, which sets
     the margin.  When the input's span squared overflows, some squared
     distance warns in the definition on every pick; the full pass then runs
@@ -484,7 +492,6 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
     lo, hi = float(arr[perm[0]]), float(arr[perm[-1]])
     if not (hi - lo) * (hi - lo) < math.inf:
         return _kmeanspp_full_pass(arr, n_clusters, rng)
-    first = arr[int(rng.integers(n))]
     # Every 64th sorted value, to find a value's sorted position with one short gather.
     step = 64
     coarse = arr[perm[::step]]
@@ -498,12 +505,6 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
         s = step * max(int(coarse.searchsorted(x, side)) - 1, 0)
         return s + int(arr.take(perm[s : s + step]).searchsorted(x, side))
 
-    d2 = np.empty(n)
-    for s in range(0, n, _ASSIGN_CHUNK):
-        e = min(n, s + _ASSIGN_CHUNK)
-        d2[s:e] = shifted(s, e, first)
-    np.square(d2, out=d2)
-
     # Rows of `side` sorted positions and chunks of `width` elements, a
     # quarter as long, so that the table holds at most n/16 cells.
     side = 8
@@ -515,40 +516,11 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
     sums = np.empty(cols)
     ends = np.empty(cols)
     depth = side + rows + cols + width + 1
-    picked = [float(first)]
-    chosen = picked.copy()
-    start, stop = 0, n  # the sorted range of d2 that the last pick changed
-    out = np.empty(min(n, width))
-    inv = None  # sorted position of each element, built by the first pick that falls back
-
-    def chunk_d2(b: int) -> np.ndarray:
-        """Chunk b of ``d2`` in element order, in ``out``."""
-        x = arr[b * width : (b + 1) * width]
-        return _neighbour_d2(x, picks, out[: x.size])
-
-    def fill(s: int, part: np.ndarray) -> None:
-        """``d2[s : s + len(part)]`` in element order, in ``part``."""
-        nonlocal inv
-        # The sequential pick reads all of d2 in element order: one gather
-        # through inv is far cheaper than a search per element.
-        if inv is None:
-            inv = np.empty_like(perm)
-            for t in range(0, n, _ASSIGN_CHUNK):
-                inv[perm[t : t + _ASSIGN_CHUNK]] = np.arange(t, min(n, t + _ASSIGN_CHUNK), dtype=perm.dtype)
-        np.take(d2, inv[s : s + part.size], out=part, mode="clip")
-
-    while len(chosen) < n_clusters:
-        # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
-        with np.errstate(over="ignore"):
-            for row in range(start // side, -(-stop // side)):
-                s = row * side
-                table[row] = np.bincount(perm[s : s + side] // width, weights=d2[s : s + side], minlength=cols)
-            np.add.reduce(table, axis=0, out=sums)
-            np.add.accumulate(sums, out=ends)
-        picks = np.array(picked)
-        idx = _draw(rng, n, ends, chunk_d2, width, depth, fill)
-        if idx < 0:
-            break  # every element already coincides with a centroid
+    d2 = np.full(n, np.inf)
+    picked = []  # the picks so far, ascending
+    chosen = []
+    idx = int(rng.integers(n))  # the first pick is uniform
+    while idx >= 0:  # -1: every element already coincides with a centroid
         c = float(arr[idx])
         chosen.append(c)
         if len(chosen) == n_clusters:
@@ -564,6 +536,15 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
             np.square(x, out=x)
             np.minimum(d2[s:e], x, out=d2[s:e])
             del x  # before the next chunk is gathered
+        # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
+        with np.errstate(over="ignore"):
+            for row in range(start // side, -(-stop // side)):
+                s = row * side
+                table[row] = np.bincount(perm[s : s + side] // width, weights=d2[s : s + side], minlength=cols)
+            np.add.reduce(table, axis=0, out=sums)
+            np.add.accumulate(sums, out=ends)
+        picks = np.array(picked)
+        idx = _draw(rng, n, ends, width, depth, lambda s, out: _neighbour_d2(arr[s : s + out.size], picks, out))
     return _padded(chosen, n_clusters)
 
 

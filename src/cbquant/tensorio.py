@@ -119,6 +119,14 @@ def _unpack_rows(packed: np.ndarray, out: np.ndarray, bits: int) -> None:
         dest[...] = labels.reshape(len(dest), -1)[:, : dest.shape[1]]
 
 
+def _bits(bits) -> int:
+    """A label width as an ``int``; one that is not an integer in [1, 8] raises ``BadConfigError``."""
+    bits = core._integer("bits", bits)
+    if not 1 <= bits <= 8:
+        raise BadConfigError(f"bits must be in [1, 8], got {bits}")
+    return bits
+
+
 def pack_indices(labels, bits: int) -> bytes:
     """Pack labels into a fixed-width little-endian bit stream.
 
@@ -126,8 +134,7 @@ def pack_indices(labels, bits: int) -> bytes:
     result is ``ceil(n * bits / 8)`` bytes with zeroed pad bits.  Labels
     must be integers (or bools) in ``[0, 2**bits)``.
     """
-    if not 1 <= bits <= 8:
-        raise BadConfigError(f"bits must be in [1, 8], got {bits}")
+    bits = _bits(bits)
     lab = np.asarray(labels).reshape(1, -1)
     if lab.size and lab.dtype.kind not in "biu":
         raise LabelOverflowError(f"labels must be integers, got {lab.dtype}")
@@ -138,8 +145,7 @@ def pack_indices(labels, bits: int) -> bytes:
 
 def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     """Inverse of ``pack_indices``; validates length and zero padding."""
-    if not 1 <= bits <= 8:
-        raise BadConfigError(f"bits must be in [1, 8], got {bits}")
+    bits = _bits(bits)
     n = core._integer("label count", n, LengthMismatchError)
     if n < 0:
         raise LengthMismatchError(f"label count must be >= 0, got {n}")

@@ -103,8 +103,18 @@ def _dense(w) -> np.ndarray:
     return w
 
 
+def _sizes(**sizes) -> list[int]:
+    """Each of ``sizes`` as an ``int``; one that is not an integer >= 1 raises ``BadConfigError``."""
+    checked = [core._integer(name, value) for name, value in sizes.items()]
+    for name, value in zip(sizes, checked):
+        if value < 1:
+            raise BadConfigError(f"{name} must be >= 1, got {value}")
+    return checked
+
+
 def make_toy_model(in_dim: int, hidden_dim: int, out_dim: int, rng: np.random.Generator) -> ToyModel:
     """Randomly initialized full-precision model."""
+    in_dim, hidden_dim, out_dim = _sizes(in_dim=in_dim, hidden_dim=hidden_dim, out_dim=out_dim)
     return ToyModel(
         w1=rng.normal(0.0, _INIT_SCALE, size=(hidden_dim, in_dim)),
         b1=np.zeros(hidden_dim),
@@ -116,6 +126,8 @@ def make_toy_model(in_dim: int, hidden_dim: int, out_dim: int, rng: np.random.Ge
 def synthetic_regression(n_samples: int, in_dim: int, hidden_dim: int, out_dim: int,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample a noisy regression task realizable by the toy model class."""
+    n_samples, in_dim, hidden_dim, out_dim = _sizes(n_samples=n_samples, in_dim=in_dim, hidden_dim=hidden_dim,
+                                                    out_dim=out_dim)
     b = rng.normal(0.0, _TASK_SCALE, size=(hidden_dim, in_dim))
     a = rng.normal(0.0, _TASK_SCALE, size=(out_dim, hidden_dim))
     x = rng.normal(size=(n_samples, in_dim))
@@ -169,11 +181,15 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
     """Average the per-weight gradients within each cluster; empty clusters get 0."""
     grads = np.asarray(weight_grads, dtype=np.float64).reshape(-1)
     lab = np.asarray(labels).reshape(-1)
-    n_clusters = core._integer("n_clusters", n_clusters)
+    (n_clusters,) = _sizes(n_clusters=n_clusters)
     if grads.size != lab.size:
         raise LengthMismatchError("one gradient per label required")
+    # An empty list is float64 to numpy, and has no label to refuse.
+    if lab.size and lab.dtype.kind not in "biu":
+        raise CorruptIndexError(f"labels must be integers, got {lab.dtype}")
     if lab.size and not 0 <= lab.min() <= lab.max() < n_clusters:
         raise CorruptIndexError(f"labels must lie in [0, {n_clusters})")
+    lab = lab.astype(np.intp)
     return _cluster_means(grads, lab, np.bincount(lab, minlength=n_clusters))
 
 
@@ -272,14 +288,12 @@ def run_experiment(train_cfg: TrainConfig, quant_cfg: core.QuantConfig, task_see
     replaced by linear, then k-means.
     """
     task_seed = core._integer("task_seed", task_seed)
-    hidden_dim = core._integer("hidden_dim", hidden_dim)
     pretrain_epochs = core._integer("pretrain_epochs", pretrain_epochs)
     if task_seed < 0:
         raise BadConfigError("task_seed must be >= 0")
     if pretrain_epochs < 0:
         raise BadConfigError("pretrain_epochs must be >= 0")
-    if hidden_dim < 1:
-        raise BadConfigError("hidden_dim must be >= 1")
+    (hidden_dim,) = _sizes(hidden_dim=hidden_dim)
     data_rng = np.random.default_rng(train_cfg.data_seed)
     x, y = synthetic_regression(_N_SAMPLES, _IN_DIM, hidden_dim, _OUT_DIM, data_rng)
 

@@ -1,0 +1,153 @@
+"""A standing mutation check for the certified k-means++ fast paths.
+
+The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
+margins, widened update ranges and strict comparisons.  Each entry of
+``MUTANTS`` breaks one of them in a copy of the source: it names the file
+under ``src/cbquant``, the exact source text (which occurs there exactly
+once), its replacement and the pytest node ids that must kill it.
+
+Run from the repository root::
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py NAME ...  # only these
+
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory and first runs the union of the selected node ids
+unmutated there, which must pass.  It then applies one mutant at a time and
+counts it killed only when pytest exits 1 (tests failed).  Any other exit,
+such as 2 (interrupted or a collection error), 4 (usage) or 5 (no tests
+collected), is a failure of the runner, not a kill.  It prints one line per
+mutant and exits 0 when every mutant is killed, 1 when one survives and 2
+when the runner fails.
+
+``tests/test_mutants.py`` checks in tier-1 that every source text still
+occurs exactly once, so a refactor that moves certified code must update
+this table.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PICKS = "tests/test_core_kmeans.py::TestKmeansppPicksAreSequential"
+LOOPS = "tests/test_core_kmeans.py::TestKmeansppLoops"
+CERTIFIED = "tests/test_core_kmeans.py::TestCertifiedPick::test_a_prefix_at_exactly_the_margin_is_not_certified"
+ROUNDING = "test_draws_within_rounding_of_a_prefix_match_the_sequential_pick"
+CHUNKED = f"{LOOPS}::test_every_pick_on_the_chunked_sequential_path_gives_the_same_bytes"
+
+
+def sorted_loops(case: str) -> tuple:
+    """The sorted loop's same-bytes test on ``case``, on its own sort and on a shared order."""
+    return tuple(f"{LOOPS}::test_{loop}_loop_same_bytes_as_sequential_cumsum[{case}]"
+                 for loop in ("sorted", "shared_order"))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/cbquant
+    source: str  # occurs exactly once in the file
+    replacement: str
+    killers: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("zero-margin", "core.py",
+           "_pick_margin(n, depth, total)) if total", "0.0) if total",
+           (f"{PICKS}::{ROUNDING}", f"{LOOPS}::{ROUNDING}[_kmeanspp_sorted]",
+            f"{LOOPS}::{ROUNDING}[kmeanspp_shared_order]")),
+    Mutant("non-strict-below", "core.py",
+           "(float(local[j - 1]) if j else before) < rt - margin",
+           "(float(local[j - 1]) if j else before) <= rt - margin",
+           (f"{CERTIFIED}[2.25]",)),
+    Mutant("non-strict-above", "core.py",
+           "local[j] > rt + margin", "local[j] >= rt + margin",
+           (f"{CERTIFIED}[2.75]",)),
+    Mutant("no-fallback-carry", "core.py",
+           "part[0] = carried[s // _ASSIGN_CHUNK]", "part[0] = 0.0",
+           tuple(f"{CHUNKED}[normal-{loop}]" for loop in ("_kmeanspp_full_pass", "_kmeanspp_sorted",
+                                                          "kmeanspp_shared_order"))),
+    Mutant("only-the-last-chunk-scanned", "core.py",
+           "for s in reversed(range(0, n, _ASSIGN_CHUNK)):", "for s in reversed(range(0, n, _ASSIGN_CHUNK))[:1]:",
+           tuple(f"{CHUNKED}[normal-{loop}]" for loop in ("_kmeanspp_full_pass", "_kmeanspp_sorted",
+                                                          "kmeanspp_shared_order"))),
+    Mutant("no-two-ulp-widening", "core.py",
+           "return math.nextafter(math.nextafter(x, toward), toward)", "return x",
+           sorted_loops("offset_noise-256-131073")),
+    Mutant("update-start-one-short", "core.py",
+           'rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right")',
+           'rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right") + 1',
+           sorted_loops("mixed_scales-256-131073")),
+    Mutant("update-stop-one-short", "core.py",
+           'rank(_two_ulps(0.5 * c + 0.5 * picked[i], math.inf), "left")',
+           'rank(_two_ulps(0.5 * c + 0.5 * picked[i], math.inf), "left") - 1',
+           sorted_loops("mixed_scales-256-131073")),
+    Mutant("last-table-row-skipped", "core.py",
+           "range(start // side, -(-stop // side))", "range(start // side, -(-stop // side) - 1)",
+           sorted_loops("mixed_scales-256-131073")),
+    Mutant("no-overflow-hand-off", "core.py",
+           "if not (hi - lo) * (hi - lo) < math.inf:", "if False:",
+           sorted_loops("d2_overflows-256-131073")
+           + ("tests/test_value_order.py::test_span_squared_overflow_gives_the_same_state_and_warnings[8]",)),
+    Mutant("draw-before-zero-total-check", "core.py",
+           "    if total == 0.0:\n        return -1\n    q = rng.random()\n",
+           "    q = rng.random()\n    if total == 0.0:\n        return -1\n",
+           (f"{LOOPS}::test_a_zero_total_stops_before_drawing",)),
+    Mutant("full-pass-d2-starts-at-zero", "core.py",
+           "d2 = np.full(n, np.inf)\n    scratch", "d2 = np.full(n, 0.0)\n    scratch",
+           (f"{PICKS}::test_same_bytes_as_sequential_cumsum[normal-2-100000]",)),
+    Mutant("sorted-d2-starts-at-zero", "core.py",
+           "d2 = np.full(n, np.inf)\n    picked", "d2 = np.full(n, 0.0)\n    picked",
+           sorted_loops("normal-256-131073")),
+)
+
+
+def pytest_exit(work: Path, node_ids) -> int:
+    # -x: the first failing test is enough for a kill.
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *node_ids],
+                          cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(argv) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv[1:] if name not in by_name]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    selected = [by_name[name] for name in argv[1:]] or list(MUTANTS)
+    stale = [m.name for m in selected if (ROOT / "src" / "cbquant" / m.file).read_text().count(m.source) != 1]
+    if stale:
+        print(f"source text not found exactly once: {', '.join(stale)}", file=sys.stderr)
+        return 2
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
+        code = pytest_exit(work, sorted({node for m in selected for node in m.killers}))
+        if code != 0:
+            print(f"the unmutated selection exits {code}, not 0", file=sys.stderr)
+            return 2
+        for m in selected:
+            shutil.rmtree(work / "src")
+            shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
+            path = work / "src" / "cbquant" / m.file
+            path.write_text(path.read_text().replace(m.source, m.replacement))
+            start = time.perf_counter()
+            codes[m.name] = code = pytest_exit(work, m.killers)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"RUNNER FAILURE (pytest exit {code})")
+            print(f"{m.name:30} {verdict:8} {time.perf_counter() - start:6.1f} s  {' '.join(m.killers)}", flush=True)
+    if any(code not in (0, 1) for code in codes.values()):
+        return 2
+    return 1 if 0 in codes.values() else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -209,16 +209,16 @@ class TestCertifiedPick:
     ENDS = np.array([2.0, 4.0])
 
     @staticmethod
-    def block(b):
-        return np.ones(2)
+    def fill(s, out):
+        out[:] = 1.0
 
     def test_a_draw_clear_of_both_prefixes_is_certified(self):
-        assert core._certified_pick(self.ENDS, self.block, 2, 2.5, 0.25) == 2
+        assert core._certified_pick(self.ENDS, self.fill, 2, 4, 2.5, 0.25) == 2
 
     # The prefix before (2) or the one through (3) element 2 at exactly the margin.
     @pytest.mark.parametrize("rt", [2.25, 2.75])
     def test_a_prefix_at_exactly_the_margin_is_not_certified(self, rt):
-        assert core._certified_pick(self.ENDS, self.block, 2, rt, 0.25) == -1
+        assert core._certified_pick(self.ENDS, self.fill, 2, 4, rt, 0.25) == -1
 
 
 def kmeanspp_shared_order(v, n_clusters, rng):
@@ -233,8 +233,9 @@ def test_sorted_loop_holds_its_distances_and_one_permutation(monkeypatch, shared
     # d2 (8 bytes an element) and one int32 permutation (4), which the argsort's
     # int64 output briefly precedes; a shared order brings both the permutation
     # and the sorted values, so the loop adds only d2.  A pick that falls back
-    # to the sequential cumsum adds the int32 inverse permutation.  The table
-    # and the transients of a chunk or two of 2**16 fit in the constant.
+    # to the sequential cumsum recomputes d2 a chunk at a time and adds at most
+    # 1 MiB of that chunk's transients.  The table and the transients of a
+    # chunk or two of 2**16 fit in the constant.
     v = np.random.default_rng(8).normal(size=589_824)
     order = grouping.ValueOrder(v, 1) if shared else None
     loop_args = (v, 256 if not falls_back else 16, np.random.default_rng(0))
@@ -247,7 +248,7 @@ def test_sorted_loop_holds_its_distances_and_one_permutation(monkeypatch, shared
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (1.0 if shared else 1.5) * v.nbytes + falls_back * v.size * 4 + (2 << 20)
+    assert peak <= (1.0 if shared else 1.5) * v.nbytes + (falls_back << 20) + (2 << 20)
 
 
 LOOPS = [core._kmeanspp_full_pass, core._kmeanspp_sorted, kmeanspp_shared_order]

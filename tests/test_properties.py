@@ -339,6 +339,7 @@ def _counted_calls():
     train = dict(base_learning_rate=0.02, epochs=1)
     # run_experiment's checks come before any training, so a zero-epoch config stays cheap.
     quick = training.TrainConfig(base_learning_rate=0.02, epochs=0)
+    rng = np.random.default_rng(0)
     return [
         pytest.param(BadConfigError, lambda k: core.kmeanspp_init(v, k, np.random.default_rng(0)), id="kmeanspp_init"),
         pytest.param(BadKError, lambda k: oracle.dp_optimal_quantize(v, k), id="dp_optimal_quantize"),
@@ -358,6 +359,21 @@ def _counted_calls():
         pytest.param(BadConfigError, lambda k: training.centroid_gradients(v[:2], [0, 1], k), id="centroid_gradients"),
         pytest.param(BadConfigError, lambda k: tensorio.compression_ratio(k, cfg), id="compression_ratio"),
         pytest.param(LengthMismatchError, lambda k: tensorio.unpack_indices(bytes([0x09]), k, 2), id="unpack_indices"),
+        pytest.param(BadConfigError, lambda k: tensorio.unpack_indices(b"", 0, k), id="unpack_indices.bits"),
+        pytest.param(BadConfigError, lambda k: tensorio.pack_indices([1, 2], k), id="pack_indices.bits"),
+        pytest.param(BadConfigError, lambda k: core.derive_stream_seed(k), id="derive_stream_seed.seed"),
+        pytest.param(BadConfigError, lambda k: core.derive_stream_seed(0, "w", k), id="derive_stream_seed.group_index"),
+        pytest.param(BadConfigError, lambda k: training.make_toy_model(k, 2, 2, rng), id="make_toy_model.in_dim"),
+        pytest.param(BadConfigError, lambda k: training.make_toy_model(4, k, 2, rng), id="make_toy_model.hidden_dim"),
+        pytest.param(BadConfigError, lambda k: training.make_toy_model(4, 2, k, rng), id="make_toy_model.out_dim"),
+        pytest.param(BadConfigError, lambda k: training.synthetic_regression(k, 4, 3, 2, rng),
+                     id="synthetic_regression.n_samples"),
+        pytest.param(BadConfigError, lambda k: training.synthetic_regression(2, k, 3, 2, rng),
+                     id="synthetic_regression.in_dim"),
+        pytest.param(BadConfigError, lambda k: training.synthetic_regression(2, 4, k, 2, rng),
+                     id="synthetic_regression.hidden_dim"),
+        pytest.param(BadConfigError, lambda k: training.synthetic_regression(2, 4, 3, k, rng),
+                     id="synthetic_regression.out_dim"),
     ]
 
 
@@ -372,3 +388,22 @@ def test_count_arguments_must_be_integers(error, call, value):
 @pytest.mark.parametrize("error,call", _counted_calls())
 def test_count_arguments_take_numpy_integers(error, call):
     call(np.int64(2))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: training.make_toy_model(4, -1, 2, np.random.default_rng(0)), id="make_toy_model"),
+    pytest.param(lambda: training.synthetic_regression(0, 4, 3, 2, np.random.default_rng(0)),
+                 id="synthetic_regression"),
+    pytest.param(lambda: training.centroid_gradients([], [], 0), id="centroid_gradients"),
+    pytest.param(lambda: core.derive_stream_seed(-1), id="derive_stream_seed.seed"),
+    pytest.param(lambda: core.derive_stream_seed(0, "w", 2**64), id="derive_stream_seed.group_index"),
+    pytest.param(lambda: core.derive_stream_seed(0, 5), id="derive_stream_seed.tensor_name"),
+])
+def test_count_arguments_out_of_range_are_refused(call):
+    with pytest.raises(BadConfigError):
+        call()
+
+
+def test_centroid_gradients_of_no_weights_are_zero():
+    # An empty list is float64 to numpy; with no labels there is nothing to refuse.
+    assert training.centroid_gradients([], [], 2).tolist() == [0.0, 0.0]

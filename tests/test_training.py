@@ -98,6 +98,16 @@ class TestCentroidGradients:
         with pytest.raises(CorruptIndexError):
             training.centroid_gradients([1.0, 2.0], labels, 2)
 
+    # Refused as labels, not later as a TypeError from bincount.
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], ["0", "1"]])
+    def test_labels_that_are_not_integers(self, labels):
+        with pytest.raises(CorruptIndexError, match="integers"):
+            training.centroid_gradients([1.0, 2.0], labels, 2)
+
+    def test_uint64_labels(self):
+        grads = training.centroid_gradients([1.0, 3.0, 5.0], np.array([0, 0, 1], dtype=np.uint64), 2)
+        np.testing.assert_array_equal(grads, [2.0, 5.0])
+
     @pytest.mark.parametrize("task_seed", range(10))
     def test_matches_finite_differences(self, task_seed):
         # d(loss)/d(centroid) equals the SUM of member-weight gradients; the
