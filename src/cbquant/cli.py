@@ -205,15 +205,10 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
-# The CBQ header stores the iteration cap and the group count as u32s, and the seed as a u64.
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
-
-
 def _add_quant_flags(p):
     p.add_argument("--bits", type=_number(int, 1, 8), required=True)
-    p.add_argument("--iters", type=_number(int, 0, _U32_MAX), default=3, metavar="N")
-    p.add_argument("--seed", type=_number(int, 0, _U64_MAX), default=0, metavar="S")
+    p.add_argument("--iters", type=_number(int, 0, core._U32_MAX), default=3, metavar="N")
+    p.add_argument("--seed", type=_number(int, 0, core._U64_MAX), default=0, metavar="S")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle", help="bundle manifest (.json)")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--scheme", choices=["linear", "kmeans"], default="kmeans")
-    p.add_argument("--groups", type=_number(int, 1, _U32_MAX), default=1, metavar="G")
+    p.add_argument("--groups", type=_number(int, 1, core._U32_MAX), default=1, metavar="G")
     _add_quant_flags(p)
     p.add_argument("--exclude", type=_regex_arg, metavar="PATTERN",
                    help="regex of tensor names to pass through unquantized")
@@ -248,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=_number(int, 1, 8), nargs="+", required=True)
     p.add_argument("--schemes", choices=["linear", "kmeans"], nargs="+",
                    default=["linear", "kmeans"])
-    p.add_argument("--seeds", type=_number(int, 0, _U64_MAX), nargs="+", default=[0])
-    p.add_argument("--iters", type=_number(int, 0, _U32_MAX), default=3)
-    p.add_argument("--groups", type=_number(int, 1, _U32_MAX), default=1)
+    p.add_argument("--seeds", type=_number(int, 0, core._U64_MAX), nargs="+", default=[0])
+    p.add_argument("--iters", type=_number(int, 0, core._U32_MAX), default=3)
+    p.add_argument("--groups", type=_number(int, 1, core._U32_MAX), default=1)
     p.add_argument("--format", choices=["table", "csv"], default="table")
     p.set_defaults(func=cmd_sweep)
 

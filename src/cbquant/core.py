@@ -62,9 +62,8 @@ class QuantConfig:
         group_count: number of independently quantized contiguous groups.
 
     These are exactly the config fields of a CBQ header, so a config
-    survives a write/read round trip; the two counts must fit its u32s.
-    The four numbers are stored as ``int``; numpy integers are taken, bools
-    and non-integers refused.
+    survives a write/read round trip; the two counts must fit its u32s and
+    the seed its u64.  The four numbers are stored as ``int`` (``_integer``).
     """
 
     scheme: Scheme
@@ -76,30 +75,52 @@ class QuantConfig:
     def __post_init__(self):
         if not isinstance(self.scheme, Scheme):
             raise BadConfigError(f"unknown scheme: {self.scheme!r}")
-        for name in ("bits", "max_iterations", "seed", "group_count"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 1 <= self.bits <= 8:
-            raise BadConfigError(f"bits must be in [1, 8], got {self.bits}")
-        if not 0 <= self.max_iterations < 2**32:
-            raise BadConfigError("max_iterations must be in [0, 2**32 - 1]")
-        if not 0 <= self.seed < 2**64:
-            raise BadConfigError("seed must fit in an unsigned 64-bit integer")
-        if not 1 <= self.group_count < 2**32:
-            raise BadConfigError("group_count must be in [1, 2**32 - 1]")
+        for name, lo, hi in (("bits", 1, 8), ("max_iterations", 0, _U32_MAX), ("seed", 0, _U64_MAX),
+                             ("group_count", 1, _U32_MAX)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo, hi))
 
     @property
     def n_levels(self) -> int:
         return 1 << self.bits
 
 
-def _integer(name: str, value, error: type = BadConfigError) -> int:
-    """``value`` as an ``int``; a bool, or anything ``operator.index`` refuses, raises ``error``."""
+# The largest values of the CBQ header's unsigned 32- and 64-bit fields, and
+# how a range error names the range of each.
+_U32_MAX, _U64_MAX = 2**32 - 1, 2**64 - 1
+_NAMED_RANGES = {(0, _U32_MAX): "fit in an unsigned 32-bit integer",
+                 (0, _U64_MAX): "fit in an unsigned 64-bit integer"}
+
+
+def _integer(name: str, value, lo=-math.inf, hi=math.inf, error: type = BadConfigError) -> int:
+    """``value`` as an ``int`` in ``[lo, hi]``: numpy integers are taken.
+
+    A bool, or anything ``operator.index`` refuses, raises ``error`` ("...
+    must be an integer"); an integer out of range raises ``error`` naming
+    its bound ("bits must be in [1, 8], got 9", "epochs must be >= 0, got -1").
+    """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if lo <= index <= hi:
+                return index
+            bound = _NAMED_RANGES.get((lo, hi)) or (f"be >= {lo}" if hi == math.inf else f"be in [{lo}, {hi}]")
+            raise error(f"{name} must {bound}, got {index}")
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _labels(labels: np.ndarray, n_levels: int, error: type) -> None:
+    """Raise ``error`` unless every label is an integer (or a bool) in
+    ``[0, n_levels)``.  Checked before any cast, which would wrap or
+    truncate a bad label; an empty array passes whatever its dtype, since
+    an empty list is float64 to numpy."""
+    if labels.size and labels.dtype.kind not in "biu":
+        raise error(f"labels must be integers, got {labels.dtype}")
+    # Only a signed dtype can hold a label below 0, so only it pays for the min() pass.
+    if labels.size and ((labels.dtype.kind == "i" and labels.min() < 0) or labels.max() >= n_levels):
+        raise error(f"labels must lie in [0, {n_levels})")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -171,9 +192,7 @@ def derive_stream_seed(seed: int, tensor_name: str = "", group_index: int = 0) -
     (u64 LE), read back as a little-endian integer.  The stream itself is
     PCG64 as constructed by ``numpy.random.default_rng``.
     """
-    seed, group_index = _integer("seed", seed), _integer("group_index", group_index)
-    if not (0 <= seed < 2**64 and 0 <= group_index < 2**64):
-        raise BadConfigError("seed and group_index must fit in an unsigned 64-bit integer")
+    seed, group_index = _integer("seed", seed, 0, _U64_MAX), _integer("group_index", group_index, 0, _U64_MAX)
     if not isinstance(tensor_name, str):
         raise BadConfigError(f"tensor_name must be a str, got {tensor_name!r}")
     h = hashlib.blake2b(digest_size=8)
@@ -348,9 +367,7 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     positions.
     """
     arr = _validate_input(v)
-    n_clusters = _integer("n_clusters", n_clusters)
-    if not 1 <= n_clusters <= 256:
-        raise BadConfigError(f"n_clusters must be in [1, 256], got {n_clusters}")
+    n_clusters = _integer("n_clusters", n_clusters, 1, 256)
     if n_clusters >= _SORTED_MIN_CLUSTERS and arr.size >= _SORTED_MIN_SIZE:
         return _kmeanspp_sorted(arr, n_clusters, rng)
     return _kmeanspp_full_pass(arr, n_clusters, rng)
@@ -512,7 +529,10 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
         side *= 2
     width = side // 4
     rows, cols = -(-n // side), -(-n // width)
-    table = np.empty((rows, cols))
+    # Zeros, though the first pick writes every row: a row that an update
+    # wrongly skipped would read the same on every run, not whatever the heap
+    # held (NaN there hides the fault by sending each pick to the cumsum).
+    table = np.zeros((rows, cols))
     sums = np.empty(cols)
     ends = np.empty(cols)
     depth = side + rows + cols + width + 1
@@ -831,7 +851,7 @@ def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
     if not np.isfinite(centroids).all():
         raise NonFiniteInputError("centroids contain NaN or infinity")
     if state.labels is not None and np.shape(state.labels) != arr.shape:
-        raise LengthMismatchError(f"{np.size(state.labels)} labels for {arr.size} elements")
+        raise LengthMismatchError(f"labels of shape {np.shape(state.labels)} for {arr.size} elements")
     centroids, labels, _, changed = _lloyd_update(arr, centroids, state.labels)
     return LloydState(centroids, labels, _state_sse(arr, labels, centroids), state.iterations + 1), changed
 

@@ -71,6 +71,8 @@ class GroupedQuantizedTensor:
     labels: np.ndarray  # uint8, (n,)
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", tuple(core._integer("shape entry", d, 0, error=ShapeMismatchError)
+                                                for d in self.shape))
         for name, dtype in (("centroids", np.float32), ("occupancy", np.uint32)):
             object.__setattr__(self, name, core._frozen(np.ascontiguousarray(getattr(self, name), dtype=dtype)))
         labels = np.asarray(self.labels)
@@ -80,11 +82,7 @@ class GroupedQuantizedTensor:
             raise ShapeMismatchError(f"expected {levels} codebooks and {self.n} labels")
         if not np.isfinite(self.centroids).all():
             raise NonFiniteInputError("codebook contains non-finite centroids")
-        # Checked before the uint8 cast, which would wrap or truncate a bad label.
-        if labels.dtype.kind not in "biu":
-            raise CorruptIndexError(f"labels must be integers, got {labels.dtype}")
-        if (labels.dtype.kind == "i" and labels.min() < 0) or labels.max() >= self.cfg.n_levels:
-            raise CorruptIndexError(f"label out of range for codebooks of {self.cfg.n_levels}")
+        core._labels(labels, self.cfg.n_levels, CorruptIndexError)
         object.__setattr__(self, "labels", core._frozen(np.ascontiguousarray(labels, dtype=np.uint8)))
 
     @property

@@ -210,9 +210,7 @@ def dp_optimal_quantize(v, n_clusters: int) -> OptimalClustering:
     n=10^4).  Deterministic; ties prefer fewer clusters and earlier split
     points.
     """
-    n_clusters = core._integer("cluster count", n_clusters, BadKError)
-    if not 1 <= n_clusters <= 256:
-        raise BadKError(f"cluster count must be in [1, 256], got {n_clusters}")
+    n_clusters = core._integer("cluster count", n_clusters, 1, 256, BadKError)
     x = _sorted_input(v)
     n = x.size
     s1, s2 = _prefix_sums(x)

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import core
 from .errors import (
-    BadConfigError,
     BadMagicError,
     CorruptIndexError,
     IOFailureError,
@@ -119,14 +118,6 @@ def _unpack_rows(packed: np.ndarray, out: np.ndarray, bits: int) -> None:
         dest[...] = labels.reshape(len(dest), -1)[:, : dest.shape[1]]
 
 
-def _bits(bits) -> int:
-    """A label width as an ``int``; one that is not an integer in [1, 8] raises ``BadConfigError``."""
-    bits = core._integer("bits", bits)
-    if not 1 <= bits <= 8:
-        raise BadConfigError(f"bits must be in [1, 8], got {bits}")
-    return bits
-
-
 def pack_indices(labels, bits: int) -> bytes:
     """Pack labels into a fixed-width little-endian bit stream.
 
@@ -134,21 +125,16 @@ def pack_indices(labels, bits: int) -> bytes:
     result is ``ceil(n * bits / 8)`` bytes with zeroed pad bits.  Labels
     must be integers (or bools) in ``[0, 2**bits)``.
     """
-    bits = _bits(bits)
+    bits = core._integer("bits", bits, 1, 8)
     lab = np.asarray(labels).reshape(1, -1)
-    if lab.size and lab.dtype.kind not in "biu":
-        raise LabelOverflowError(f"labels must be integers, got {lab.dtype}")
-    if lab.size and (lab.min() < 0 or lab.max() >= (1 << bits)):
-        raise LabelOverflowError(f"labels do not fit in {bits} bits")
+    core._labels(lab, 1 << bits, LabelOverflowError)
     return _pack_rows(lab.astype(np.uint8), bits).tobytes()
 
 
 def unpack_indices(data: bytes, n: int, bits: int) -> np.ndarray:
     """Inverse of ``pack_indices``; validates length and zero padding."""
-    bits = _bits(bits)
-    n = core._integer("label count", n, LengthMismatchError)
-    if n < 0:
-        raise LengthMismatchError(f"label count must be >= 0, got {n}")
+    bits = core._integer("bits", bits, 1, 8)
+    n = core._integer("label count", n, 0, error=LengthMismatchError)
     expected = (n * bits + 7) // 8
     if len(data) != expected:
         raise LengthMismatchError(f"expected {expected} packed bytes for n={n}, got {len(data)}")
@@ -176,9 +162,7 @@ def compression_ratio(n: int, cfg: core.QuantConfig) -> float:
     ``n`` elements: packed indices plus per-group codebooks (centroid values
     and occupancy counts) plus the fixed header.
     """
-    n = core._integer("element count", n)
-    if n < 1:
-        raise BadConfigError("element count must be >= 1")
+    n = core._integer("element count", n, 1)
     return (32.0 * n) / (8.0 * cbq_size_bytes(n, 1, cfg.bits, cfg.group_count))
 
 

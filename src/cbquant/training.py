@@ -57,18 +57,12 @@ class TrainConfig:
     data_seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "data_seed"):
-            object.__setattr__(self, name, core._integer(name, getattr(self, name)))
+        for name, lo in (("epochs", 0), ("batch_size", 1), ("data_seed", 0)):
+            object.__setattr__(self, name, core._integer(name, getattr(self, name), lo))
         if not 0 < self.base_learning_rate < math.inf:
             raise BadConfigError("base_learning_rate must be finite and positive")
-        if self.epochs < 0:
-            raise BadConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise BadConfigError("batch_size must be >= 1")
         if not 0 <= self.quantized_lr_multiplier < math.inf:
             raise BadConfigError("quantized_lr_multiplier must be finite and >= 0")
-        if self.data_seed < 0:
-            raise BadConfigError("data_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,11 +99,7 @@ def _dense(w) -> np.ndarray:
 
 def _sizes(**sizes) -> list[int]:
     """Each of ``sizes`` as an ``int``; one that is not an integer >= 1 raises ``BadConfigError``."""
-    checked = [core._integer(name, value) for name, value in sizes.items()]
-    for name, value in zip(sizes, checked):
-        if value < 1:
-            raise BadConfigError(f"{name} must be >= 1, got {value}")
-    return checked
+    return [core._integer(name, value, 1) for name, value in sizes.items()]
 
 
 def make_toy_model(in_dim: int, hidden_dim: int, out_dim: int, rng: np.random.Generator) -> ToyModel:
@@ -181,14 +171,10 @@ def centroid_gradients(weight_grads, labels, n_clusters: int) -> np.ndarray:
     """Average the per-weight gradients within each cluster; empty clusters get 0."""
     grads = np.asarray(weight_grads, dtype=np.float64).reshape(-1)
     lab = np.asarray(labels).reshape(-1)
-    (n_clusters,) = _sizes(n_clusters=n_clusters)
+    n_clusters = core._integer("n_clusters", n_clusters, 1)
     if grads.size != lab.size:
         raise LengthMismatchError("one gradient per label required")
-    # An empty list is float64 to numpy, and has no label to refuse.
-    if lab.size and lab.dtype.kind not in "biu":
-        raise CorruptIndexError(f"labels must be integers, got {lab.dtype}")
-    if lab.size and not 0 <= lab.min() <= lab.max() < n_clusters:
-        raise CorruptIndexError(f"labels must lie in [0, {n_clusters})")
+    core._labels(lab, n_clusters, CorruptIndexError)
     lab = lab.astype(np.intp)
     return _cluster_means(grads, lab, np.bincount(lab, minlength=n_clusters))
 
@@ -287,13 +273,9 @@ def run_experiment(train_cfg: TrainConfig, quant_cfg: core.QuantConfig, task_see
     per-scheme curves differ only in the quantizer.  ``quant_cfg.scheme`` is
     replaced by linear, then k-means.
     """
-    task_seed = core._integer("task_seed", task_seed)
-    pretrain_epochs = core._integer("pretrain_epochs", pretrain_epochs)
-    if task_seed < 0:
-        raise BadConfigError("task_seed must be >= 0")
-    if pretrain_epochs < 0:
-        raise BadConfigError("pretrain_epochs must be >= 0")
-    (hidden_dim,) = _sizes(hidden_dim=hidden_dim)
+    task_seed = core._integer("task_seed", task_seed, 0)
+    pretrain_epochs = core._integer("pretrain_epochs", pretrain_epochs, 0)
+    hidden_dim = core._integer("hidden_dim", hidden_dim, 1)
     data_rng = np.random.default_rng(train_cfg.data_seed)
     x, y = synthetic_regression(_N_SAMPLES, _IN_DIM, hidden_dim, _OUT_DIM, data_rng)
 

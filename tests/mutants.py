@@ -1,7 +1,9 @@
-"""A standing mutation check for the certified k-means++ fast paths.
+"""A standing mutation check for the certified fast paths.
 
 The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
-margins, widened update ranges and strict comparisons.  Each entry of
+margins, widened update ranges and strict comparisons, and the nearest-centroid
+labels of ``core._assign`` on its threshold table's tie rule and the dense
+assignment of values outside its band.  Each entry of
 ``MUTANTS`` breaks one of them in a copy of the source: it names the file
 under ``src/cbquant``, the exact source text (which occurs there exactly
 once), its replacement and the pytest node ids that must kill it.
@@ -104,6 +106,14 @@ MUTANTS = (
     Mutant("sorted-d2-starts-at-zero", "core.py",
            "d2 = np.full(n, np.inf)\n    picked", "d2 = np.full(n, 0.0)\n    picked",
            sorted_loops("normal-256-131073")),
+    Mutant("tie-to-higher-index", "core.py",
+           "rep[1:] < rep[:-1]", "rep[1:] > rep[:-1]",
+           ("tests/test_properties.py::test_assign_between_subnormal_centroids",
+            "tests/test_properties.py::test_assign_splits_a_symmetric_pair_within_rounding_of_zero")),
+    Mutant("sorted-assign-skips-band", "core.py",
+           "if part.start < part.stop]", "if False]",
+           ("tests/test_value_order.py::test_values_outside_the_band_reach_the_dense_assignment",
+            "tests/test_properties.py::test_sorted_assign_matches_dense_argmin_across_the_float64_range")),
 )
 
 

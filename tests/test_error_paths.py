@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from cbquant import cli, core, grouping, oracle, tensorio, training
-from cbquant.errors import (BadConfigError, EmptyInputError, LengthMismatchError, ManifestMismatchError,
-                            TooManyGroupsError, UnsupportedVersionError)
+from cbquant.errors import (BadConfigError, EmptyInputError, LabelOverflowError, LengthMismatchError,
+                            ManifestMismatchError, ShapeMismatchError, TooManyGroupsError, UnsupportedVersionError)
+
+
+def tensor_of_shape(shape):
+    """A 2-bit linear tensor of two labels, claiming ``shape``."""
+    return grouping.GroupedQuantizedTensor(shape, core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2),
+                                           np.zeros((1, 4), np.float32), [[2, 0, 0, 0]], np.zeros(2, np.uint8))
 
 
 def bad_scheme_id_blob():
@@ -39,6 +45,18 @@ def bad_scheme_id_blob():
                  id="TrainConfig.epochs"),
     pytest.param(BadConfigError, "batch_size must be >= 1", lambda: training.TrainConfig(0.02, 1, batch_size=0),
                  id="TrainConfig.batch_size"),
+    pytest.param(ShapeMismatchError, "shape entry must be >= 0, got -1", lambda: tensor_of_shape((-1, -2)),
+                 id="GroupedQuantizedTensor.shape.negative"),
+    pytest.param(ShapeMismatchError, "shape entry must be an integer, got 'a'", lambda: tensor_of_shape("ab"),
+                 id="GroupedQuantizedTensor.shape.str"),
+    pytest.param(LengthMismatchError, r"labels of shape \(1, 3\) for 3 elements",
+                 lambda: core.lloyd_step([1.0, 2.0, 3.0], core.LloydState(np.array([1.0, 3.0]), np.array([[0, 1, 1]]))),
+                 id="lloyd_step.labels"),
+    pytest.param(LabelOverflowError, r"labels must lie in \[0, 4\)", lambda: tensorio.pack_indices([4], 2),
+                 id="pack_indices.labels"),
+    pytest.param(BadConfigError, "max_iterations must fit in an unsigned 32-bit integer, got 4294967296",
+                 lambda: core.QuantConfig(scheme=core.Scheme.KMEANS, bits=2, max_iterations=2**32),
+                 id="QuantConfig.max_iterations"),
 ])
 def test_library_raises(error, match, call):
     with pytest.raises(error, match=match):

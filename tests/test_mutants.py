@@ -1,4 +1,4 @@
-"""``tests/mutants.py``, the mutation check of the certified k-means++ paths:
+"""``tests/mutants.py``, the mutation check of the certified fast paths:
 its table stays in step with the source it mutates and the tests that kill it."""
 
 import importlib.util

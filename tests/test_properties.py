@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbquant import core, grouping, oracle, tensorio, training
-from cbquant.errors import BadConfigError, BadKError, LengthMismatchError
+from cbquant.errors import BadConfigError, BadKError, LengthMismatchError, ShapeMismatchError
 
 finite_values = st.floats(min_value=-1e9, max_value=1e9,
                           allow_nan=False, allow_infinity=False)
@@ -374,7 +374,64 @@ def _counted_calls():
                      id="synthetic_regression.hidden_dim"),
         pytest.param(BadConfigError, lambda k: training.synthetic_regression(2, 4, 3, k, rng),
                      id="synthetic_regression.out_dim"),
+        pytest.param(ShapeMismatchError, lambda k: grouping.GroupedQuantizedTensor(
+            (k, 1), cfg, np.zeros((1, 4), np.float32), [[2, 0, 0, 0]], np.zeros(2, np.uint8)),
+                     id="GroupedQuantizedTensor.shape"),
     ]
+
+
+def _bounds():
+    """``(id, error, call(value), lowest, highest)`` for each count argument
+    with a range, ``highest`` None where there is no upper bound; ``error``
+    is what a value one past either bound raises."""
+    v = np.random.default_rng(0).normal(size=20)
+    linear = dict(scheme=core.Scheme.LINEAR, bits=2)
+    cfg = core.QuantConfig(**linear)
+    train = dict(base_learning_rate=0.02, epochs=1)
+    quick = training.TrainConfig(base_learning_rate=0.02, epochs=0)
+    rng = np.random.default_rng(0)
+    u32, u64 = 2**32 - 1, 2**64 - 1
+    return [
+        ("QuantConfig.bits", BadConfigError, lambda k: core.QuantConfig(scheme=core.Scheme.LINEAR, bits=k), 1, 8),
+        ("QuantConfig.max_iterations", BadConfigError, lambda k: core.QuantConfig(**linear, max_iterations=k), 0, u32),
+        ("QuantConfig.seed", BadConfigError, lambda k: core.QuantConfig(**linear, seed=k), 0, u64),
+        ("QuantConfig.group_count", BadConfigError, lambda k: core.QuantConfig(**linear, group_count=k), 1, u32),
+        ("derive_stream_seed.seed", BadConfigError, lambda k: core.derive_stream_seed(k), 0, u64),
+        ("derive_stream_seed.group_index", BadConfigError, lambda k: core.derive_stream_seed(0, "w", k), 0, u64),
+        ("kmeanspp_init", BadConfigError, lambda k: core.kmeanspp_init(v, k, np.random.default_rng(0)), 1, 256),
+        ("dp_optimal_quantize", BadKError, lambda k: oracle.dp_optimal_quantize(v, k), 1, 256),
+        ("pack_indices.bits", BadConfigError, lambda k: tensorio.pack_indices([0, 1], k), 1, 8),
+        ("unpack_indices.bits", BadConfigError, lambda k: tensorio.unpack_indices(b"", 0, k), 1, 8),
+        ("unpack_indices", LengthMismatchError, lambda k: tensorio.unpack_indices(b"", k, 2), 0, None),
+        ("compression_ratio", BadConfigError, lambda k: tensorio.compression_ratio(k, cfg), 1, None),
+        ("TrainConfig.epochs", BadConfigError, lambda k: training.TrainConfig(0.02, k), 0, None),
+        ("TrainConfig.batch_size", BadConfigError, lambda k: training.TrainConfig(**train, batch_size=k), 1, None),
+        ("TrainConfig.data_seed", BadConfigError, lambda k: training.TrainConfig(**train, data_seed=k), 0, None),
+        ("run_experiment.task_seed", BadConfigError,
+         lambda k: training.run_experiment(quick, cfg, task_seed=k, pretrain_epochs=0), 0, None),
+        ("run_experiment.pretrain_epochs", BadConfigError,
+         lambda k: training.run_experiment(quick, cfg, pretrain_epochs=k), 0, None),
+        ("run_experiment.hidden_dim", BadConfigError,
+         lambda k: training.run_experiment(quick, cfg, hidden_dim=k, pretrain_epochs=0), 1, None),
+        ("centroid_gradients", BadConfigError, lambda k: training.centroid_gradients(v[:2], [0, 0], k), 1, None),
+        ("make_toy_model.in_dim", BadConfigError, lambda k: training.make_toy_model(k, 2, 2, rng), 1, None),
+        ("synthetic_regression.n_samples", BadConfigError, lambda k: training.synthetic_regression(k, 4, 3, 2, rng),
+         1, None),
+    ]
+
+
+def _accepted_bounds():
+    """Each bound of ``_bounds`` as a numpy integer, as ``(error, call(ignored))`` like ``_counted_calls``."""
+    return [pytest.param(error, lambda _, call=call, value=value: call(np.uint64(value)), id=f"{name}={value}")
+            for name, error, call, lowest, highest in _bounds()
+            for value in (lowest, highest) if value is not None]
+
+
+def _values_past_the_bounds():
+    """The value one past each bound of ``_bounds``, as ``(error, call())``."""
+    return [pytest.param(error, lambda call=call, value=value: call(value), id=f"{name}={value}")
+            for name, error, call, lowest, highest in _bounds()
+            for value in (lowest - 1, None if highest is None else highest + 1) if value is not None]
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
@@ -385,22 +442,26 @@ def test_count_arguments_must_be_integers(error, call, value):
         call(value)
 
 
-@pytest.mark.parametrize("error,call", _counted_calls())
+@pytest.mark.parametrize("error,call", _counted_calls() + _accepted_bounds())
 def test_count_arguments_take_numpy_integers(error, call):
     call(np.int64(2))
 
 
-@pytest.mark.parametrize("call", [
-    pytest.param(lambda: training.make_toy_model(4, -1, 2, np.random.default_rng(0)), id="make_toy_model"),
-    pytest.param(lambda: training.synthetic_regression(0, 4, 3, 2, np.random.default_rng(0)),
+@pytest.mark.parametrize("error,call", [
+    pytest.param(BadConfigError, lambda: training.make_toy_model(4, -1, 2, np.random.default_rng(0)),
+                 id="make_toy_model"),
+    pytest.param(BadConfigError, lambda: training.synthetic_regression(0, 4, 3, 2, np.random.default_rng(0)),
                  id="synthetic_regression"),
-    pytest.param(lambda: training.centroid_gradients([], [], 0), id="centroid_gradients"),
-    pytest.param(lambda: core.derive_stream_seed(-1), id="derive_stream_seed.seed"),
-    pytest.param(lambda: core.derive_stream_seed(0, "w", 2**64), id="derive_stream_seed.group_index"),
-    pytest.param(lambda: core.derive_stream_seed(0, 5), id="derive_stream_seed.tensor_name"),
-])
-def test_count_arguments_out_of_range_are_refused(call):
-    with pytest.raises(BadConfigError):
+    pytest.param(BadConfigError, lambda: training.centroid_gradients([], [], 0), id="centroid_gradients"),
+    pytest.param(BadConfigError, lambda: core.derive_stream_seed(-1), id="derive_stream_seed.seed"),
+    pytest.param(BadConfigError, lambda: core.derive_stream_seed(0, "w", 2**64), id="derive_stream_seed.group_index"),
+    pytest.param(BadConfigError, lambda: core.derive_stream_seed(0, 5), id="derive_stream_seed.tensor_name"),
+    pytest.param(ShapeMismatchError, lambda: grouping.GroupedQuantizedTensor(
+        (2, -1), core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2), np.zeros((1, 4), np.float32),
+        [[2, 0, 0, 0]], np.zeros(2, np.uint8)), id="GroupedQuantizedTensor.shape=-1"),
+] + _values_past_the_bounds())
+def test_count_arguments_out_of_range_are_refused(error, call):
+    with pytest.raises(error):
         call()
 
 
