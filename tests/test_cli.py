@@ -247,6 +247,19 @@ class TestSweepCommand:
         assert len(read_csv(text)) == 12
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # SHA-256 of the default table (one row per bit width, each scheme's MSE
+    # averaged over the seeds), recorded before the sweep kept one dict of rows.
+    @pytest.mark.parametrize("groups,digest", [
+        ("1", "fd023d524f246a986add9f7eb2085c11ba7f2e8bc02850d2c09252df22b41e82"),
+        ("3", "cdccc7d7faa19566990a98d8e6089519dcfd2029442e666f23e67de6973d8e76"),
+    ])
+    def test_table_bytes_are_pinned(self, gaussian_bundle, capsys, groups, digest):
+        code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "1", "2", "3",
+                             "--seeds", "0", "1", "--groups", groups)
+        assert code == 0
+        assert text.splitlines()[0].split() == ["bits", "kmeans_mse", "linear_mse"]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_one_order_per_tensor_and_one_linear_run_per_bit_width(self, gaussian_bundle, capsys, monkeypatch):
         quantized, orders = [], []
         quantize_grouped, value_order = grouping.quantize_grouped, grouping.ValueOrder
