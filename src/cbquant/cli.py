@@ -130,53 +130,37 @@ def _grouped_sse(tensor, g: grouping.GroupedQuantizedTensor) -> float:
 
 
 def cmd_sweep(args) -> int:
-    # One float64 copy per tensor, shared by every combination's worker.
-    tensors = {name: t.astype(np.float64) for name, t in tensorio.read_bundle(args.bundle).items()}
+    # One float64 copy per tensor, in name order, shared by every job's worker.
+    tensors = {name: t.astype(np.float64) for name, t in sorted(tensorio.read_bundle(args.bundle).items())}
     if not tensors:
         raise EmptyInputError("bundle contains no tensors")
-    names = sorted(tensors)
-    # And one value order per tensor, shared by every k-means combination.
-    orders = ({name: grouping.ValueOrder(tensors[name], args.groups) for name in names}
-              if "kmeans" in args.schemes else {})
-    seeds = sorted(set(args.seeds))
-    combos = sorted(
-        (scheme, bits, seed)
-        for scheme in set(args.schemes)
-        for bits in set(args.bits)
-        for seed in seeds
-    )
+    schemes, bit_widths, seeds = (sorted(set(v)) for v in (args.schemes, args.bits, args.seeds))
+    # What every job quantizes: one value order per tensor when k-means is swept.
+    inputs = {name: grouping.ValueOrder(t, args.groups) if "kmeans" in schemes else t
+              for name, t in tensors.items()}
+    count = sum(t.size for t in tensors.values())
+    # Each output row, in sorted order, and the job that computes its MSE.
+    # Linear quantization reads no seed: one job per bit width serves every seed's row.
+    rows = {(s, b, seed): (s, b, seed if s == "kmeans" else seeds[0])
+            for s in schemes for b in bit_widths for seed in seeds}
 
-    def job(scheme, bits, seed):
-        """Linear quantization reads no seed: one job per bit width serves every seed's row."""
-        return scheme, bits, seed if scheme == "kmeans" else seeds[0]
-
-    def work(key):
-        scheme, bits, seed = key
+    def work(job):
+        scheme, bits, seed = job
         cfg = core.QuantConfig(scheme=core.Scheme[scheme.upper()], bits=bits,
                                max_iterations=args.iters, seed=seed, group_count=args.groups)
         sse = 0.0
-        count = 0
-        for name in names:
-            g = grouping.quantize_grouped(orders.get(name, tensors[name]), cfg, tensor_name=name)
-            sse += _grouped_sse(tensors[name], g)
-            count += tensors[name].size
+        for name, x in inputs.items():
+            sse += _grouped_sse(tensors[name], grouping.quantize_grouped(x, cfg, tensor_name=name))
         return sse / count
 
-    jobs = sorted({job(*combo) for combo in combos})
+    jobs = sorted(set(rows.values()))
     mse = dict(zip(jobs, _parallel_map(work, jobs)))
-    results = [(*combo, mse[job(*combo)]) for combo in combos]
     if args.format == "csv":
-        _emit(["scheme", "bits", "seed", "mse"],
-              [[s, b, seed, f"{mse:.9g}"] for s, b, seed, mse in results], "csv")
+        _emit(["scheme", "bits", "seed", "mse"], [[*row, f"{mse[job]:.9g}"] for row, job in rows.items()], "csv")
     else:
-        schemes = sorted(set(args.schemes))
-        bit_rows = sorted(set(args.bits))
-        by_key = {(s, b): [] for s in schemes for b in bit_rows}
-        for s, b, seed, mse in results:
-            by_key[(s, b)].append(mse)
-        rows = [[bits] + [f"{np.mean(by_key[(s, bits)]):.9g}" for s in schemes]
-                for bits in bit_rows]
-        _emit(["bits"] + [f"{s}_mse" for s in schemes], rows, "table")
+        _emit(["bits"] + [f"{s}_mse" for s in schemes],
+              [[b] + [f"{np.mean([mse[rows[s, b, seed]] for seed in seeds]):.9g}" for s in schemes]
+               for b in bit_widths], "table")
     return 0
 
 

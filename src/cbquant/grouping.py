@@ -71,8 +71,12 @@ class GroupedQuantizedTensor:
     labels: np.ndarray  # uint8, (n,)
 
     def __post_init__(self):
+        try:
+            shape = tuple(self.shape)
+        except TypeError:
+            raise ShapeMismatchError(f"shape must be a sequence of integers, got {self.shape!r}") from None
         object.__setattr__(self, "shape", tuple(core._integer("shape entry", d, 0, error=ShapeMismatchError)
-                                                for d in self.shape))
+                                                for d in shape))
         for name, dtype in (("centroids", np.float32), ("occupancy", np.uint32)):
             object.__setattr__(self, name, core._frozen(np.ascontiguousarray(getattr(self, name), dtype=dtype)))
         labels = np.asarray(self.labels)

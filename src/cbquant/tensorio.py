@@ -278,17 +278,16 @@ def _read_member(directory: Path, name) -> np.ndarray:
         raise IOFailureError(f"cannot read {directory / name}: {exc}") from exc
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _tensor_view(data: np.ndarray, offset, length, entry: dict) -> np.ndarray:
     """The float32 tensor ``entry`` describes, stored in ``data[offset:offset + length]``, as a view."""
     name, shape = entry["name"], entry.get("shape")
-    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+    if not isinstance(shape, list):
         raise ManifestMismatchError(f"shape of {name!r} is not a list of non-negative integers")
-    if not (_is_count(offset) and _is_count(length)):
-        raise ManifestMismatchError(f"offset and length of {name!r} must be non-negative integers")
+
+    def count(field, value):
+        return core._integer(f"{field} of {name!r}", value, 0, error=ManifestMismatchError)
+
+    shape, offset, length = [count("shape entry", d) for d in shape], count("offset", offset), count("length", length)
     if length != 4 * math.prod(shape):
         raise ManifestMismatchError(f"length of {name!r} disagrees with its shape")
     if offset + length > len(data):

@@ -1,12 +1,16 @@
-"""A standing mutation check for the certified fast paths.
+"""A standing mutation check for the certified fast paths and CBQ I/O.
 
 The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
 margins, widened update ranges and strict comparisons, and the nearest-centroid
 labels of ``core._assign`` on its threshold table's tie rule and the dense
-assignment of values outside its band.  Each entry of
-``MUTANTS`` breaks one of them in a copy of the source: it names the file
-under ``src/cbquant``, the exact source text (which occurs there exactly
-once), its replacement and the pytest node ids that must kill it.
+assignment of values outside its band.  Lloyd's sums on a shared value order
+read a reused intp copy of the labels.  The CBQ reader and writer of
+``tensorio`` walk labels in chunks, counting occupancy and unpacking pieces of
+rows at byte offsets, and check a blob's length before they allocate for it.
+Each entry of ``MUTANTS`` breaks one of them in a copy of the source: it
+names the file under ``src/cbquant``, the exact source text (which occurs
+there exactly once), its replacement and the pytest node ids that must kill
+it.
 
 Run from the repository root::
 
@@ -41,6 +45,7 @@ LOOPS = "tests/test_core_kmeans.py::TestKmeansppLoops"
 CERTIFIED = "tests/test_core_kmeans.py::TestCertifiedPick::test_a_prefix_at_exactly_the_margin_is_not_certified"
 ROUNDING = "test_draws_within_rounding_of_a_prefix_match_the_sequential_pick"
 CHUNKED = f"{LOOPS}::test_every_pick_on_the_chunked_sequential_path_gives_the_same_bytes"
+CBQ_CHUNKS = "tests/test_tensorio.py::TestCbqFormat::test_chunked_unpack_round_trips"
 
 
 def sorted_loops(case: str) -> tuple:
@@ -114,6 +119,19 @@ MUTANTS = (
            "if part.start < part.stop]", "if False]",
            ("tests/test_value_order.py::test_values_outside_the_band_reach_the_dense_assignment",
             "tests/test_properties.py::test_sorted_assign_matches_dense_argmin_across_the_float64_range")),
+    Mutant("lloyd-intp-buffer-stale", "core.py",
+           "np.copyto(wide, new_labels)", "np.copyto(wide, new_labels) if labels is None else None",
+           ("tests/test_value_order.py::test_shared_order_gives_the_same_bytes",)),
+    Mutant("occupancy-count-overwritten", "tensorio.py",
+           "counts[chunk] += np.bincount", "counts[chunk] = np.bincount",
+           (CBQ_CHUNKS,)),
+    Mutant("row-piece-offset-dropped", "tensorio.py",
+           "start = cols.start * bits // 8", "start = 0",
+           (CBQ_CHUNKS,)),
+    Mutant("labels-allocated-before-length-check", "tensorio.py",
+           "    expected = cbq_size_bytes(n, rank, bits, group_count)\n",
+           "    np.zeros(n, dtype=np.uint8)\n    expected = cbq_size_bytes(n, rank, bits, group_count)\n",
+           ("tests/test_fuzz.py::test_read_cbq_raises_only_cbq_errors",)),
 )
 
 
@@ -153,7 +171,7 @@ def main(argv) -> int:
             start = time.perf_counter()
             codes[m.name] = code = pytest_exit(work, m.killers)
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"RUNNER FAILURE (pytest exit {code})")
-            print(f"{m.name:30} {verdict:8} {time.perf_counter() - start:6.1f} s  {' '.join(m.killers)}", flush=True)
+            print(f"{m.name:36} {verdict:8} {time.perf_counter() - start:6.1f} s  {' '.join(m.killers)}", flush=True)
     if any(code not in (0, 1) for code in codes.values()):
         return 2
     return 1 if 0 in codes.values() else 0

@@ -1,6 +1,10 @@
 """Raise statements that no other test reaches, one case each: every one
 ends in its own ``CbqError`` with its own message."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,17 @@ def tensor_of_shape(shape):
     """A 2-bit linear tensor of two labels, claiming ``shape``."""
     return grouping.GroupedQuantizedTensor(shape, core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2),
                                            np.zeros((1, 4), np.float32), [[2, 0, 0, 0]], np.zeros(2, np.uint8))
+
+
+def read_bundle_with(**fields):
+    """Read a bundle of one 4-element tensor 'w' whose manifest entry has ``fields`` changed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "b.json"
+        tensorio.write_bundle(path, {"w": np.ones(4, np.float32)})
+        manifest = json.loads(path.read_text())
+        manifest["tensors"][0].update(fields)
+        path.write_text(json.dumps(manifest))
+        return tensorio.read_bundle(path)
 
 
 def bad_scheme_id_blob():
@@ -49,6 +64,10 @@ def bad_scheme_id_blob():
                  id="GroupedQuantizedTensor.shape.negative"),
     pytest.param(ShapeMismatchError, "shape entry must be an integer, got 'a'", lambda: tensor_of_shape("ab"),
                  id="GroupedQuantizedTensor.shape.str"),
+    pytest.param(ShapeMismatchError, "shape must be a sequence of integers, got 2", lambda: tensor_of_shape(2),
+                 id="GroupedQuantizedTensor.shape.int"),
+    pytest.param(ManifestMismatchError, "offset of 'w' must be >= 0, got -4", lambda: read_bundle_with(offset=-4),
+                 id="read_bundle.offset"),
     pytest.param(LengthMismatchError, r"labels of shape \(1, 3\) for 3 elements",
                  lambda: core.lloyd_step([1.0, 2.0, 3.0], core.LloydState(np.array([1.0, 3.0]), np.array([[0, 1, 1]]))),
                  id="lloyd_step.labels"),
