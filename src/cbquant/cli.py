@@ -56,19 +56,18 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _emit(header, rows, fmt, out=None):
-    out = out or sys.stdout
+def _emit(header, rows, fmt):
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return
     rows = [[str(c) for c in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
-    print("  ".join("-" * w for w in widths), file=out)
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    print("  ".join("-" * w for w in widths))
     for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def cmd_quantize(args) -> int:

@@ -378,10 +378,8 @@ def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generat
     n = arr.size
     d2 = np.full(n, np.inf)
     scratch = np.empty_like(d2)
-    full = n - n % _PICK_BLOCK
-    rows, tail = d2[:full].reshape(-1, _PICK_BLOCK), d2[full:]
-    sums = np.empty(len(rows) + (tail.size > 0))
-    ends = np.empty_like(sums)
+    starts = np.arange(0, n, _PICK_BLOCK)
+    ends = np.empty(starts.size)  # the block sums, then their running totals
     chosen = []
     idx = int(rng.integers(n))  # the first pick is uniform
     while idx >= 0:  # -1: every element already coincides with a centroid
@@ -393,11 +391,11 @@ def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generat
         if len(chosen) == n_clusters:
             break
         # An overflow here sends the pick to the sequential cumsum, which warns if it overflows too.
+        # The block sums are only estimates for _certified_pick: its depth, 2 * _PICK_BLOCK + n /
+        # _PICK_BLOCK, allows any summation order within a block, so every pick stays the sequential draw's.
         with np.errstate(over="ignore"):
-            np.add.reduce(rows, axis=1, out=sums[: len(rows)])
-            if tail.size:
-                sums[-1] = np.add.reduce(tail)
-            np.add.accumulate(sums, out=ends)
+            np.add.reduceat(d2, starts, out=ends)
+            np.add.accumulate(ends, out=ends)
         idx = _draw(rng, n, ends, _PICK_BLOCK, 2 * _PICK_BLOCK + n / _PICK_BLOCK,
                     lambda s, out: np.copyto(out, d2[s : s + out.size]))
     return _padded(chosen, n_clusters)

@@ -171,7 +171,7 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     if cfg.scheme is core.Scheme.LINEAR:
         for groups, elements, length in blocks:
             rows, out = flat[elements].reshape(-1, length), labels[elements].reshape(-1, length)
-            step = max(1, core._ASSIGN_CHUNK // length)
+            step = _chunk_shape(length)[0]
             for r in range(0, len(rows), step):
                 chunk = slice(r, r + step)
                 out[chunk], centroids[groups][chunk], occupancy[groups][chunk] = core.linear_quantize_rows(

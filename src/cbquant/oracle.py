@@ -143,7 +143,7 @@ def _dp_tables(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, k_max: int) -> tup
             block_min[:, done:whole] = dp[1:k_max, done * block : whole * block].reshape(
                 k_max - 1, -1, block).min(axis=2)
             done = whole
-        # Level k evaluates starts [a, b) and [near, hi - 1); b == near joins them.
+        # Level k evaluates starts [a, b), then [near, hi - 1), in one buffer; the gap may be empty.
         levels = np.arange(2, top + 1)
         near = np.maximum(whole * block, levels - 1)
         a, b = levels - 1, near.copy()
@@ -173,20 +173,13 @@ def _dp_tables(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, k_max: int) -> tup
             # k-1 is complete here for every start below hi - 1.
             first = max(lo, k)
             kept_cost = cost[first - lo :]
-            if b_k == near_k:  # one run of starts
-                cand = work_buf[: (hi - first) * (hi - 1 - a_k)].reshape(hi - first, -1)
-                np.add(dp[k - 1, a_k : hi - 1], kept_cost[:, a_k - low :], out=cand)
-            else:
-                span = b_k - a_k
-                cand = work_buf[: (hi - first) * (span + hi - 1 - near_k)].reshape(hi - first, -1)
-                np.add(dp[k - 1, a_k:b_k], kept_cost[:, a_k - low : b_k - low], out=cand[:, :span])
-                np.add(dp[k - 1, near_k : hi - 1], kept_cost[:, near_k - low :], out=cand[:, span:])
+            span = b_k - a_k
+            cand = work_buf[: (hi - first) * (span + hi - 1 - near_k)].reshape(hi - first, -1)
+            np.add(dp[k - 1, a_k:b_k], kept_cost[:, a_k - low : b_k - low], out=cand[:, :span])
+            np.add(dp[k - 1, near_k : hi - 1], kept_cost[:, near_k - low :], out=cand[:, span:])
             best = cand.argmin(axis=1)
             dp[k, first:hi] = cand[index[: hi - first], best]
-            start = best + a_k
-            if b_k != near_k:
-                start[best >= b_k - a_k] += near_k - b_k
-            parent[k, first:hi] = start
+            parent[k, first:hi] = np.concatenate((index[a_k:b_k], index[near_k : hi - 1]))[best]
     return dp, parent
 
 

@@ -258,10 +258,14 @@ def _manifest_entries(manifest_path: Path) -> tuple[dict, list]:
     entries = manifest.get("tensors") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ManifestMismatchError("manifest must be an object whose 'tensors' is a list of objects")
-    names = [e.get("name") for e in entries]
+    _check_names([e.get("name") for e in entries])
+    return manifest, entries
+
+
+def _check_names(names: list) -> None:
+    """The one rule for tensor names, which the manifest writers and readers share."""
     if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
         raise ManifestMismatchError("manifest tensor names must be distinct strings")
-    return manifest, entries
 
 
 def _read_member(directory: Path, name) -> np.ndarray:
@@ -333,6 +337,7 @@ def write_bundle(manifest_path, tensors: dict) -> None:
     The payload is the manifest path with the suffix ``.bin``, so a manifest
     path ending in ``.bin`` is rejected.
     """
+    _check_names(list(tensors))
     manifest_path = Path(manifest_path)
     payload_path = manifest_path.with_suffix(".bin")
     if payload_path == manifest_path:
@@ -372,6 +377,7 @@ def write_quantized(out_dir, tensors: dict) -> None:
     ``tNNNNN.f32`` file per tensor, numbered in the dict's order.  It is
     created if missing, and removed again if the write fails.
     """
+    _check_names(list(tensors))
     out_dir = Path(out_dir)
     entries = []
     files = {}

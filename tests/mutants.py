@@ -1,16 +1,24 @@
-"""A standing mutation check for the certified fast paths and CBQ I/O.
+"""A standing mutation check for the certified fast paths, the exact DP and CBQ I/O.
 
 The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
-margins, widened update ranges and strict comparisons, and the nearest-centroid
-labels of ``core._assign`` on its threshold table's tie rule and the dense
-assignment of values outside its band.  Lloyd's sums on a shared value order
-read a reused intp copy of the labels.  The CBQ reader and writer of
+margins, block sums that cover every element, widened update ranges and strict
+comparisons, and the nearest-centroid labels of ``core._assign`` on its
+threshold table's tie rule and the dense assignment of values outside its
+band.  Lloyd's sums on a shared value order read a reused intp copy of the
+labels.  The exact DP of ``oracle._dp_tables`` takes the first minimum over
+the same candidates as the scalar recurrence, and skips a block of starts
+only when a lower bound, widened by the cost error bound and a rounding
+slack, is strictly above a computed candidate; the near-diagonal starts are
+always evaluated.  The CBQ reader and writer of
 ``tensorio`` walk labels in chunks, counting occupancy and unpacking pieces of
 rows at byte offsets, and check a blob's length before they allocate for it.
 Each entry of ``MUTANTS`` breaks one of them in a copy of the source: it
 names the file under ``src/cbquant``, the exact source text (which occurs
 there exactly once), its replacement and the pytest node ids that must kill
-it.
+it.  Every killer is deterministic: a fixed case or a derandomized property.
+A mutant marked ``expected_survivor`` is equivalent to the source, by an
+argument given with it; it must pass its tests, and a kill means the
+argument is wrong.
 
 Run from the repository root::
 
@@ -23,8 +31,9 @@ unmutated there, which must pass.  It then applies one mutant at a time and
 counts it killed only when pytest exits 1 (tests failed).  Any other exit,
 such as 2 (interrupted or a collection error), 4 (usage) or 5 (no tests
 collected), is a failure of the runner, not a kill.  It prints one line per
-mutant and exits 0 when every mutant is killed, 1 when one survives and 2
-when the runner fails.
+mutant and exits 0 when every mutant is killed or survives as expected, 1
+when one survives unexpectedly or an expected survivor is killed, and 2 when
+the runner fails.
 
 ``tests/test_mutants.py`` checks in tier-1 that every source text still
 occurs exactly once, so a refactor that moves certified code must update
@@ -46,6 +55,9 @@ CERTIFIED = "tests/test_core_kmeans.py::TestCertifiedPick::test_a_prefix_at_exac
 ROUNDING = "test_draws_within_rounding_of_a_prefix_match_the_sequential_pick"
 CHUNKED = f"{LOOPS}::test_every_pick_on_the_chunked_sequential_path_gives_the_same_bytes"
 CBQ_CHUNKS = "tests/test_tensorio.py::TestCbqFormat::test_chunked_unpack_round_trips"
+DP_BLOCKS = "tests/test_oracle.py::TestDpAgainstBlockReference::test_tables_bit_identical"
+DP_FIXED = ("tests/test_oracle.py::TestDpPin",
+            "tests/test_oracle.py::TestDpAgainstScalarReference::test_bit_identical_n1500")
 
 
 def sorted_loops(case: str) -> tuple:
@@ -61,6 +73,7 @@ class Mutant:
     source: str  # occurs exactly once in the file
     replacement: str
     killers: tuple  # pytest node ids, relative to the repository root
+    expected_survivor: bool = False  # equivalent to the source: its killers must pass
 
 
 MUTANTS = (
@@ -86,6 +99,14 @@ MUTANTS = (
     Mutant("no-two-ulp-widening", "core.py",
            "return math.nextafter(math.nextafter(x, toward), toward)", "return x",
            sorted_loops("offset_noise-256-131073")),
+    # Equivalent: in the normal range halving is exact and the sum rounds by at
+    # most half an ulp of the midpoint, so one step outward already passes the
+    # exact midpoint; where halving a subnormal rounds, the total error is at
+    # most one ulp, so one step lands at worst on the exact midpoint, where
+    # |x - a| == |x - c| and d2 does not change.
+    Mutant("one-ulp-widening", "core.py",
+           "return math.nextafter(math.nextafter(x, toward), toward)", "return math.nextafter(x, toward)",
+           sorted_loops("offset_noise-256-131073"), expected_survivor=True),
     Mutant("update-start-one-short", "core.py",
            'rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right")',
            'rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right") + 1',
@@ -105,6 +126,10 @@ MUTANTS = (
            "    if total == 0.0:\n        return -1\n    q = rng.random()\n",
            "    q = rng.random()\n    if total == 0.0:\n        return -1\n",
            (f"{LOOPS}::test_a_zero_total_stops_before_drawing",)),
+    Mutant("full-pass-tail-sum-dropped", "core.py",
+           "np.add.reduceat(d2, starts, out=ends)\n",
+           "np.add.reduceat(d2, starts, out=ends)\n            ends[-1] = 0.0\n",
+           (f"{PICKS}::test_same_bytes_as_sequential_cumsum[normal-2-100000]",)),
     Mutant("full-pass-d2-starts-at-zero", "core.py",
            "d2 = np.full(n, np.inf)\n    scratch", "d2 = np.full(n, 0.0)\n    scratch",
            (f"{PICKS}::test_same_bytes_as_sequential_cumsum[normal-2-100000]",)),
@@ -132,6 +157,27 @@ MUTANTS = (
            "    expected = cbq_size_bytes(n, rank, bits, group_count)\n",
            "    np.zeros(n, dtype=np.uint8)\n    expected = cbq_size_bytes(n, rank, bits, group_count)\n",
            ("tests/test_fuzz.py::test_read_cbq_raises_only_cbq_errors",)),
+    Mutant("dp-last-minimum", "oracle.py",
+           "best = cand.argmin(axis=1)", "best = cand.shape[1] - 1 - cand[:, ::-1].argmin(axis=1)",
+           tuple(f"{DP_BLOCKS}[{case}]" for case in ("zeros", "duplicates", "offset"))),
+    Mutant("dp-mask-start-above-end", "oracle.py",
+           "index[lo : hi - 1] >= ends[:, None]", "index[lo : hi - 1] > ends[:, None]",
+           DP_FIXED),
+    Mutant("dp-previous-level-one-ulp-up", "oracle.py",
+           "np.add(dp[k - 1, near_k : hi - 1],", "np.add(np.nextafter(dp[k - 1, near_k : hi - 1], np.inf),",
+           DP_FIXED),
+    Mutant("dp-zero-slack", "oracle.py",
+           "lower -= 4 * err + 2.0**-50 * (scale + 4 * err)", "lower -= 4 * err",
+           ("tests/test_oracle.py::TestExclusionBound::test_bound_is_never_above_its_exact_value",)),
+    Mutant("dp-non-strict-exclusion", "oracle.py",
+           "err, scale) <= upper[:, None]", "err, scale) < upper[:, None]",
+           (f"{DP_BLOCKS}[zeros]",)),
+    Mutant("dp-zero-error-bound", "oracle.py",
+           "err = _cost_error_bound(x, s2)", "err = 0.0",
+           (f"{DP_BLOCKS}[offset]",)),
+    Mutant("dp-near-diagonal-run-dropped", "oracle.py",
+           "near = np.maximum(whole * block, levels - 1)", "near = np.full_like(levels, hi - 1)",
+           (f"{DP_BLOCKS}[paper-eval]", "tests/test_oracle.py::TestDpPin")),
 )
 
 
@@ -169,12 +215,21 @@ def main(argv) -> int:
             path = work / "src" / "cbquant" / m.file
             path.write_text(path.read_text().replace(m.source, m.replacement))
             start = time.perf_counter()
-            codes[m.name] = code = pytest_exit(work, m.killers)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"RUNNER FAILURE (pytest exit {code})")
-            print(f"{m.name:36} {verdict:8} {time.perf_counter() - start:6.1f} s  {' '.join(m.killers)}", flush=True)
+            codes[m] = code = pytest_exit(work, m.killers)
+            print(f"{m.name:36} {verdict(m, code):20} {time.perf_counter() - start:6.1f} s  {' '.join(m.killers)}",
+                  flush=True)
     if any(code not in (0, 1) for code in codes.values()):
         return 2
-    return 1 if 0 in codes.values() else 0
+    return 1 if any(code != (0 if m.expected_survivor else 1) for m, code in codes.items()) else 0
+
+
+def verdict(m: Mutant, code: int) -> str:
+    """What pytest exit ``code`` on the killers of mutant ``m`` means."""
+    if code not in (0, 1):
+        return f"RUNNER FAILURE (pytest exit {code})"
+    if m.expected_survivor:
+        return "survived (expected)" if code == 0 else "KILLED (expected to survive)"
+    return "killed" if code == 1 else "SURVIVED"
 
 
 if __name__ == "__main__":

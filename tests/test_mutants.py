@@ -31,3 +31,13 @@ def test_each_killer_names_a_test_that_exists(mutant):
 
 def test_names_are_distinct():
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+
+
+@pytest.mark.parametrize("code,verdict,exit_code", [(0, "survived (expected)", 0),
+                                                    (1, "KILLED (expected to survive)", 1)])
+def test_an_expected_survivor_passes_the_run_only_when_it_survives(monkeypatch, capsys, code, verdict, exit_code):
+    survivor = next(m for m in mutants.MUTANTS if m.expected_survivor)
+    codes = iter([0, code])  # the unmutated selection passes; then the mutant's run
+    monkeypatch.setattr(mutants, "pytest_exit", lambda work, node_ids: next(codes))
+    assert mutants.main(["mutants.py", survivor.name]) == exit_code
+    assert verdict in capsys.readouterr().out

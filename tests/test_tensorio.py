@@ -316,6 +316,16 @@ class TestDirectoryWrites:
             tensorio.write_bundle(tmp_path / "x.bin", {"w": np.ones(3)})
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("writer", ["bundle", "quantized"])
+    def test_a_name_the_readers_refuse_writes_nothing(self, tmp_path, writer):
+        # The readers accept only string names; the writers must refuse the rest up front.
+        with pytest.raises(ManifestMismatchError, match="distinct strings"):
+            if writer == "bundle":
+                tensorio.write_bundle(tmp_path / "b.json", {1: np.ones(2, np.float32)})
+            else:
+                tensorio.write_quantized(tmp_path / "q", {2: tensorio.write_cbq(golden_tensor())})
+        assert not any(tmp_path.iterdir())
+
     def test_bundle_payload_is_held_once(self, tmp_path):
         tensor = np.random.default_rng(0).normal(size=1 << 20).astype(np.float32)  # 4 MiB
         path = tmp_path / "big.json"
