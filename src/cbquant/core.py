@@ -7,7 +7,7 @@ float32, matching the on-disk format.
 
 Randomized operations draw from a PCG64 stream (``numpy.random.default_rng``)
 whose seed is derived deterministically from ``(seed, tensor_name,
-group_index)``, so results never depend on scheduling or thread count.
+group_index)``, so results never depend on scheduling or worker count.
 """
 
 import bisect
@@ -485,7 +485,7 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
     order: 12 bytes an element, 8 with a given order.  To locate a pick,
     ``table[row, chunk]`` sums ``d2`` over the sorted positions of one row
     (``side`` consecutive ones) whose elements lie in one chunk (``width``
-    consecutive elements, a quarter of ``side``); a pick recomputes the
+    consecutive elements, a 32nd of ``side``); a pick recomputes the
     rows its range touched.  The column totals are the chunk sums of ``d2``
     in element order, so ``_certified_pick`` finds the pick's chunk from
     them and accumulates that chunk, recomputed in element order from the
@@ -521,11 +521,12 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator,
         return s + int(arr.take(perm[s : s + step]).searchsorted(x, side))
 
     # Rows of `side` sorted positions and chunks of `width` elements, a
-    # quarter as long, so that the table holds at most n/16 cells.
-    side = 8
-    while side < n and (-(-n // side)) ** 2 > n / 64:
+    # 32nd as long: the table holds at most n/8 cells, and the chunk that
+    # each pick reads in element order stays short.
+    side = 32
+    while side < n and (-(-n // side)) ** 2 > n / 256:
         side *= 2
-    width = side // 4
+    width = side // 32
     rows, cols = -(-n // side), -(-n // width)
     # Zeros, though the first pick writes every row: a row that an update
     # wrongly skipped would read the same on every run, not whatever the heap
@@ -810,7 +811,7 @@ def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels, order=None,
     ``perm``; the sums run in element order either way.  ``wide``, an intp
     array of ``arr.size``, takes the uint8 labels of an order for the sums;
     without it ``bincount`` would widen them into a new array on every
-    step, which fragments a worker thread's heap.
+    step, which fragments the heap.
     """
     if order is None:
         # _assign's int64 labels live only for the sums and the change test.

@@ -1,4 +1,4 @@
-"""A standing mutation check for the certified fast paths, the exact DP and CBQ I/O.
+"""A standing mutation check for the certified fast paths, the exact DP, CBQ I/O and the CLI's workers.
 
 The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
 margins, block sums that cover every element, widened update ranges and strict
@@ -12,6 +12,8 @@ slack, is strictly above a computed candidate; the near-diagonal starts are
 always evaluated.  The CBQ reader and writer of
 ``tensorio`` walk labels in chunks, counting occupancy and unpacking pieces of
 rows at byte offsets, and check a blob's length before they allocate for it.
+The CLI's worker map puts each forked child's results back at that child's
+jobs and passes on the exception that stopped a child.
 Each entry of ``MUTANTS`` breaks one of them in a copy of the source: it
 names the file under ``src/cbquant``, the exact source text (which occurs
 there exactly once), its replacement and the pytest node ids that must kill
@@ -56,6 +58,7 @@ ROUNDING = "test_draws_within_rounding_of_a_prefix_match_the_sequential_pick"
 CHUNKED = f"{LOOPS}::test_every_pick_on_the_chunked_sequential_path_gives_the_same_bytes"
 CBQ_CHUNKS = "tests/test_tensorio.py::TestCbqFormat::test_chunked_unpack_round_trips"
 DP_BLOCKS = "tests/test_oracle.py::TestDpAgainstBlockReference::test_tables_bit_identical"
+WORKERS = "tests/test_cli.py::TestWorkerProcesses"
 DP_FIXED = ("tests/test_oracle.py::TestDpPin",
             "tests/test_oracle.py::TestDpAgainstScalarReference::test_bit_identical_n1500")
 
@@ -178,6 +181,13 @@ MUTANTS = (
     Mutant("dp-near-diagonal-run-dropped", "oracle.py",
            "near = np.maximum(whole * block, levels - 1)", "near = np.full_like(levels, hi - 1)",
            (f"{DP_BLOCKS}[paper-eval]", "tests/test_oracle.py::TestDpPin")),
+    Mutant("worker-results-misplaced", "cli.py",
+           "results[w::workers] = done", "results[w - 1::workers] = done",
+           (f"{WORKERS}::test_results_come_back_in_job_order",)),
+    Mutant("child-error-dropped", "cli.py",
+           "pickle.dump((done, error), pipe", "pickle.dump((done, None) if error is None else ([], None), pipe",
+           (f"{WORKERS}::test_the_first_failing_job_raises_its_error_from_a_child",
+            f"{WORKERS}::test_a_child_error_exits_3_and_writes_nothing")),
 )
 
 

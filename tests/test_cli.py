@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cbquant import cli, core, grouping, tensorio
+from cbquant.errors import BadConfigError, NonFiniteInputError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -261,6 +262,8 @@ class TestSweepCommand:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_one_order_per_tensor_and_one_linear_run_per_bit_width(self, gaussian_bundle, capsys, monkeypatch):
+        # One process: the counters below live in it, and a worker process's calls never reach them.
+        monkeypatch.setenv("CBQUANT_THREADS", "1")
         quantized, orders = [], []
         quantize_grouped, value_order = grouping.quantize_grouped, grouping.ValueOrder
 
@@ -452,6 +455,111 @@ class TestHostileManifests:
         bundle.write_text(json.dumps(manifest))
         code, out = run_cli(capsys, "stats", str(bundle), str(bundle))
         assert (code, out) == (3, "")
+
+
+class TestWorkerProcesses:
+    """``cli._parallel_map`` forks its workers, gives back results in job order
+    and the first failing job's exception, and reaps every child on every path."""
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        # Three CPUs whatever the machine has, so that every count below forks.
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("jobs", [0, 1, 2, 7])
+    def test_results_come_back_in_job_order(self, monkeypatch, workers, jobs):
+        monkeypatch.setenv("CBQUANT_THREADS", str(workers))
+        results = cli._parallel_map(lambda job: (job, os.getpid()), range(jobs))
+        assert [job for job, _ in results] == list(range(jobs))
+        # Job i runs in worker i % W: the parent at 0, one child for each other remainder.
+        used = max(1, min(workers, jobs))
+        pids = [pid for _, pid in results]
+        assert [pid == os.getpid() for pid in pids] == [i % used == 0 for i in range(jobs)]
+        assert len(set(pids)) == min(workers, jobs)
+        self.assert_no_child_left()
+
+    def test_the_first_failing_job_raises_its_error_from_a_child(self, monkeypatch):
+        monkeypatch.setenv("CBQUANT_THREADS", "2")
+        parent = os.getpid()
+
+        def job(i):
+            if i >= 3:  # job 3 runs in the child, job 4 in the parent
+                raise BadConfigError(f"job {i} in {'the parent' if os.getpid() == parent else 'a child'}")
+            return i
+
+        with pytest.raises(BadConfigError, match="^job 3 in a child$"):
+            cli._parallel_map(job, range(6))
+        self.assert_no_child_left()
+
+    def test_a_child_error_exits_3_and_writes_nothing(self, gaussian_bundle, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CBQUANT_THREADS", "2")
+        parent, quantize_grouped = os.getpid(), grouping.quantize_grouped
+
+        def failing(tensor, cfg, tensor_name=""):
+            if os.getpid() != parent:
+                raise NonFiniteInputError(f"{tensor_name} failed in a child")
+            return quantize_grouped(tensor, cfg, tensor_name)
+
+        monkeypatch.setattr(grouping, "quantize_grouped", failing)
+        out = tmp_path / "q"
+        assert cli.main(["quantize", str(gaussian_bundle), "-o", str(out), "--bits", "2"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "cbquant: error: layer.0.weight failed in a child\n")
+        assert not out.exists()
+        self.assert_no_child_left()
+
+    def test_a_child_that_dies_exits_4_and_writes_nothing(self, gaussian_bundle, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CBQUANT_THREADS", "2")
+        parent, quantize_grouped = os.getpid(), grouping.quantize_grouped
+
+        def dying(tensor, cfg, tensor_name=""):
+            if os.getpid() != parent:
+                os._exit(1)
+            return quantize_grouped(tensor, cfg, tensor_name)
+
+        monkeypatch.setattr(grouping, "quantize_grouped", dying)
+        out = tmp_path / "q"
+        assert cli.main(["quantize", str(gaussian_bundle), "-o", str(out), "--bits", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ended without a result (exit status 1)" in captured.err
+        assert not out.exists()
+        self.assert_no_child_left()
+
+    # (CBQUANT_THREADS, then the count for 8 CPUs and 3 jobs, and for 2 CPUs and 100 jobs).
+    @pytest.mark.parametrize("raw,few_jobs,few_cpus", [("0", 1, 1), ("-3", 1, 1), ("x", 3, 2),
+                                                       ("100000", 3, 2), ("2", 2, 2)])
+    def test_worker_count_stays_within_the_cpus_and_the_jobs(self, raw, few_jobs, few_cpus):
+        assert cli._worker_count(raw, 8, 3) == few_jobs
+        assert cli._worker_count(raw, 2, 100) == few_cpus
+        assert cli._worker_count(raw, 1, 1) == 1
+        assert cli._worker_count(raw, 8, 0) == 1  # no job: the parent alone, with nothing to run
+
+
+class TestStartup:
+    ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def test_importing_the_cli_loads_no_training_and_no_pool(self):
+        code = ("import sys, cbquant.cli; "
+                "print([m for m in ('cbquant.training', 'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=self.ENV, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_help_still_imports_numpy_and_core(self):
+        # What every real command imports, so that a --help launch times the same start-up.
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cbquant.cli", "--help"], env=self.ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: cbquant")
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert {"numpy", "cbquant.core"} <= imported
+        assert "cbquant.training" not in imported
 
 
 class TestQuantizeOutput:
