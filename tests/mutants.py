@@ -13,7 +13,8 @@ always evaluated.  The CBQ reader and writer of
 ``tensorio`` walk labels in chunks, counting occupancy and unpacking pieces of
 rows at byte offsets, and check a blob's length before they allocate for it.
 The CLI's worker map puts each forked child's results back at that child's
-jobs and passes on the exception that stopped a child.
+jobs, passes on the exception that stopped a child, and stops a child whose
+parent has died.
 Each entry of ``MUTANTS`` breaks one of them in a copy of the source: it
 names the file under ``src/cbquant``, the exact source text (which occurs
 there exactly once), its replacement and the pytest node ids that must kill
@@ -188,6 +189,9 @@ MUTANTS = (
            "pickle.dump((done, error), pipe", "pickle.dump((done, None) if error is None else ([], None), pipe",
            (f"{WORKERS}::test_the_first_failing_job_raises_its_error_from_a_child",
             f"{WORKERS}::test_a_child_error_exits_3_and_writes_nothing")),
+    Mutant("orphan-check-dropped", "cli.py",
+           "if os.getppid() != parent:", "if os.getppid() != parent and False:",
+           (f"{WORKERS}::test_a_child_whose_parent_is_killed_stops_after_its_job",)),
 )
 
 

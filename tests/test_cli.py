@@ -6,9 +6,11 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -532,6 +534,49 @@ class TestWorkerProcesses:
         assert not out.exists()
         self.assert_no_child_left()
 
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                        reason="needs os.fork and /proc")
+    def test_a_child_whose_parent_is_killed_stops_after_its_job(self, tmp_path):
+        # 24 jobs of 0.2 s at W=2: the child's share takes 2.4 s; killed, it should leave after the one in hand.
+        log = tmp_path / "pids"
+        code = ("import os, sys, time; from cbquant import cli\n"
+                "cli._available_cpus = lambda: 2\n"
+                "def job(i):\n"
+                "    with open(sys.argv[1], 'a') as f: f.write(f'{os.getpid()}\\n')\n"
+                "    time.sleep(0.2)\n"
+                "cli._parallel_map(job, list(range(24)))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), CBQUANT_THREADS="2")
+        proc = subprocess.Popen([sys.executable, "-c", code, str(log)], env=env)
+        child = None
+        try:
+            deadline = time.monotonic() + 60
+            while child is None and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.01)
+                lines = log.read_text().split("\n")[:-1] if log.exists() else []  # whole lines only
+                pids = {int(line) for line in lines}
+                child = next(iter(pids - {proc.pid}), None)
+            assert child is not None, "the worker never started a job"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 1.5
+            while not self.exited(child) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert self.exited(child)
+        finally:  # leave no process running, whatever failed
+            proc.kill()
+            proc.wait()
+            if child is not None and not self.exited(child):
+                os.kill(child, signal.SIGKILL)
+
+    @staticmethod
+    def exited(pid):
+        """Whether ``pid`` has no process or only a zombie, one that exited but is not yet reaped."""
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
     # (CBQUANT_THREADS, then the count for 8 CPUs and 3 jobs, and for 2 CPUs and 100 jobs).
     @pytest.mark.parametrize("raw,few_jobs,few_cpus", [("0", 1, 1), ("-3", 1, 1), ("x", 3, 2),
                                                        ("100000", 3, 2), ("2", 2, 2)])
@@ -547,7 +592,15 @@ class TestStartup:
 
     def test_importing_the_cli_loads_no_training_and_no_pool(self):
         code = ("import sys, cbquant.cli; "
-                "print([m for m in ('cbquant.training', 'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+                "print([m for m in ('cbquant.training', 'concurrent.futures', 'multiprocessing', 'cbquant.oracle') "
+                "if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=self.ENV, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_importing_the_package_loads_no_submodule_and_no_numpy(self):
+        code = ("import sys, cbquant; "
+                "print(sorted(m for m in sys.modules if m.startswith('cbquant.') or m.split('.')[0] == 'numpy'))")
         proc = subprocess.run([sys.executable, "-c", code], env=self.ENV, capture_output=True, text=True,
                               timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -42,3 +42,10 @@ def test_public_names_are_the_package_exports(capsys):
     rows = [line.split() for line in out[:-2]]
     assert int(out[-2].split()[0]) == sum(int(count) for count, _ in rows)
     assert {name for _, name in rows} == {p.name for p in (ROOT / "src" / "cbquant").glob("*.py")}
+
+
+def test_public_names_of_a_literal_all_are_read_without_running_it(tmp_path):
+    # A literal __all__, as in older trees, is read from the syntax tree: the import below never runs.
+    init = tmp_path / "__init__.py"
+    init.write_text('import no_such_module\n\n__all__ = ["a", "b", "c"]\n')
+    assert code_lines.public_names(init) == 3

@@ -12,6 +12,7 @@ Prints one ``lines  module`` row per module, then the total and
 """
 
 import ast
+import runpy
 import sys
 import tokenize
 from pathlib import Path
@@ -44,10 +45,14 @@ def code_lines(path: Path) -> int:
 
 
 def public_names(init: Path) -> int:
-    """``len(__all__)`` as assigned in ``init``."""
+    """``len(__all__)`` as assigned in ``init``: read as a literal when it is
+    one, else by running ``init``, which must then import nothing."""
     for node in ast.parse(init.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return len(ast.literal_eval(node.value))
+            try:
+                return len(ast.literal_eval(node.value))
+            except ValueError:
+                return len(runpy.run_path(str(init))["__all__"])
     raise SystemExit(f"{init}: no __all__")
 
 
