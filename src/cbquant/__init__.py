@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("Codebook", "ErrorStats", "IndexVector", "LloydState", "QuantConfig", "QuantizedVector",
              "Scheme", "derive_stream_seed", "error_stats", "kmeans_cluster", "kmeans_quantize",
-             "kmeanspp_init", "linear_quantize", "lloyd_step", "quantize"),
+             "kmeanspp_init", "linear_quantize", "quantize"),
     "errors": ("CbqError",),
     "grouping": ("GroupedQuantizedTensor", "ValueOrder", "quantize_grouped", "reconstruct_grouped",
                  "split_groups"),

@@ -17,11 +17,10 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import BadConfigError, EmptyInputError, LengthMismatchError, NonFiniteInputError, ShapeMismatchError
+from .errors import BadConfigError, EmptyInputError, LengthMismatchError, NonFiniteInputError
 
 __all__ = [
     "Scheme",
@@ -35,7 +34,6 @@ __all__ = [
     "linear_quantize",
     "linear_quantize_rows",
     "kmeanspp_init",
-    "lloyd_step",
     "kmeans_cluster",
     "kmeans_quantize",
     "quantize",
@@ -175,12 +173,12 @@ class ErrorStats:
 
 @dataclass(frozen=True)
 class LloydState:
-    """k-means state after ``iterations`` Lloyd steps; centroids and sums stay in float64."""
+    """A finished ``kmeans_cluster`` run of ``iterations`` Lloyd steps; centroids and sums stay in float64."""
 
     centroids: np.ndarray  # float64, shape (m,)
-    labels: Optional[np.ndarray] = None  # uint8, shape (n,); None before first step
-    sse: float = math.inf
-    iterations: int = 0
+    labels: np.ndarray  # uint8, shape (n,)
+    sse: float
+    iterations: int
 
 
 def derive_stream_seed(seed: int, tensor_name: str = "", group_index: int = 0) -> int:
@@ -827,32 +825,6 @@ def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels, order=None,
     sums = np.bincount(new_labels if wide is None else wide, weights=arr, minlength=len(centroids))
     new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
     return new_centroids, new_labels.astype(np.uint8, copy=False), occupancy, changed
-
-
-def lloyd_step(v, state: LloydState) -> tuple[LloydState, bool]:
-    """One assignment + centroid-update pass of Lloyd's algorithm.
-
-    Every element moves to its nearest centroid, then each centroid with
-    members is replaced by their mean (float64 accumulation); a centroid
-    with no members keeps its previous value.  Returns the updated state
-    (with the new labels as uint8, the SSE of the new labels against the new
-    centroids, and one more iteration) and a flag that is True iff any label
-    changed.  Labels are uint8, so more than 256 centroids raise
-    ``BadConfigError``.  Centroids that are not one finite row, or labels
-    of another length than ``v``, raise before any work.
-    """
-    arr = _validate_input(v)
-    centroids = np.asarray(state.centroids, dtype=np.float64)
-    if centroids.ndim != 1:
-        raise ShapeMismatchError(f"centroids must be one row, got shape {centroids.shape}")
-    if not 1 <= len(centroids) <= 256:
-        raise BadConfigError(f"lloyd_step requires 1 to 256 centroids, got {len(centroids)}")
-    if not np.isfinite(centroids).all():
-        raise NonFiniteInputError("centroids contain NaN or infinity")
-    if state.labels is not None and np.shape(state.labels) != arr.shape:
-        raise LengthMismatchError(f"labels of shape {np.shape(state.labels)} for {arr.size} elements")
-    centroids, labels, _, changed = _lloyd_update(arr, centroids, state.labels)
-    return LloydState(centroids, labels, _state_sse(arr, labels, centroids), state.iterations + 1), changed
 
 
 def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:

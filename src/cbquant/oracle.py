@@ -173,6 +173,8 @@ def _dp_tables(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, k_max: int) -> tup
             # k-1 is complete here for every start below hi - 1.
             first = max(lo, k)
             kept_cost = cost[first - lo :]
+            if b_k == near_k:  # the runs touch: one run from a_k
+                b_k = near_k = a_k
             span = b_k - a_k
             cand = work_buf[: (hi - first) * (span + hi - 1 - near_k)].reshape(hi - first, -1)
             np.add(dp[k - 1, a_k:b_k], kept_cost[:, a_k - low : b_k - low], out=cand[:, :span])

@@ -9,9 +9,10 @@ labels.  The exact DP of ``oracle._dp_tables`` takes the first minimum over
 the same candidates as the scalar recurrence, and skips a block of starts
 only when a lower bound, widened by the cost error bound and a rounding
 slack, is strictly above a computed candidate; the near-diagonal starts are
-always evaluated.  The CBQ reader and writer of
-``tensorio`` walk labels in chunks, counting occupancy and unpacking pieces of
-rows at byte offsets, and check a blob's length before they allocate for it.
+always evaluated, in one run with the kept starts when the two touch.  The
+CBQ reader and writer of ``tensorio`` walk labels in chunks, counting
+occupancy and unpacking pieces of rows at byte offsets, and check a blob's
+length before they allocate for it.
 The CLI's worker map puts each forked child's results back at that child's
 jobs, passes on the exception that stopped a child, and stops a child whose
 parent has died.
@@ -182,6 +183,9 @@ MUTANTS = (
     Mutant("dp-near-diagonal-run-dropped", "oracle.py",
            "near = np.maximum(whole * block, levels - 1)", "near = np.full_like(levels, hi - 1)",
            (f"{DP_BLOCKS}[paper-eval]", "tests/test_oracle.py::TestDpPin")),
+    Mutant("dp-joined-run-skips-its-first-start", "oracle.py",
+           "b_k = near_k = a_k\n", "b_k, near_k = a_k, a_k + 1\n",
+           DP_FIXED + (f"{DP_BLOCKS}[paper-eval]", f"{DP_BLOCKS}[n1000]")),
     Mutant("worker-results-misplaced", "cli.py",
            "results[w::workers] = done", "results[w - 1::workers] = done",
            (f"{WORKERS}::test_results_come_back_in_job_order",)),

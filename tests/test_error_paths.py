@@ -68,9 +68,6 @@ def bad_scheme_id_blob():
                  id="GroupedQuantizedTensor.shape.int"),
     pytest.param(ManifestMismatchError, "offset of 'w' must be >= 0, got -4", lambda: read_bundle_with(offset=-4),
                  id="read_bundle.offset"),
-    pytest.param(LengthMismatchError, r"labels of shape \(1, 3\) for 3 elements",
-                 lambda: core.lloyd_step([1.0, 2.0, 3.0], core.LloydState(np.array([1.0, 3.0]), np.array([[0, 1, 1]]))),
-                 id="lloyd_step.labels"),
     pytest.param(LabelOverflowError, r"labels must lie in \[0, 4\)", lambda: tensorio.pack_indices([4], 2),
                  id="pack_indices.labels"),
     pytest.param(BadConfigError, "max_iterations must fit in an unsigned 32-bit integer, got 4294967296",

@@ -159,6 +159,7 @@ BLOCK_CASES = {
     "k3": (_rng(8).normal(size=2000), 3),
     "k256": (_rng(9).normal(size=2000), 256),
     "n37": (_rng(10).normal(size=37), 16),
+    "n1000": (_rng(12).normal(0.0, 0.02, size=1000), 16),  # the runs touch at 111 of 120 levels
     "n10000": (_rng(11).normal(0.0, 0.02, size=10_000), 16),
 }
 

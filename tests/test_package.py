@@ -11,14 +11,14 @@ PUBLIC_NAMES = [
     "CbqError", "Codebook", "ErrorStats", "GroupedQuantizedTensor", "IndexVector", "LloydState",
     "OptimalClustering", "QuantConfig", "QuantizedVector", "Scheme", "ValueOrder", "__version__",
     "compression_ratio", "derive_stream_seed", "dp_optimal_quantize", "error_stats", "kmeans_cluster",
-    "kmeans_quantize", "kmeanspp_init", "linear_quantize", "lloyd_step", "pack_indices", "partition_cost",
+    "kmeans_quantize", "kmeanspp_init", "linear_quantize", "pack_indices", "partition_cost",
     "quantize", "quantize_grouped", "read_bundle", "read_cbq", "reconstruct_grouped", "split_groups",
     "unpack_indices", "write_bundle", "write_cbq",
 ]
 
 
 def test_the_public_names_are_the_pinned_set():
-    assert len(cbquant.__all__) == len(set(cbquant.__all__)) == 32
+    assert len(cbquant.__all__) == len(set(cbquant.__all__)) == 31
     assert sorted(cbquant.__all__) == PUBLIC_NAMES
 
 
@@ -26,6 +26,14 @@ def test_the_public_names_are_the_pinned_set():
 def test_each_name_is_the_object_of_its_module(name):
     module = importlib.import_module(f"cbquant.{cbquant._MODULE[name]}")
     assert getattr(cbquant, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("module", ["core", "grouping", "tensorio", "oracle", "training"])
+def test_every_listed_name_exists_and_every_export_is_listed(module):
+    # Tracers look up every name of a module's __all__, so a stale entry breaks them.
+    mod = importlib.import_module(f"cbquant.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert set(cbquant._EXPORTS.get(module, ())) <= set(mod.__all__)
 
 
 def test_a_rebinding_in_the_module_shows_through_the_package(monkeypatch):

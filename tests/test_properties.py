@@ -47,12 +47,13 @@ def test_kmeans_output_invariants(values, bits, seed):
 def test_lloyd_descent(values, bits, seed):
     v = np.asarray(values)
     rng = np.random.default_rng(seed)
-    state = core.LloydState(core.kmeanspp_init(v, 2**bits, rng))
+    centroids, labels = core.kmeanspp_init(v, 2**bits, rng), None
     previous = np.inf
     for _ in range(8):
-        state, changed = core.lloyd_step(v, state)
-        assert state.sse <= previous
-        previous = state.sse
+        centroids, labels, _, changed = core._lloyd_update(v, centroids, labels)
+        sse = core._state_sse(v, labels, centroids)
+        assert sse <= previous
+        previous = sse
         if not changed:
             break
 
