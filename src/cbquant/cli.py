@@ -228,27 +228,36 @@ def cmd_sweep(args) -> int:
     inputs = {name: grouping.ValueOrder(t, args.groups) if "kmeans" in schemes else t
               for name, t in tensors.items()}
     count = sum(t.size for t in tensors.values())
-    # Each output row, in sorted order, and the job that computes its MSE.
-    # Linear quantization reads no seed: one job per bit width serves every seed's row.
-    rows = {(s, b, seed): (s, b, seed if s == "kmeans" else seeds[0])
-            for s in schemes for b in bit_widths for seed in seeds}
+    # One job per (scheme, tensor, seed) returns the tensor's SSE at every bit width.  k-means
+    # draws its k-means++ picks once per job for all of them; linear reads no seed, so one job
+    # per tensor serves every seed's row.
+    jobs = [(s, name, seed) for s in schemes for name in tensors for seed in (seeds if s == "kmeans" else seeds[:1])]
 
     def work(job):
-        scheme, bits, seed = job
-        cfg = core.QuantConfig(scheme=core.Scheme[scheme.upper()], bits=bits,
-                               max_iterations=args.iters, seed=seed, group_count=args.groups)
-        sse = 0.0
-        for name, x in inputs.items():
-            sse += _grouped_sse(tensors[name], grouping.quantize_grouped(x, cfg, tensor_name=name))
-        return sse / count
+        scheme, name, seed = job
+        cfgs = [core.QuantConfig(scheme=core.Scheme[scheme.upper()], bits=bits, max_iterations=args.iters,
+                                 seed=seed, group_count=args.groups) for bits in bit_widths]
+        if scheme == "kmeans":
+            results = grouping._kmeans_widths(inputs[name], cfgs, name)
+        else:
+            results = (grouping.quantize_grouped(inputs[name], cfg, tensor_name=name) for cfg in cfgs)
+        return [_grouped_sse(tensors[name], g) for g in results]
 
-    jobs = sorted(set(rows.values()))
-    mse = dict(zip(jobs, _parallel_map(work, jobs)))
+    sse = dict(zip(jobs, _parallel_map(work, jobs)))
+    # Each output row, in sorted order, and its MSE: the tensors' SSEs at its bit width, added in name order.
+    mse = {}
+    for s in schemes:
+        for w, bits in enumerate(bit_widths):
+            for seed in seeds:
+                total = 0.0
+                for name in tensors:
+                    total += sse[s, name, seed if s == "kmeans" else seeds[0]][w]
+                mse[s, bits, seed] = total / count
     if args.format == "csv":
-        _emit(["scheme", "bits", "seed", "mse"], [[*row, f"{mse[job]:.9g}"] for row, job in rows.items()], "csv")
+        _emit(["scheme", "bits", "seed", "mse"], [[*row, f"{m:.9g}"] for row, m in mse.items()], "csv")
     else:
         _emit(["bits"] + [f"{s}_mse" for s in schemes],
-              [[b] + [f"{np.mean([mse[rows[s, b, seed]] for seed in seeds]):.9g}" for s in schemes]
+              [[b] + [f"{np.mean([mse[s, b, seed] for seed in seeds]):.9g}" for s in schemes]
                for b in bit_widths], "table")
     return 0
 

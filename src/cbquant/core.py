@@ -188,7 +188,11 @@ def derive_stream_seed(seed: int, tensor_name: str = "", group_index: int = 0) -
     this format) can reproduce each group's stream: BLAKE2b with an 8-byte
     digest over ``seed`` (u64 LE) || ``tensor_name`` (UTF-8) || ``group_index``
     (u64 LE), read back as a little-endian integer.  The stream itself is
-    PCG64 as constructed by ``numpy.random.default_rng``.
+    PCG64 as constructed by ``numpy.random.default_rng``.  The bit width is
+    not part of the seed: a group's k-means++ picks at ``2**b`` clusters are
+    the first ``2**b`` of its picks at any wider width, so a sweep over bit
+    widths draws once per group, at its largest width.  An implementation
+    that reproduces a sweep must leave the width out of the seed too.
     """
     seed, group_index = _integer("seed", seed, 0, _U64_MAX), _integer("group_index", group_index, 0, _U64_MAX)
     if not isinstance(tensor_name, str):
@@ -583,6 +587,9 @@ def _dense_assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 _ASSIGN_CHUNK = 1 << 16
+# A Lloyd step on a value order widens this many indices at a time for each
+# scatter: a scatter through intp indices runs faster than through int32.
+_SCATTER_CHUNK = 1 << 13
 # Calls with at most this many (element, centroid) pairs go to _dense_assign,
 # which is then cheaper than building the threshold table.
 _DENSE_PAIRS = 12288
@@ -758,29 +765,37 @@ def _assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _sorted_assign(values: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_assign`` of the ascending ``values`` as uint8 labels, and each
-    cluster's member count.
+def _sorted_runs(values: np.ndarray, centroids: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """``_assign`` of the ascending ``values`` as runs, and each cluster's
+    member count.
 
-    Between consecutive thresholds of ``_switch_points`` the label is one
-    run's, so one ``searchsorted`` of the thresholds into ``values`` cuts
-    the labels into runs, whose lengths are the counts.  The values outside
-    the band, a prefix and a suffix, go to ``_dense_assign``.
+    The runs are ``(starts, labels)``: ``labels[r]`` is the label of
+    ``values[starts[r] : starts[r + 1]]``, the last run reaching the end.
+    The starts ascend from 0, and a run may be empty.  Between consecutive
+    thresholds of ``_switch_points`` the label is one run's, so one
+    ``searchsorted`` of the thresholds into ``values`` cuts them into runs.
+    The values outside the band, a prefix and a suffix, go to
+    ``_dense_assign``, whose labels are cut into runs where they change.
     """
     t, rep, band_lo, band_hi = _switch_points(centroids)
     n = values.size
-    lengths = np.diff(values.searchsorted(t), prepend=0, append=n)
-    labels = np.repeat(rep.astype(np.uint8), lengths)
-    far = [part for part in (slice(0, values.searchsorted(band_lo)), slice(values.searchsorted(band_hi, "right"), n))
-           if part.start < part.stop]
-    for part in far:
-        with np.errstate(over="ignore"):
-            labels[part] = _dense_assign(values[part], centroids)
-    if far:
-        return labels, np.bincount(labels, minlength=len(centroids))
+    starts, labels = np.append(0, values.searchsorted(t)), rep
+    # The band may be empty, and then every value is outside it.
+    lo = int(values.searchsorted(band_lo))
+    hi = max(lo, int(values.searchsorted(band_hi, "right")))
+    if lo or hi < n:
+        def dense_runs(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+            with np.errstate(over="ignore"):
+                dense = _dense_assign(values[s:e], centroids)
+            first = np.flatnonzero(np.diff(dense, prepend=-1))  # labels are >= 0
+            return s + first, dense[first]
+
+        # The band's runs, clipped to it, between the runs of the values below and above it.
+        runs = dense_runs(0, lo), (np.clip(starts, lo, hi), labels), dense_runs(hi, n)
+        starts, labels = (np.concatenate(part) for part in zip(*runs))
     occupancy = np.zeros(len(centroids), dtype=np.intp)
-    occupancy[rep] = lengths  # each run's representative is its own label
-    return labels, occupancy
+    np.add.at(occupancy, labels, np.diff(starts, append=n))
+    return (starts, labels), occupancy
 
 
 def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
@@ -797,34 +812,68 @@ def _state_sse(arr: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> fl
     return float(np.sum(np.square(diff, out=diff)))
 
 
-def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels, order=None,
-                  wide=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+def _lloyd_update(arr: np.ndarray, centroids: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Assign every element to its nearest centroid, then move each centroid with members to their mean.
 
     Returns the new centroids, the new labels as uint8, their member counts,
     and whether any label differs from ``labels`` (always True when
-    ``labels`` is None).  The labels are ``_assign``'s, or with ``order``,
-    ``(perm, values)`` as ``_kmeanspp_sorted`` takes it, the same labels
-    taken in value order (``_sorted_assign``) and scattered through
-    ``perm``; the sums run in element order either way.  ``wide``, an intp
-    array of ``arr.size``, takes the uint8 labels of an order for the sums;
-    without it ``bincount`` would widen them into a new array on every
-    step, which fragments the heap.
+    ``labels`` is None).
     """
-    if order is None:
-        # _assign's int64 labels live only for the sums and the change test.
-        new_labels = _assign(arr, centroids)
-        occupancy = np.bincount(new_labels, minlength=len(centroids))
-    else:
-        perm, values = order
-        new_labels = np.empty(arr.size, dtype=np.uint8)
-        new_labels[perm], occupancy = _sorted_assign(values, centroids)
+    # _assign's int64 labels live only for the sums and the change test.
+    new_labels = _assign(arr, centroids)
+    occupancy = np.bincount(new_labels, minlength=len(centroids))
     changed = labels is None or bool(np.any(new_labels != labels))
-    if wide is not None:
-        np.copyto(wide, new_labels)
-    sums = np.bincount(new_labels if wide is None else wide, weights=arr, minlength=len(centroids))
+    sums = np.bincount(new_labels, weights=arr, minlength=len(centroids))
     new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
-    return new_centroids, new_labels.astype(np.uint8, copy=False), occupancy, changed
+    return new_centroids, new_labels.astype(np.uint8), occupancy, changed
+
+
+def _sorted_lloyd_update(arr: np.ndarray, order):
+    """``_lloyd_update`` of ``arr`` in value order ``(perm, values)``, as
+    ``_kmeans_cluster`` calls it, with the same bytes.
+
+    The labels come as runs of the ascending values (``_sorted_runs``), and
+    the member counts from the runs' lengths.  Each step compares its runs
+    with the previous step's, which is all it keeps of them, and scatters
+    through ``perm`` only the stretches whose label moved, into the uint8
+    labels in element order and into an intp copy of them that the sums
+    read, so that ``bincount`` does not allocate one on every step.  Before
+    the first step no label is set: it scatters every run, then widens the
+    labels in one pass.  Whether any label moved is the step's change test.
+    """
+    perm, values = order
+    n = arr.size
+    wide = np.empty(n, dtype=np.intp)
+    runs = (np.zeros(1, dtype=np.intp), np.full(1, -1))  # before the first step: no label
+
+    def update(centroids: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        nonlocal runs
+        first = labels is None
+        if first:
+            labels = np.empty(n, dtype=np.uint8)
+        old_starts, old_labels = runs
+        runs, occupancy = _sorted_runs(values, centroids)
+        starts, run_labels = runs
+        # Each stretch between the starts of either step's runs has one label before and one after;
+        # a start in both gives an empty stretch, which moves with the one after it.
+        bounds = np.sort(np.concatenate((old_starts, starts)))
+        bounds = bounds[bounds < n]
+        new = run_labels[starts.searchsorted(bounds, "right") - 1]
+        moved = np.flatnonzero(old_labels[old_starts.searchsorted(bounds, "right") - 1] != new)
+        stops = np.append(bounds[1:], n)
+        for start, stop, label in zip(bounds[moved].tolist(), stops[moved].tolist(), new[moved].tolist()):
+            for s in range(start, stop, _SCATTER_CHUNK):
+                index = perm[s : min(stop, s + _SCATTER_CHUNK)].astype(np.intp)
+                labels[index] = label
+                if not first:
+                    wide[index] = label
+        if first:
+            np.copyto(wide, labels)
+        sums = np.bincount(wide, weights=arr, minlength=len(centroids))
+        new_centroids = np.divide(sums, occupancy, out=centroids.copy(), where=occupancy > 0)
+        return new_centroids, labels, occupancy, moved.size > 0
+
+    return update
 
 
 def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> LloydState:
@@ -838,48 +887,49 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     returned state.
     """
     arr = _validate_input(v)
-    centroids, labels, _, iterations = _kmeans_cluster(arr, cfg, tensor_name, group_index)
+    init = kmeanspp_init(arr, cfg.n_levels, _kmeans_stream(cfg, tensor_name, group_index))
+    centroids, labels, _, iterations = _kmeans_cluster(arr, init, cfg.max_iterations)
     return LloydState(centroids, labels, _state_sse(arr, labels, centroids), iterations)
 
 
-def _kmeans_cluster(arr: np.ndarray, cfg: QuantConfig, tensor_name: str, group_index: int,
-                    order=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``kmeans_cluster`` of the checked float64 ``arr``, unscored: the final
-    centroids, uint8 labels, their member counts and the steps run.  With
-    ``order``, ``(perm, values)`` as ``_kmeanspp_sorted`` takes it, k-means++
-    runs the sorted loop on it and every assignment takes its labels in
-    value order."""
+def _kmeans_stream(cfg: QuantConfig, tensor_name: str, group_index: int) -> np.random.Generator:
+    """The k-means++ stream of one group, once ``cfg`` is checked to be a k-means config."""
     if cfg.scheme is not Scheme.KMEANS:
         raise BadConfigError("k-means operations require cfg.scheme == Scheme.KMEANS")
-    rng = np.random.default_rng(derive_stream_seed(cfg.seed, tensor_name, group_index))
-    if order is None:
-        centroids = kmeanspp_init(arr, cfg.n_levels, rng)
-    else:
-        centroids = _kmeanspp_sorted(arr, cfg.n_levels, rng, order)
+    return np.random.default_rng(derive_stream_seed(cfg.seed, tensor_name, group_index))
 
+
+def _kmeans_cluster(arr: np.ndarray, centroids: np.ndarray, max_iterations: int,
+                    order=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """At most ``max_iterations`` Lloyd steps on the checked float64 ``arr``
+    from the initial ``centroids``, unscored: the final centroids, uint8
+    labels, their member counts and the steps run.  With ``order``,
+    ``(perm, values)`` as ``_kmeanspp_sorted`` takes it, every assignment
+    takes its labels in value order (``_sorted_lloyd_update``)."""
+    update = (lambda c, labels: _lloyd_update(arr, c, labels)) if order is None else _sorted_lloyd_update(arr, order)
     labels, iterations = None, 0
-    wide = None if order is None or not cfg.max_iterations else np.empty(arr.size, dtype=np.intp)
-    while iterations < cfg.max_iterations:
-        centroids, labels, occupancy, changed = _lloyd_update(arr, centroids, labels, order, wide)
+    while iterations < max_iterations:
+        centroids, labels, occupancy, changed = update(centroids, labels)
         iterations += 1
         if not changed:
             break
 
     if labels is None:  # max_iterations == 0: assign once, keep init centroids
-        _, labels, occupancy, _ = _lloyd_update(arr, centroids, None, order)
+        _, labels, occupancy, _ = update(centroids, None)
     return centroids, labels, occupancy, iterations
 
 
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:
     """Quantize ``v`` by k-means clustering into ``2**bits`` clusters.
 
-    ``grouping.quantize_grouped`` of a ``ValueOrder`` runs the same
-    ``_kmeans_cluster`` in value order and writes its arrays straight into
-    the grouped ones, with the same bytes.
+    ``grouping.quantize_grouped`` of a ``ValueOrder`` draws on the order's
+    sorted values and runs the same ``_kmeans_cluster`` in value order,
+    writing its arrays straight into the grouped ones, with the same bytes.
     """
     arr = _validate_input(v)
     _check_float32_range(arr.min(), arr.max())
-    centroids, labels, occupancy, _ = _kmeans_cluster(arr, cfg, tensor_name, group_index)
+    init = kmeanspp_init(arr, cfg.n_levels, _kmeans_stream(cfg, tensor_name, group_index))
+    centroids, labels, occupancy, _ = _kmeans_cluster(arr, init, cfg.max_iterations)
     return QuantizedVector(Codebook(centroids.astype(np.float32), occupancy.astype(np.uint32)), IndexVector(labels))
 
 

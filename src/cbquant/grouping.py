@@ -155,8 +155,9 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     Each chunk or group is cast to float64 on its own, never the whole tensor.
 
     ``tensor`` may be a ``ValueOrder`` of ``cfg.group_count`` groups: the
-    order's own tensor is then quantized, k-means in value order, with the
-    same output.  Linear quantization does not read the sorted values.
+    order's own tensor is then quantized, k-means in value order by
+    ``_kmeans_widths`` at one width, with the same output.  Linear
+    quantization does not read the sorted values.
     """
     order = tensor if isinstance(tensor, ValueOrder) else None
     arr = np.asarray(tensor if order is None else order.tensor)
@@ -164,10 +165,9 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     blocks = group_blocks(flat.size, cfg.group_count)  # checks G <= n before the codebooks are allocated
     if order is not None and order.group_count != cfg.group_count:
         raise ShapeMismatchError(f"the order splits {order.group_count} groups, the config {cfg.group_count}")
-    levels = (cfg.group_count, cfg.n_levels)
-    centroids = np.empty(levels, dtype=np.float32)
-    occupancy = np.empty(levels, dtype=np.uint32)
-    labels = np.empty(flat.size, dtype=np.uint8)
+    if order is not None and cfg.scheme is core.Scheme.KMEANS:
+        return next(_kmeans_widths(order, (cfg,), tensor_name))
+    centroids, occupancy, labels = _empty_result(flat.size, cfg)
     if cfg.scheme is core.Scheme.LINEAR:
         for groups, elements, length in blocks:
             rows, out = flat[elements].reshape(-1, length), labels[elements].reshape(-1, length)
@@ -179,17 +179,48 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     else:
         for i, (offset, length) in enumerate(split_groups(flat.size, cfg.group_count)):
             span = slice(offset, offset + length)
-            if order is None:
-                # Copied out of the per-vector result, whose occupancy perfbench/trace_shim.py counts.
-                qv = core.kmeans_quantize(flat[span], cfg, tensor_name, i)
-                centroids[i], occupancy[i] = qv.codebook.centroids, qv.codebook.occupancy
-                labels[span] = qv.indices.labels
-            else:  # the order checked the values; its sorted ends are the group's min and max
-                values = order.values[span]
-                core._check_float32_range(values[0], values[-1])
-                centroids[i], labels[span], occupancy[i], _ = core._kmeans_cluster(
-                    np.asarray(flat[span], dtype=np.float64), cfg, tensor_name, i, (order.perm[span], values))
+            # Copied out of the per-vector result, whose occupancy perfbench/trace_shim.py counts.
+            qv = core.kmeans_quantize(flat[span], cfg, tensor_name, i)
+            centroids[i], occupancy[i] = qv.codebook.centroids, qv.codebook.occupancy
+            labels[span] = qv.indices.labels
     return GroupedQuantizedTensor(arr.shape, cfg, centroids, occupancy, labels)
+
+
+def _empty_result(n: int, cfg: core.QuantConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The centroids, occupancy and labels arrays of a result, to be filled in."""
+    levels = (cfg.group_count, cfg.n_levels)
+    return np.empty(levels, dtype=np.float32), np.empty(levels, dtype=np.uint32), np.empty(n, dtype=np.uint8)
+
+
+def _kmeans_widths(order: ValueOrder, cfgs, tensor_name: str = ""):
+    """``quantize_grouped(order, cfg, tensor_name)`` for each k-means config
+    of ``cfgs``, which differ only in bits, from one k-means++ draw per group.
+
+    The stream of a group's draw is seeded from the seed, the tensor name
+    and the group (``core.derive_stream_seed``), not from the bit width,
+    and each pick depends only on the picks before it and the stream.  So
+    the picks at ``2**b`` clusters are the first ``2**b`` picks at ``2**B``
+    for b < B, padding included.  Each group draws once, on the order's
+    sorted values, at the widest config's cluster count, after the check
+    of its float32 range; then each config in turn runs Lloyd's steps from
+    its prefix of the picks.  Yields the results in the order of ``cfgs``,
+    one at a time, so each can be dropped before the next is built.
+    """
+    flat = np.asarray(order.tensor).reshape(-1)
+    spans = [slice(offset, offset + length) for offset, length in split_groups(flat.size, order.group_count)]
+    picks = np.empty((order.group_count, max(cfg.n_levels for cfg in cfgs)))
+    for i, span in enumerate(spans):
+        values = order.values[span]  # the order checked the values; its sorted ends are the group's min and max
+        core._check_float32_range(values[0], values[-1])
+        picks[i] = core._kmeanspp_sorted(np.asarray(flat[span], dtype=np.float64), picks.shape[1],
+                                         core._kmeans_stream(cfgs[0], tensor_name, i), (order.perm[span], values))
+    for cfg in cfgs:
+        centroids, occupancy, labels = _empty_result(flat.size, cfg)
+        for i, span in enumerate(spans):
+            centroids[i], labels[span], occupancy[i], _ = core._kmeans_cluster(
+                np.asarray(flat[span], dtype=np.float64), picks[i, : cfg.n_levels], cfg.max_iterations,
+                (order.perm[span], order.values[span]))
+        yield GroupedQuantizedTensor(np.shape(order.tensor), cfg, centroids, occupancy, labels)
 
 
 def _chunk_shape(length: int) -> tuple[int, int]:

@@ -4,8 +4,10 @@ The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
 margins, block sums that cover every element, widened update ranges and strict
 comparisons, and the nearest-centroid labels of ``core._assign`` on its
 threshold table's tie rule and the dense assignment of values outside its
-band.  Lloyd's sums on a shared value order read a reused intp copy of the
-labels.  The exact DP of ``oracle._dp_tables`` takes the first minimum over
+band.  Lloyd on a shared value order rewrites only the labels that moved
+since the last step, in the uint8 labels and in the intp copy that its sums
+read, and a sweep starts each bit width from its prefix of one k-means++
+draw.  The exact DP of ``oracle._dp_tables`` takes the first minimum over
 the same candidates as the scalar recurrence, and skips a block of starts
 only when a lower bound, widened by the cost error bound and a rounding
 slack, is strictly above a computed candidate; the near-diagonal starts are
@@ -61,6 +63,7 @@ CHUNKED = f"{LOOPS}::test_every_pick_on_the_chunked_sequential_path_gives_the_sa
 CBQ_CHUNKS = "tests/test_tensorio.py::TestCbqFormat::test_chunked_unpack_round_trips"
 DP_BLOCKS = "tests/test_oracle.py::TestDpAgainstBlockReference::test_tables_bit_identical"
 WORKERS = "tests/test_cli.py::TestWorkerProcesses"
+LLOYD_ORDERS = "tests/test_value_order.py::test_lloyd_in_value_order_matches_element_order"
 DP_FIXED = ("tests/test_oracle.py::TestDpPin",
             "tests/test_oracle.py::TestDpAgainstScalarReference::test_bit_identical_n1500")
 
@@ -146,12 +149,26 @@ MUTANTS = (
            ("tests/test_properties.py::test_assign_between_subnormal_centroids",
             "tests/test_properties.py::test_assign_splits_a_symmetric_pair_within_rounding_of_zero")),
     Mutant("sorted-assign-skips-band", "core.py",
-           "if part.start < part.stop]", "if False]",
+           "if lo or hi < n:", "if False:",
            ("tests/test_value_order.py::test_values_outside_the_band_reach_the_dense_assignment",
             "tests/test_properties.py::test_sorted_assign_matches_dense_argmin_across_the_float64_range")),
+    # The sums read labels that a later step moved in the uint8 labels only.
     Mutant("lloyd-intp-buffer-stale", "core.py",
-           "np.copyto(wide, new_labels)", "np.copyto(wide, new_labels) if labels is None else None",
-           ("tests/test_value_order.py::test_shared_order_gives_the_same_bytes",)),
+           "                    wide[index] = label\n", "                    pass\n",
+           (LLOYD_ORDERS, "tests/test_value_order.py::test_shared_order_gives_the_same_bytes")),
+    Mutant("lloyd-later-step-drops-a-moved-run", "core.py",
+           'moved = np.flatnonzero(old_labels[old_starts.searchsorted(bounds, "right") - 1] != new)',
+           'moved = np.flatnonzero(old_labels[old_starts.searchsorted(bounds, "right") - 1] != new)'
+           '[0 if first else 1:]',
+           (LLOYD_ORDERS,)),
+    # A stretch that a new run covers but an old run boundary splits is read at its start only.
+    Mutant("lloyd-old-run-starts-ignored", "core.py",
+           "bounds = np.sort(np.concatenate((old_starts, starts)))", "bounds = np.sort(starts)",
+           (LLOYD_ORDERS,)),
+    Mutant("sweep-width-takes-the-wrong-picks", "grouping.py",
+           "picks[i, : cfg.n_levels]", "picks[i, -cfg.n_levels :]",
+           ("tests/test_value_order.py::test_one_draw_serves_every_bit_width",
+            "tests/test_cli.py::TestSweepCommand::test_each_row_is_a_separate_quantize_grouped_call")),
     Mutant("occupancy-count-overwritten", "tensorio.py",
            "counts[chunk] += np.bincount", "counts[chunk] = np.bincount",
            (CBQ_CHUNKS,)),

@@ -237,7 +237,8 @@ class TestSweepCommand:
 
     # SHA-256 of the CSV, recorded before the sweep's workers shared one float64
     # copy of each tensor; 8 workers on 12 combinations read the shared copies at once.
-    @pytest.mark.parametrize("threads", ["1", "8"])
+    # The jobs are one per (scheme, tensor, seed): 2 and 3 workers split them unevenly.
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
     @pytest.mark.parametrize("groups,digest", [
         ("1", "9263eb6a2dd9387c28e21fe0c8c7d4d467395beaa2a34a3fb054d7ab42a3805c"),
         ("3", "024242918cc4bef6f39645df0ba13414058274fccc2d38f7ec03655b7528272e"),
@@ -263,15 +264,42 @@ class TestSweepCommand:
         assert text.splitlines()[0].split() == ["bits", "kmeans_mse", "linear_mse"]
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("groups", ["1", "3"])
+    def test_each_row_is_a_separate_quantize_grouped_call(self, gaussian_bundle, capsys, monkeypatch, groups):
+        # Bit widths out of order and with gaps; at 8 bits the 16-element tensor pads its codebooks.
+        monkeypatch.setenv("CBQUANT_THREADS", "2")
+        code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "8", "2", "1", "5",
+                             "--seeds", "4", "0", "--groups", groups, "--format", "csv")
+        assert code == 0
+        tensors = tensorio.read_bundle(gaussian_bundle)
+        count = sum(t.size for t in tensors.values())
+        rows = read_csv(text)
+        assert len(rows) == 2 * 4 * 2
+        for row in rows:
+            cfg = core.QuantConfig(scheme=core.Scheme[row["scheme"].upper()], bits=int(row["bits"]),
+                                   seed=int(row["seed"]), group_count=int(groups))
+            sse = 0.0
+            for name in sorted(tensors):
+                g = grouping.quantize_grouped(tensors[name], cfg, tensor_name=name)
+                sse += core.error_stats(tensors[name], grouping.reconstruct_grouped(g)).sse
+            assert row["mse"] == f"{sse / count:.9g}", row
+
     def test_one_order_per_tensor_and_one_linear_run_per_bit_width(self, gaussian_bundle, capsys, monkeypatch):
         # One process: the counters below live in it, and a worker process's calls never reach them.
         monkeypatch.setenv("CBQUANT_THREADS", "1")
-        quantized, orders = [], []
+        quantized, orders, draws = [], [], []
         quantize_grouped, value_order = grouping.quantize_grouped, grouping.ValueOrder
+        kmeans_widths, kmeanspp_sorted = grouping._kmeans_widths, core._kmeanspp_sorted
 
         def counted_quantize(tensor, cfg, tensor_name=""):
             quantized.append((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, isinstance(tensor, value_order)))
             return quantize_grouped(tensor, cfg, tensor_name)
+
+        def counted_widths(order, cfgs, tensor_name=""):
+            # Each config is one k-means run.
+            quantized.extend((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, isinstance(order, value_order))
+                             for cfg in cfgs)
+            return kmeans_widths(order, cfgs, tensor_name)
 
         class CountedOrder(value_order):
             def __post_init__(self):
@@ -279,7 +307,9 @@ class TestSweepCommand:
                 super().__post_init__()
 
         monkeypatch.setattr(grouping, "quantize_grouped", counted_quantize)
+        monkeypatch.setattr(grouping, "_kmeans_widths", counted_widths)
         monkeypatch.setattr(grouping, "ValueOrder", CountedOrder)
+        monkeypatch.setattr(core, "_kmeanspp_sorted", lambda *args: draws.append(args[1]) or kmeanspp_sorted(*args))
         code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "1", "2", "--seeds", "0", "1", "2",
                              "--groups", "3", "--format", "csv")
         assert code == 0
@@ -290,6 +320,8 @@ class TestSweepCommand:
                                                                      "layer.1.weight"))
         assert len(quantized) - len(linear) == 2 * 3 * 3
         assert all(q[4] for q in quantized if q[0] == "KMEANS")
+        # One k-means++ draw per (tensor, seed, group), at the widest run's 4 clusters, serves both widths.
+        assert draws == [4] * 3 * 3 * 3
         rows = read_csv(text)
         for bits in ("1", "2"):
             assert len({r["mse"] for r in rows if r["scheme"] == "linear" and r["bits"] == bits}) == 1
@@ -604,6 +636,15 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=self.ENV, capture_output=True, text=True,
                               timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_a_kmeans_sweep_loads_no_masked_arrays(self, gaussian_bundle):
+        # numpy.ma costs about 15 ms to import; np.union1d, for one, imports it on its first call.
+        code = ("import sys; from cbquant import cli; "
+                f"cli.main(['sweep', {str(gaussian_bundle)!r}, '--bits', '1', '3', '--seeds', '0', '1']); "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env={**self.ENV, "CBQUANT_THREADS": "1"},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "False"), proc.stderr
 
     def test_help_still_imports_numpy_and_core(self):
         # What every real command imports, so that a --help launch times the same start-up.

@@ -345,6 +345,33 @@ class TestKmeansppLoops:
         assert calls[-1] == chosen
 
 
+class TestKmeansppPrefix:
+    """The picks at 2**b clusters are the first 2**b picks at 2**B clusters,
+    for b < B <= 8, padding included: the stream is seeded without the bit
+    width, and each pick depends only on the picks before it.  A sweep
+    draws once at its widest bit width and starts each width from its
+    prefix (``grouping._kmeans_widths``)."""
+
+    # n on each side of _SORTED_MIN_SIZE, and a group shorter than the widest draw;
+    # "duplicates" has five distinct values, so its wider draws pad.
+    @pytest.mark.parametrize("n", [37, core._SORTED_MIN_SIZE - 1, core._SORTED_MIN_SIZE + 1])
+    @pytest.mark.parametrize("kind", ["normal", "duplicates"])
+    @pytest.mark.parametrize("loop", [core.kmeanspp_init, *LOOPS], ids=lambda f: f.__name__)
+    def test_fewer_clusters_draw_a_prefix_of_the_picks(self, loop, kind, n):
+        v = PICK_INPUTS[kind](np.random.default_rng(n), n)
+        widest = loop(v, 256, np.random.default_rng(3))
+        for bits in range(8):
+            assert loop(v, 1 << bits, np.random.default_rng(3)).tobytes() == widest[: 1 << bits].tobytes(), bits
+
+    def test_the_selection_between_the_loops_keeps_the_prefix(self):
+        # kmeanspp_init draws 32 clusters with the full pass and 256 with the sorted loop here.
+        v = np.random.default_rng(9).normal(scale=0.02, size=core._SORTED_MIN_SIZE)
+        assert 32 < core._SORTED_MIN_CLUSTERS <= 256
+        widest = core._kmeanspp_sorted(v, 256, np.random.default_rng(0))
+        assert core.kmeanspp_init(v, 32, np.random.default_rng(0)).tobytes() == widest[:32].tobytes()
+        assert core.kmeanspp_init(v, 256, np.random.default_rng(0)).tobytes() == widest.tobytes()
+
+
 class Step(NamedTuple):
     centroids: np.ndarray
     labels: np.ndarray

@@ -127,20 +127,20 @@ def test_assign_matches_dense_argmin_across_the_float64_range(centroids, points,
     np.testing.assert_array_equal(loud_assign(np.resize(x, n), c), np.resize(quiet_dense_argmin(x, c), n))
 
 
-def loud_sorted_assign(values, c):
-    """``core._sorted_assign`` with every RuntimeWarning raised as an error."""
+def loud_sorted_runs(values, c):
+    """``core._sorted_runs`` with every RuntimeWarning raised as an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return core._sorted_assign(values, c)
+        return core._sorted_runs(values, c)
 
 
 def assert_sorted_assign_matches_dense(x, c):
-    """The value-order assignment of the sorted points gives the dense labels and their counts."""
+    """The value-order runs of the sorted points give the dense labels and their counts."""
     order = np.argsort(x, kind="stable")
     expected = quiet_dense_argmin(x, c)[order]
-    labels, occupancy = loud_sorted_assign(x[order], c)
-    assert labels.dtype == np.uint8
-    np.testing.assert_array_equal(labels, expected)
+    (starts, run_labels), occupancy = loud_sorted_runs(x[order], c)
+    assert starts[0] == 0 and (np.diff(starts) >= 0).all() and starts[-1] <= x.size
+    np.testing.assert_array_equal(np.repeat(run_labels, np.diff(starts, append=x.size)), expected)
     np.testing.assert_array_equal(occupancy, np.bincount(expected, minlength=len(c)))
 
 

@@ -76,8 +76,9 @@ def assert_same_groups(tensor, cfg):
 
 
 def scored_cluster(arr, cfg, group_index, order):
-    """``core._kmeans_cluster`` with an order, and the SSE that ``kmeans_cluster`` adds."""
-    centroids, labels, occupancy, iterations = core._kmeans_cluster(arr, cfg, "w", group_index, order)
+    """k-means++ and ``core._kmeans_cluster`` with an order, and the SSE that ``kmeans_cluster`` adds."""
+    init = core._kmeanspp_sorted(arr, cfg.n_levels, core._kmeans_stream(cfg, "w", group_index), order)
+    centroids, labels, occupancy, iterations = core._kmeans_cluster(arr, init, cfg.max_iterations, order)
     return centroids, labels, occupancy, iterations, core._state_sse(arr, labels, centroids)
 
 
@@ -105,13 +106,72 @@ def test_one_order_serves_every_bit_width_and_seed():
                     == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
 
 
+def lloyd_both_ways(arr, init, iterations):
+    """``core._kmeans_cluster`` from ``init`` in element order and in value order."""
+    order = grouping.ValueOrder(arr, 1)
+    return (core._kmeans_cluster(arr, init, iterations),
+            core._kmeans_cluster(arr, init, iterations, (order.perm, order.values)))
+
+
+def assert_same_run(plain, ordered):
+    for got, expected in zip(ordered, plain):  # centroids, labels, occupancy, iterations
+        assert np.asarray(got).tolist() == np.asarray(expected).tolist()
+    assert ordered[0].tobytes() == plain[0].tobytes()
+    assert ordered[1].dtype == plain[1].dtype == np.uint8
+
+
+def larger():
+    # Long enough that the later steps move thousands of labels.
+    return np.random.default_rng(7).normal(0.0, 0.02, size=50_000)
+
+
+LLOYD_INPUTS = {**INPUTS, "larger": larger}
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 3])
+@pytest.mark.parametrize("kind", sorted(LLOYD_INPUTS))
+def test_lloyd_in_value_order_matches_element_order(kind, iterations):
+    # From k-means++ picks, and from random elements, whose repeats give equal centroids.
+    arr = LLOYD_INPUTS[kind]().reshape(-1)
+    rng = np.random.default_rng(len(kind))
+    for bits in range(1, 9):
+        for init in (core.kmeanspp_init(arr, 1 << bits, rng), rng.choice(arr, 1 << bits)):
+            plain, ordered = lloyd_both_ways(arr, init, iterations)
+            assert plain[3] == iterations or kind != "larger"  # its later steps all run
+            assert_same_run(plain, ordered)
+
+
+def test_lloyd_in_value_order_stops_where_element_order_stops():
+    # Four separate clumps settle after a few steps, well before the cap.
+    arr = np.concatenate([c + 0.01 * np.random.default_rng(c + 10).normal(size=200) for c in (-3, -1, 2, 5)])
+    init = np.array([-3.0, -3.01, -2.99, 5.0])
+    plain, ordered = lloyd_both_ways(arr, init, 50)
+    assert 2 < plain[3] < 50
+    assert_same_run(plain, ordered)
+
+
+def test_one_draw_serves_every_bit_width(monkeypatch):
+    tensor = gaussian().astype(np.float32)
+    order = grouping.ValueOrder(tensor, 3)
+    cfgs = [kmeans_cfg(bits, 3, 3, seed=4) for bits in (1, 2, 5, 8)]
+    draws, kmeanspp_sorted = [], core._kmeanspp_sorted
+    monkeypatch.setattr(core, "_kmeanspp_sorted", lambda *args: draws.append(args[1]) or kmeanspp_sorted(*args))
+    results = list(grouping._kmeans_widths(order, cfgs, "w"))
+    assert draws == [256] * 3
+    monkeypatch.setattr(core, "_kmeanspp_sorted", kmeanspp_sorted)
+    for cfg, g in zip(cfgs, results):
+        assert g.cfg == cfg
+        assert tensorio.write_cbq(g) == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, tensor_name="w"))
+
+
 def test_values_outside_the_band_reach_the_dense_assignment(monkeypatch):
     # The band is [1 + ulp - 0.125, 1 + 0.125]: the 60 values near +-1000 lie outside it.
     values, centroids = np.sort(outside_the_band()), np.array([np.nextafter(1.0, 2.0), 1.0])
     calls = []
     dense = core._dense_assign
     monkeypatch.setattr(core, "_dense_assign", lambda x, c: calls.append(x.size) or dense(x, c))
-    labels, occupancy = core._sorted_assign(values, centroids)
+    (starts, run_labels), occupancy = core._sorted_runs(values, centroids)
+    labels = np.repeat(run_labels, np.diff(starts, append=values.size))
     assert sum(calls) == 60
     expected = core._assign(values, centroids)
     assert labels.tolist() == expected.tolist()
