@@ -18,8 +18,7 @@ _EXPORTS = {
              "Scheme", "derive_stream_seed", "error_stats", "kmeans_cluster", "kmeans_quantize",
              "kmeanspp_init", "linear_quantize", "quantize"),
     "errors": ("CbqError",),
-    "grouping": ("GroupedQuantizedTensor", "ValueOrder", "quantize_grouped", "reconstruct_grouped",
-                 "split_groups"),
+    "grouping": ("GroupedQuantizedTensor", "quantize_grouped", "reconstruct_grouped", "split_groups"),
     "oracle": ("OptimalClustering", "dp_optimal_quantize", "partition_cost"),
     "tensorio": ("compression_ratio", "pack_indices", "read_bundle", "read_cbq", "unpack_indices",
                  "write_bundle", "write_cbq"),

@@ -224,9 +224,8 @@ def cmd_sweep(args) -> int:
     if not tensors:
         raise EmptyInputError("bundle contains no tensors")
     schemes, bit_widths, seeds = (sorted(set(v)) for v in (args.schemes, args.bits, args.seeds))
-    # What every job quantizes: one value order per tensor when k-means is swept.
-    inputs = {name: grouping.ValueOrder(t, args.groups) if "kmeans" in schemes else t
-              for name, t in tensors.items()}
+    # One value order per tensor, shared by every k-means job, when k-means is swept.
+    orders = {name: grouping._value_order(t, args.groups) for name, t in tensors.items() if "kmeans" in schemes}
     count = sum(t.size for t in tensors.values())
     # One job per (scheme, tensor, seed) returns the tensor's SSE at every bit width.  k-means
     # draws its k-means++ picks once per job for all of them; linear reads no seed, so one job
@@ -238,9 +237,9 @@ def cmd_sweep(args) -> int:
         cfgs = [core.QuantConfig(scheme=core.Scheme[scheme.upper()], bits=bits, max_iterations=args.iters,
                                  seed=seed, group_count=args.groups) for bits in bit_widths]
         if scheme == "kmeans":
-            results = grouping._kmeans_widths(inputs[name], cfgs, name)
+            results = grouping._kmeans_widths(tensors[name], orders[name], cfgs, name)
         else:
-            results = (grouping.quantize_grouped(inputs[name], cfg, tensor_name=name) for cfg in cfgs)
+            results = (grouping.quantize_grouped(tensors[name], cfg, tensor_name=name) for cfg in cfgs)
         return [_grouped_sse(tensors[name], g) for g in results]
 
     sse = dict(zip(jobs, _parallel_map(work, jobs)))

@@ -922,9 +922,10 @@ def _kmeans_cluster(arr: np.ndarray, centroids: np.ndarray, max_iterations: int,
 def kmeans_quantize(v, cfg: QuantConfig, tensor_name: str = "", group_index: int = 0) -> QuantizedVector:
     """Quantize ``v`` by k-means clustering into ``2**bits`` clusters.
 
-    ``grouping.quantize_grouped`` of a ``ValueOrder`` draws on the order's
-    sorted values and runs the same ``_kmeans_cluster`` in value order,
-    writing its arrays straight into the grouped ones, with the same bytes.
+    ``grouping._kmeans_widths`` draws on the sorted values of a value order,
+    the ``(perm, values)`` pair of ``grouping._value_order``, and runs the
+    same ``_kmeans_cluster`` in value order, writing its arrays straight
+    into the grouped ones, with the same bytes.
     """
     arr = _validate_input(v)
     _check_float32_range(arr.min(), arr.max())

@@ -8,7 +8,7 @@ blocks of equal-length groups, and only k-means loops over single groups.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "GroupedQuantizedTensor",
-    "ValueOrder",
     "group_blocks",
     "split_groups",
     "quantize_grouped",
@@ -106,44 +105,6 @@ class GroupedQuantizedTensor:
                      for c, o, (i, length) in zip(self.centroids, self.occupancy, self.spans))
 
 
-@dataclass(frozen=True, eq=False)
-class ValueOrder:
-    """Each group of ``tensor`` in ascending order, for many k-means runs on it.
-
-    Built once, it serves every ``quantize_grouped(order, cfg)`` call with
-    ``group_count`` groups, whatever the scheme, bits, seed or iteration
-    cap: k-means++ and every Lloyd assignment then run in value order, with
-    the same bytes as quantizing ``tensor`` itself.  Over each group's span,
-    ``perm`` lists the group's element offsets by ascending value (int32
-    below 2**31 elements a group) and ``values`` the float64 values in that
-    order: 12 bytes an element.  Building it rejects empty or non-finite
-    input as ``quantize_grouped`` does.  The order refers to ``tensor``
-    itself, which must not change while the order is in use.
-    """
-
-    tensor: object
-    group_count: int
-    perm: np.ndarray = field(init=False, repr=False)
-    values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        flat = np.asarray(self.tensor).reshape(-1)
-        blocks = group_blocks(flat.size, self.group_count)
-        perm = np.empty(flat.size, dtype=np.int32 if blocks[0][2] < 2**31 else np.int64)
-        values = np.empty(flat.size)
-        for _, elements, length in blocks:
-            rows = np.asarray(flat[elements], dtype=np.float64).reshape(-1, length)
-            order = np.argsort(rows, axis=1)
-            perm[elements] = order.reshape(-1)
-            order += length * np.arange(len(rows))[:, None]
-            ascending = np.take(rows, order, out=values[elements].reshape(-1, length))
-            # NaN sorts last, so each row's ends show any non-finite value.
-            if not np.isfinite(ascending[:, [0, -1]]).all():
-                raise NonFiniteInputError("input contains NaN or infinity")
-        object.__setattr__(self, "perm", core._frozen(perm))
-        object.__setattr__(self, "values", core._frozen(values))
-
-
 def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> GroupedQuantizedTensor:
     """Quantize each contiguous span of the flattened tensor independently.
 
@@ -154,19 +115,12 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     elements at a time unless one row is longer; k-means runs once per group.
     Each chunk or group is cast to float64 on its own, never the whole tensor.
 
-    ``tensor`` may be a ``ValueOrder`` of ``cfg.group_count`` groups: the
-    order's own tensor is then quantized, k-means in value order by
-    ``_kmeans_widths`` at one width, with the same output.  Linear
-    quantization does not read the sorted values.
+    The sweep's ``_kmeans_widths`` gives the same k-means bytes from a
+    ``_value_order`` of the tensor.
     """
-    order = tensor if isinstance(tensor, ValueOrder) else None
-    arr = np.asarray(tensor if order is None else order.tensor)
+    arr = np.asarray(tensor)
     flat = arr.reshape(-1)
     blocks = group_blocks(flat.size, cfg.group_count)  # checks G <= n before the codebooks are allocated
-    if order is not None and order.group_count != cfg.group_count:
-        raise ShapeMismatchError(f"the order splits {order.group_count} groups, the config {cfg.group_count}")
-    if order is not None and cfg.scheme is core.Scheme.KMEANS:
-        return next(_kmeans_widths(order, (cfg,), tensor_name))
     centroids, occupancy, labels = _empty_result(flat.size, cfg)
     if cfg.scheme is core.Scheme.LINEAR:
         for groups, elements, length in blocks:
@@ -192,12 +146,39 @@ def _empty_result(n: int, cfg: core.QuantConfig) -> tuple[np.ndarray, np.ndarray
     return np.empty(levels, dtype=np.float32), np.empty(levels, dtype=np.uint32), np.empty(n, dtype=np.uint8)
 
 
-def _kmeans_widths(order: ValueOrder, cfgs, tensor_name: str = ""):
-    """``quantize_grouped(order, cfg, tensor_name)`` for each k-means config
+def _value_order(tensor, group_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each group of the flattened ``tensor`` in ascending order, as the
+    ``(perm, values)`` pair that ``core._kmeanspp_sorted`` and
+    ``core._kmeans_cluster`` take.
+
+    Over each group's span, ``perm`` lists the group's element offsets by
+    ascending value (int32 below 2**31 elements a group) and ``values`` the
+    float64 values in that order: 12 bytes an element, both read-only.
+    Rejects empty or non-finite input as ``quantize_grouped`` does.
+    """
+    flat = np.asarray(tensor).reshape(-1)
+    blocks = group_blocks(flat.size, group_count)
+    perm = np.empty(flat.size, dtype=np.int32 if blocks[0][2] < 2**31 else np.int64)
+    values = np.empty(flat.size)
+    for _, elements, length in blocks:
+        rows = np.asarray(flat[elements], dtype=np.float64).reshape(-1, length)
+        order = np.argsort(rows, axis=1)
+        perm[elements] = order.reshape(-1)
+        order += length * np.arange(len(rows))[:, None]
+        ascending = np.take(rows, order, out=values[elements].reshape(-1, length))
+        # NaN sorts last, so each row's ends show any non-finite value.
+        if not np.isfinite(ascending[:, [0, -1]]).all():
+            raise NonFiniteInputError("input contains NaN or infinity")
+    return core._frozen(perm), core._frozen(values)
+
+
+def _kmeans_widths(tensor, order, cfgs, tensor_name: str = ""):
+    """``quantize_grouped(tensor, cfg, tensor_name)`` for each k-means config
     of ``cfgs``, which differ only in bits, from one k-means++ draw per group.
 
-    The stream of a group's draw is seeded from the seed, the tensor name
-    and the group (``core.derive_stream_seed``), not from the bit width,
+    ``order`` is the ``_value_order`` of ``tensor`` at the configs' group
+    count.  The stream of a group's draw is seeded from the seed, the tensor
+    name and the group (``core.derive_stream_seed``), not from the bit width,
     and each pick depends only on the picks before it and the stream.  So
     the picks at ``2**b`` clusters are the first ``2**b`` picks at ``2**B``
     for b < B, padding included.  Each group draws once, on the order's
@@ -206,21 +187,22 @@ def _kmeans_widths(order: ValueOrder, cfgs, tensor_name: str = ""):
     its prefix of the picks.  Yields the results in the order of ``cfgs``,
     one at a time, so each can be dropped before the next is built.
     """
-    flat = np.asarray(order.tensor).reshape(-1)
-    spans = [slice(offset, offset + length) for offset, length in split_groups(flat.size, order.group_count)]
-    picks = np.empty((order.group_count, max(cfg.n_levels for cfg in cfgs)))
+    flat = np.asarray(tensor).reshape(-1)
+    perm, values = order
+    spans = [slice(offset, offset + length) for offset, length in split_groups(flat.size, cfgs[0].group_count)]
+    picks = np.empty((len(spans), max(cfg.n_levels for cfg in cfgs)))
     for i, span in enumerate(spans):
-        values = order.values[span]  # the order checked the values; its sorted ends are the group's min and max
-        core._check_float32_range(values[0], values[-1])
+        ascending = values[span]  # the order checked the values; its sorted ends are the group's min and max
+        core._check_float32_range(ascending[0], ascending[-1])
         picks[i] = core._kmeanspp_sorted(np.asarray(flat[span], dtype=np.float64), picks.shape[1],
-                                         core._kmeans_stream(cfgs[0], tensor_name, i), (order.perm[span], values))
+                                         core._kmeans_stream(cfgs[0], tensor_name, i), (perm[span], ascending))
     for cfg in cfgs:
         centroids, occupancy, labels = _empty_result(flat.size, cfg)
         for i, span in enumerate(spans):
             centroids[i], labels[span], occupancy[i], _ = core._kmeans_cluster(
                 np.asarray(flat[span], dtype=np.float64), picks[i, : cfg.n_levels], cfg.max_iterations,
-                (order.perm[span], order.values[span]))
-        yield GroupedQuantizedTensor(np.shape(order.tensor), cfg, centroids, occupancy, labels)
+                (perm[span], values[span]))
+        yield GroupedQuantizedTensor(np.shape(tensor), cfg, centroids, occupancy, labels)
 
 
 def _chunk_shape(length: int) -> tuple[int, int]:

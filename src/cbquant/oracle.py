@@ -228,6 +228,18 @@ def dp_optimal_quantize(v, n_clusters: int) -> OptimalClustering:
     return OptimalClustering(boundaries=tuple(boundaries), sse=sse, centroids=centroids)
 
 
+def _distinct_count(labels: np.ndarray) -> int:
+    """``np.unique(labels).size``, without the ``numpy.ma`` import that
+    ``np.unique`` makes on its first call: in sorted order a value starts
+    where it differs from the one before, and NaNs (NaTs), which sort last,
+    count once, as ``np.unique`` counts them."""
+    ordered = np.sort(labels)
+    starts = ordered[1:] != ordered[:-1]
+    if ordered.dtype.kind in "cfmM":
+        starts &= ~np.isnan(ordered[:-1])
+    return 1 + int(np.count_nonzero(starts))
+
+
 def partition_cost(v, labels) -> float:
     """Cost of a labeling, accumulated exactly as the DP accumulates its own.
 
@@ -248,7 +260,7 @@ def partition_cost(v, labels) -> float:
     run = lab[order]
     s1, s2 = _prefix_sums(x)
     cuts = np.flatnonzero(run[1:] != run[:-1]) + 1
-    if cuts.size + 1 != np.unique(run).size:
+    if cuts.size + 1 != _distinct_count(run):
         raise SplitLabelError("a label covers more than one run of the sorted values")
     edges = [0, *cuts.tolist(), x.size]
     total = 0.0

@@ -11,8 +11,9 @@ draw.  The exact DP of ``oracle._dp_tables`` takes the first minimum over
 the same candidates as the scalar recurrence, and skips a block of starts
 only when a lower bound, widened by the cost error bound and a rounding
 slack, is strictly above a computed candidate; the near-diagonal starts are
-always evaluated, in one run with the kept starts when the two touch.  The
-CBQ reader and writer of ``tensorio`` walk labels in chunks, counting
+always evaluated, in one run with the kept starts when the two touch;
+``oracle.partition_cost`` rejects a labeling in which one label forms two
+runs.  The CBQ reader and writer of ``tensorio`` walk labels in chunks, counting
 occupancy and unpacking pieces of rows at byte offsets, and check a blob's
 length before they allocate for it.
 The CLI's worker map puts each forked child's results back at that child's
@@ -203,6 +204,10 @@ MUTANTS = (
     Mutant("dp-joined-run-skips-its-first-start", "oracle.py",
            "b_k = near_k = a_k\n", "b_k, near_k = a_k, a_k + 1\n",
            DP_FIXED + (f"{DP_BLOCKS}[paper-eval]", f"{DP_BLOCKS}[n1000]")),
+    Mutant("split-label-check-dropped", "oracle.py",
+           "if cuts.size + 1 != _distinct_count(run):", "if False:",
+           tuple(f"tests/test_oracle.py::TestPartitionCost::test_a_label_in_two_runs_is_rejected[{case}]"
+                 for case in ("alternating", "two_nans"))),
     Mutant("worker-results-misplaced", "cli.py",
            "results[w::workers] = done", "results[w - 1::workers] = done",
            (f"{WORKERS}::test_results_come_back_in_job_order",)),

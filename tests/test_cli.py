@@ -288,27 +288,29 @@ class TestSweepCommand:
         # One process: the counters below live in it, and a worker process's calls never reach them.
         monkeypatch.setenv("CBQUANT_THREADS", "1")
         quantized, orders, draws = [], [], []
-        quantize_grouped, value_order = grouping.quantize_grouped, grouping.ValueOrder
+        quantize_grouped, value_order = grouping.quantize_grouped, grouping._value_order
         kmeans_widths, kmeanspp_sorted = grouping._kmeans_widths, core._kmeanspp_sorted
+        built = {}  # the id of each value order: the tensor it sorts
 
         def counted_quantize(tensor, cfg, tensor_name=""):
-            quantized.append((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, isinstance(tensor, value_order)))
+            quantized.append((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, isinstance(tensor, np.ndarray)))
             return quantize_grouped(tensor, cfg, tensor_name)
 
-        def counted_widths(order, cfgs, tensor_name=""):
-            # Each config is one k-means run.
-            quantized.extend((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, isinstance(order, value_order))
+        def counted_widths(tensor, order, cfgs, tensor_name=""):
+            # Each config is one k-means run, here on the order built for its own tensor.
+            quantized.extend((cfg.scheme.name, cfg.bits, cfg.seed, tensor_name, built[id(order)] is tensor)
                              for cfg in cfgs)
-            return kmeans_widths(order, cfgs, tensor_name)
+            return kmeans_widths(tensor, order, cfgs, tensor_name)
 
-        class CountedOrder(value_order):
-            def __post_init__(self):
-                orders.append(self.group_count)
-                super().__post_init__()
+        def counted_order(tensor, group_count):
+            orders.append(group_count)
+            order = value_order(tensor, group_count)
+            built[id(order)] = tensor
+            return order
 
         monkeypatch.setattr(grouping, "quantize_grouped", counted_quantize)
         monkeypatch.setattr(grouping, "_kmeans_widths", counted_widths)
-        monkeypatch.setattr(grouping, "ValueOrder", CountedOrder)
+        monkeypatch.setattr(grouping, "_value_order", counted_order)
         monkeypatch.setattr(core, "_kmeanspp_sorted", lambda *args: draws.append(args[1]) or kmeanspp_sorted(*args))
         code, text = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "1", "2", "--seeds", "0", "1", "2",
                              "--groups", "3", "--format", "csv")
@@ -344,11 +346,10 @@ class TestSweepCommand:
         assert text == expected
 
     def test_linear_only_sweep_builds_no_order(self, gaussian_bundle, capsys, monkeypatch):
-        class NoOrder(grouping.ValueOrder):
-            def __post_init__(self):
-                raise AssertionError("a linear-only sweep built a value order")
+        def no_order(tensor, group_count):
+            raise AssertionError("a linear-only sweep built a value order")
 
-        monkeypatch.setattr(grouping, "ValueOrder", NoOrder)
+        monkeypatch.setattr(grouping, "_value_order", no_order)
         code, _ = run_cli(capsys, "sweep", str(gaussian_bundle), "--bits", "2", "--schemes", "linear",
                           "--format", "csv")
         assert code == 0
@@ -637,11 +638,23 @@ class TestStartup:
                               timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
-    def test_a_kmeans_sweep_loads_no_masked_arrays(self, gaussian_bundle):
-        # numpy.ma costs about 15 ms to import; np.union1d, for one, imports it on its first call.
-        code = ("import sys; from cbquant import cli; "
-                f"cli.main(['sweep', {str(gaussian_bundle)!r}, '--bits', '1', '3', '--seeds', '0', '1']); "
-                "print('numpy.ma' in sys.modules)")
+    @pytest.mark.parametrize("case", ["sweep", "quantize-kmeans", "reconstruct", "oracle-step"])
+    def test_a_kmeans_sweep_loads_no_masked_arrays(self, case, gaussian_bundle, tmp_path):
+        # numpy.ma costs about 15 ms to import; np.union1d and np.unique, for two, import it on
+        # their first call.  The oracle case runs the benchmark's oracle step as its script does.
+        bundle, quantized = str(gaussian_bundle), str(tmp_path / "q")
+        if case == "reconstruct":
+            assert cli.main(["quantize", bundle, "-o", quantized, "--bits", "2"]) == 0
+        run = {
+            "sweep": f"cli.main(['sweep', {bundle!r}, '--bits', '1', '3', '--seeds', '0', '1'])",
+            "quantize-kmeans": f"cli.main(['quantize', {bundle!r}, '-o', {quantized!r}, '--scheme', 'kmeans', "
+                               "'--bits', '3'])",
+            "reconstruct": f"cli.main(['reconstruct', {quantized!r}, '-o', {str(tmp_path / 'r.json')!r}])",
+            "oracle-step": f"sys.argv[1:] = [{bundle!r}, {str(tmp_path / 'oracle.json')!r}, '--sample', '64', "
+                           "'--bits', '2', '--seed', '0']; "
+                           f"runpy.run_path({str(ROOT / 'perfbench' / 'oracle_step.py')!r}, run_name='__main__')",
+        }[case]
+        code = f"import runpy, sys; from cbquant import cli; {run}; print('numpy.ma' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env={**self.ENV, "CBQUANT_THREADS": "1"},
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "False"), proc.stderr

@@ -217,9 +217,8 @@ class TestCertifiedPick:
 
 
 def kmeanspp_shared_order(v, n_clusters, rng):
-    """The sorted loop on a ``ValueOrder`` of ``v``, as ``quantize_grouped`` runs it."""
-    order = grouping.ValueOrder(v, 1)
-    return core._kmeanspp_sorted(np.asarray(v, dtype=np.float64), n_clusters, rng, (order.perm, order.values))
+    """The sorted loop on a value order of ``v``, as ``grouping._kmeans_widths`` runs it."""
+    return core._kmeanspp_sorted(np.asarray(v, dtype=np.float64), n_clusters, rng, grouping._value_order(v, 1))
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -232,9 +231,8 @@ def test_sorted_loop_holds_its_distances_and_one_permutation(monkeypatch, shared
     # 1 MiB of that chunk's transients.  The table and the transients of a
     # chunk or two of 2**16 fit in the constant.
     v = np.random.default_rng(8).normal(size=589_824)
-    order = grouping.ValueOrder(v, 1) if shared else None
     loop_args = (v, 256 if not falls_back else 16, np.random.default_rng(0))
-    loop_args += ((order.perm, order.values),) if shared else ()
+    loop_args += (grouping._value_order(v, 1),) if shared else ()
     if falls_back:
         monkeypatch.setattr(core, "_certified_pick", lambda *args: -1)
     tracemalloc.start()
@@ -565,7 +563,7 @@ class TestKmeansQuantize:
         (2, "kmeans_cluster", 2.25, 0),
         (8, "kmeans_cluster", 2, 1 << 20),
         (8, "quantize_grouped", 2, 1 << 20),
-        (8, "quantize_grouped of a shared order", 1.5, 1 << 20),
+        (8, "_kmeans_widths of a shared order", 1.5, 1 << 20),
     ])
     def test_float64_input_is_held_about_twice(self, bits, call, factor, extra):
         # k-means++ holds two float64 buffers, more than any Lloyd step holds;
@@ -575,13 +573,15 @@ class TestKmeansQuantize:
         # step's intp buffer and uint8 labels.
         v = np.random.default_rng(6).normal(size=589_824)
         cfg = kcfg(bits, seed=0)
-        source = grouping.ValueOrder(v, 1) if call.endswith("shared order") else v
+        order = grouping._value_order(v, 1) if call.endswith("shared order") else None
         tracemalloc.start()
         try:
             if call == "kmeans_cluster":
                 assert core.kmeans_cluster(v, cfg).iterations == 3
+            elif order is None:
+                grouping.quantize_grouped(v, cfg)
             else:
-                grouping.quantize_grouped(source, cfg)
+                next(grouping._kmeans_widths(v, order, (cfg,)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -271,10 +271,29 @@ class TestPartitionCost:
         assert oracle.partition_cost([1.0, 0.0, 1.0, 2.0], [1, 0, 0, 1]) == 1.0
         assert oracle.dp_optimal_quantize([1.0, 0.0, 1.0, 2.0], 2).sse <= 1.0
 
-    def test_a_label_in_two_runs_is_rejected(self):
-        # Labels 0 and 1 alternate along the sorted values: no interval partition matches.
+    # Labels 0 and 1 alternate along the sorted values: no interval partition matches.
+    # NaN != NaN cuts a run after each NaN, and the distinct labels count every NaN once.
+    @pytest.mark.parametrize("values,labels", [([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1]),
+                                               ([0.0, 1.0, 2.0], [np.nan, np.nan, 0.0])],
+                             ids=["alternating", "two_nans"])
+    def test_a_label_in_two_runs_is_rejected(self, values, labels):
         with pytest.raises(SplitLabelError):
-            oracle.partition_cost([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1])
+            oracle.partition_cost(values, labels)
+
+    @pytest.mark.parametrize("labels,cost", [([np.nan, 0.0, 1.0], 0.0), ([0.0, 1.0, 1.0], 0.5),
+                                             ([True, False, False], 0.5)])
+    def test_float_and_bool_labels(self, labels, cost):
+        assert oracle.partition_cost([0.0, 1.0, 2.0], labels) == cost
+
+    @pytest.mark.parametrize("labels", [
+        [3, 1, 3, 2], [True, False, True], ["b", "a", "b"], [-0.0, 0.0, 1.0], [np.nan, -np.nan, np.inf, -np.inf],
+        [np.float32(np.nan), np.float32(0.0)], [complex(np.nan, 1), complex(1, np.nan), 1j, 1j, -0j, 0j],
+        np.array(["NaT", "NaT", "2020-01-01"], dtype="datetime64[D]"), [np.nan, np.nan], [7],
+    ], ids=["ints", "bools", "strings", "signed_zeros", "nans_and_infs", "float32_nan", "complex_nans",
+            "nats", "only_nans", "one_label"])
+    def test_distinct_labels_are_counted_as_np_unique_counts_them(self, labels):
+        labels = np.asarray(labels)
+        assert oracle._distinct_count(labels) == np.unique(labels).size
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("bits", [1, 2])

@@ -9,7 +9,7 @@ import cbquant
 # The public names, pinned so that a name cannot drop out of the package by accident.
 PUBLIC_NAMES = [
     "CbqError", "Codebook", "ErrorStats", "GroupedQuantizedTensor", "IndexVector", "LloydState",
-    "OptimalClustering", "QuantConfig", "QuantizedVector", "Scheme", "ValueOrder", "__version__",
+    "OptimalClustering", "QuantConfig", "QuantizedVector", "Scheme", "__version__",
     "compression_ratio", "derive_stream_seed", "dp_optimal_quantize", "error_stats", "kmeans_cluster",
     "kmeans_quantize", "kmeanspp_init", "linear_quantize", "pack_indices", "partition_cost",
     "quantize", "quantize_grouped", "read_bundle", "read_cbq", "reconstruct_grouped", "split_groups",
@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
 
 
 def test_the_public_names_are_the_pinned_set():
-    assert len(cbquant.__all__) == len(set(cbquant.__all__)) == 31
+    assert len(cbquant.__all__) == len(set(cbquant.__all__)) == 30
     assert sorted(cbquant.__all__) == PUBLIC_NAMES
 
 

@@ -346,7 +346,7 @@ def _counted_calls():
         pytest.param(BadKError, lambda k: oracle.dp_optimal_quantize(v, k), id="dp_optimal_quantize"),
         pytest.param(BadConfigError, lambda k: grouping.split_groups(k, 1), id="split_groups.n"),
         pytest.param(BadConfigError, lambda k: grouping.split_groups(10, k), id="split_groups.group_count"),
-        pytest.param(BadConfigError, lambda k: grouping.ValueOrder(v, k), id="ValueOrder"),
+        pytest.param(BadConfigError, lambda k: grouping._value_order(v, k), id="_value_order"),
         pytest.param(BadConfigError, lambda k: training.TrainConfig(0.02, k), id="TrainConfig.epochs"),
         pytest.param(BadConfigError, lambda k: training.TrainConfig(**train, batch_size=k),
                      id="TrainConfig.batch_size"),

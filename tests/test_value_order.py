@@ -1,10 +1,10 @@
-"""A shared ``grouping.ValueOrder`` gives the same bytes as quantizing without one.
+"""A shared value order gives the same bytes as quantizing without one.
 
-``quantize_grouped(ValueOrder(t, G), cfg)`` runs k-means++ on the
-order's sorted values and takes every Lloyd assignment from the switch
-points in value order; the CBQ bytes, and per group the k-means state
-(centroids, labels, iterations and SSE) and the warnings, must match the
-element-order path exactly.
+``grouping._kmeans_widths(t, grouping._value_order(t, G), cfgs)`` runs
+k-means++ on the order's sorted values and takes every Lloyd assignment
+from the switch points in value order; the CBQ bytes, and per group the
+k-means state (centroids, labels, iterations and SSE) and the warnings,
+must match the element-order path exactly.
 """
 
 import warnings
@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
+import cbquant
 from cbquant import core, grouping, tensorio
-from cbquant.errors import EmptyInputError, NonFiniteInputError, ShapeMismatchError, TooManyGroupsError
+from cbquant.errors import EmptyInputError, NonFiniteInputError, TooManyGroupsError
 
 
 def gaussian():
@@ -59,14 +60,14 @@ def kmeans_cfg(bits, groups, iterations, seed=0):
 
 def assert_same_groups(tensor, cfg):
     """Per group, ``kmeans_cluster`` and the order path give the same state and warnings."""
-    order = grouping.ValueOrder(tensor, cfg.group_count)
+    perm, values = grouping._value_order(tensor, cfg.group_count)
     flat = np.reshape(tensor, -1)
     for i, (offset, length) in enumerate(grouping.split_groups(flat.size, cfg.group_count)):
         span = slice(offset, offset + length)
         arr = flat[span].astype(np.float64)
         state, expected_warnings = with_warnings(core.kmeans_cluster, arr, cfg, "w", i)
         (centroids, labels, occupancy, iterations, sse), got_warnings = with_warnings(
-            scored_cluster, arr, cfg, i, (order.perm[span], order.values[span]))
+            scored_cluster, arr, cfg, i, (perm[span], values[span]))
         assert got_warnings == expected_warnings
         assert centroids.tobytes() == state.centroids.tobytes()
         assert labels.dtype == np.uint8 and labels.tobytes() == state.labels.tobytes()
@@ -90,27 +91,26 @@ def test_shared_order_gives_the_same_bytes(kind, groups, iterations):
     for bits in range(1, 9):
         cfg = kmeans_cfg(bits, groups, iterations, seed=bits)
         plain = tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg, tensor_name="w"))
-        order = grouping.ValueOrder(tensor, groups)
-        shared = tensorio.write_cbq(grouping.quantize_grouped(order, cfg, tensor_name="w"))
+        order = grouping._value_order(tensor, groups)
+        shared = tensorio.write_cbq(next(grouping._kmeans_widths(tensor, order, (cfg,), "w")))
         assert shared == plain, bits
         assert_same_groups(tensor, cfg)
 
 
 def test_one_order_serves_every_bit_width_and_seed():
     tensor = gaussian().astype(np.float32)
-    order = grouping.ValueOrder(tensor, 3)
+    order = grouping._value_order(tensor, 3)
     for bits in (1, 4, 8):
         for seed in (0, 5):
             cfg = kmeans_cfg(bits, 3, 3, seed)
-            assert (tensorio.write_cbq(grouping.quantize_grouped(order, cfg))
+            assert (tensorio.write_cbq(next(grouping._kmeans_widths(tensor, order, (cfg,))))
                     == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
 
 
 def lloyd_both_ways(arr, init, iterations):
     """``core._kmeans_cluster`` from ``init`` in element order and in value order."""
-    order = grouping.ValueOrder(arr, 1)
     return (core._kmeans_cluster(arr, init, iterations),
-            core._kmeans_cluster(arr, init, iterations, (order.perm, order.values)))
+            core._kmeans_cluster(arr, init, iterations, grouping._value_order(arr, 1)))
 
 
 def assert_same_run(plain, ordered):
@@ -152,11 +152,11 @@ def test_lloyd_in_value_order_stops_where_element_order_stops():
 
 def test_one_draw_serves_every_bit_width(monkeypatch):
     tensor = gaussian().astype(np.float32)
-    order = grouping.ValueOrder(tensor, 3)
+    order = grouping._value_order(tensor, 3)
     cfgs = [kmeans_cfg(bits, 3, 3, seed=4) for bits in (1, 2, 5, 8)]
     draws, kmeanspp_sorted = [], core._kmeanspp_sorted
     monkeypatch.setattr(core, "_kmeanspp_sorted", lambda *args: draws.append(args[1]) or kmeanspp_sorted(*args))
-    results = list(grouping._kmeans_widths(order, cfgs, "w"))
+    results = list(grouping._kmeans_widths(tensor, order, cfgs, "w"))
     assert draws == [256] * 3
     monkeypatch.setattr(core, "_kmeanspp_sorted", kmeanspp_sorted)
     for cfg, g in zip(cfgs, results):
@@ -183,8 +183,8 @@ def test_large_vector_gives_the_same_bytes():
     tensor = np.random.default_rng(4).normal(0.0, 0.02, size=core._SORTED_MIN_SIZE + 3)
     for bits in (2, 6, 8):
         cfg = kmeans_cfg(bits, 1, 3, seed=bits)
-        order = grouping.ValueOrder(tensor, 1)
-        assert (tensorio.write_cbq(grouping.quantize_grouped(order, cfg))
+        order = grouping._value_order(tensor, 1)
+        assert (tensorio.write_cbq(next(grouping._kmeans_widths(tensor, order, (cfg,))))
                 == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
 
 
@@ -195,61 +195,43 @@ def test_span_squared_overflow_gives_the_same_state_and_warnings(bits):
     tensor = np.random.default_rng(5).choice([-1e300, 1e300], 300) * np.random.default_rng(6).random(300)
     cfg = kmeans_cfg(bits, 1, 3)
     assert_same_groups(tensor, cfg)
-    for source in (tensor, grouping.ValueOrder(tensor, 1)):
-        with pytest.raises(NonFiniteInputError, match="float32"):
-            grouping.quantize_grouped(source, cfg)
-
-
-class TestMismatchedOrder:
-    def quantize(self, cfg, order, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("quantized before the order was checked")
-
-        monkeypatch.setattr(core, "_kmeans_cluster", no_work)
-        monkeypatch.setattr(core, "kmeans_quantize", no_work)
-        grouping.quantize_grouped(order, cfg)
-
-    def test_another_group_count(self, monkeypatch):
-        tensor = gaussian()
-        with pytest.raises(ShapeMismatchError, match="groups"):
-            self.quantize(kmeans_cfg(2, 3, 3), grouping.ValueOrder(tensor, 2), monkeypatch)
-
-    def test_linear_quantization_checks_the_order_too(self):
-        tensor = gaussian()
-        cfg = core.QuantConfig(scheme=core.Scheme.LINEAR, bits=2)
-        with pytest.raises(ShapeMismatchError):
-            grouping.quantize_grouped(grouping.ValueOrder(tensor, 2), cfg)
-        order = grouping.ValueOrder(tensor, 1)
-        assert (tensorio.write_cbq(grouping.quantize_grouped(order, cfg))
-                == tensorio.write_cbq(grouping.quantize_grouped(tensor, cfg)))
+    with pytest.raises(NonFiniteInputError, match="float32"):
+        grouping.quantize_grouped(tensor, cfg)
+    with pytest.raises(NonFiniteInputError, match="float32"):
+        next(grouping._kmeans_widths(tensor, grouping._value_order(tensor, 1), (cfg,)))
 
 
 class TestValueOrder:
+    def test_an_order_is_the_plain_pair_that_core_reads(self):
+        order = grouping._value_order(gaussian(), 2)
+        assert type(order) is tuple and len(order) == 2
+        assert not hasattr(grouping, "ValueOrder") and "ValueOrder" not in cbquant.__all__
+
     @pytest.mark.parametrize("n,groups", [(1, 1), (10, 3), (1000, 7), (1000, 1000)])
     def test_each_group_in_ascending_order(self, n, groups):
         tensor = np.random.default_rng(n).normal(size=n).astype(np.float32)
-        order = grouping.ValueOrder(tensor, groups)
-        assert order.perm.dtype == np.int32 and order.values.dtype == np.float64
+        perm, values = grouping._value_order(tensor, groups)
+        assert perm.dtype == np.int32 and values.dtype == np.float64
         for offset, length in grouping.split_groups(n, groups):
             span = slice(offset, offset + length)
-            assert sorted(order.perm[span].tolist()) == list(range(length))
-            np.testing.assert_array_equal(order.values[span], tensor[span][order.perm[span]])
-            assert (np.diff(order.values[span]) >= 0).all()
+            assert sorted(perm[span].tolist()) == list(range(length))
+            np.testing.assert_array_equal(values[span], tensor[span][perm[span]])
+            assert (np.diff(values[span]) >= 0).all()
 
     def test_arrays_are_read_only(self):
-        order = grouping.ValueOrder(gaussian(), 1)
+        perm, values = grouping._value_order(gaussian(), 1)
         with pytest.raises(ValueError):
-            order.values[0] = 0.0
+            values[0] = 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_rejected(self, bad):
         tensor = gaussian()
         tensor[3, 7] = bad
         with pytest.raises(NonFiniteInputError):
-            grouping.ValueOrder(tensor, 3)
+            grouping._value_order(tensor, 3)
 
     def test_empty_input_and_too_many_groups_are_rejected(self):
         with pytest.raises(EmptyInputError):
-            grouping.ValueOrder(np.zeros(0), 1)
+            grouping._value_order(np.zeros(0), 1)
         with pytest.raises(TooManyGroupsError):
-            grouping.ValueOrder(np.zeros(3), 4)
+            grouping._value_order(np.zeros(3), 4)
