@@ -3,11 +3,11 @@
 Ground truth for the quantizers: clusters of an SSE-optimal 1-D clustering
 are contiguous in sorted order, so an O(K n^2) DP over the sorted input with
 prefix-sum segment costs finds the global minimum.  The DP runs over blocks
-of segment ends: each block's (ends x starts) cost matrix is built once and
-shared by every cluster count, so the Python loop runs about
-K n^2 / _DP_BLOCK_CELLS times rather than once per (cluster count, end).
-Within a block, each cluster count skips the runs of starts that a rounding
-error bound proves cannot win (``_dp_tables``), with the same bits.
+of up to ``_DP_BLOCK_ENDS`` segment ends, so its Python loop runs once per
+(block, cluster count) rather than once per (cluster count, end).  Segment
+SSE satisfies the quadrangle inequality, so two cuts per cluster count,
+widened by a rounding error bound, leave each block a narrow window of
+starts that can still win (``_dp_tables``), with the same bits.
 
 ``partition_cost`` evaluates any interval-structured labeling with the same
 prefix sums and the same left-to-right accumulation, which makes
@@ -23,8 +23,8 @@ from .errors import BadKError, EmptyInputError, LengthMismatchError, NonFiniteIn
 
 __all__ = ["OptimalClustering", "dp_optimal_quantize", "partition_cost"]
 
-_DP_BLOCK_CELLS = 1 << 17  # cells per block cost matrix (1 MiB of float64); 2**18 is slower at n=1000, 2**16 at n=4000
-_DP_START_BLOCK = 16  # consecutive starts per exclusion test; 16 and 32 tie at n=1000..10**4
+_DP_BLOCK_CELLS = 1 << 17  # cells of each cost buffer (1 MiB of float64)
+_DP_BLOCK_ENDS = 64  # segment ends per block, fewer where the shared matrix would not fit _DP_BLOCK_CELLS
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,37 @@ def _cost_error_bound(x: np.ndarray, s2: np.ndarray) -> float:
     and ``s2[j]`` within ``j u sum(x**2)`` of the exact sums (u = 2**-53;
     Higham, ch. 4).  A cost then errs by at most about
     ``4 n u (sum(x**2) + max|x| sum|x|)``; the factor 16 also absorbs the
-    rounding of the sums this bound is computed from.
+    rounding of the sums this bound is computed from.  Below the normal
+    range a product or quotient errs by up to 2**-1075 whatever its size,
+    which that relative bound misses, so an input with a nonzero value adds
+    ``16 (n + 8) 2**-1074``: all of E once the squares underflow (|x| below
+    about 1e-154).  An all-zero input rounds nothing and keeps E = 0.
     """
-    return 16 * (x.size + 8) * 2.0**-53 * (s2[-1] + max(-x[0], x[-1]) * np.abs(x).sum())
+    top = max(-x[0], x[-1])  # max |x|
+    return 16 * (x.size + 8) * (2.0**-53 * (s2[-1] + top * np.abs(x).sum()) + (2.0**-1074 if top else 0.0))
 
 
-def _lower_bounds(block_min, last_cost, err: float, scale: float):
-    """``block_min + last_cost - 4 err``, rounded so that it is never above the exact value.
+def _cut_margin(err: float, scale: float) -> float:
+    """M: a cut drops a start whose candidate is above the winner's candidate + M.
 
-    Valid where ``|block_min + last_cost| <= scale``.  Infinite ``block_min``
-    (starts below the cluster count) gives ``inf`` without a warning.  The
-    slack covers the three roundings of forming the bound.
+    Every computed cost is within ``err`` of its true SSE and every candidate
+    ``dp + cost`` is within ``scale`` of zero, so each of the four candidates
+    that a cut rests on (two at the end it reads, two at the end it decides)
+    is within ``err`` plus one rounding, ``2**-53 scale``, of its exact value.
+    The slack covers those roundings and the roundings of M and of
+    ``candidate + M``.
     """
-    lower = block_min + last_cost
-    lower -= 4 * err + 2.0**-50 * (scale + 4 * err)
-    return lower
+    return 4 * err + 2.0**-50 * (scale + 4 * err)
+
+
+def _kept(row, r, margin):
+    """The starts of ``row`` that no cut drops: those within ``margin`` of the winner ``r``."""
+    return (row <= row[r] + margin).nonzero()[0]
+
+
+def _first_minimum(cand):
+    """The scalar recurrence's tie rule: the first minimum along the last axis."""
+    return cand.argmin(axis=-1)
 
 
 def _dp_tables(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,109 +117,127 @@ def _dp_tables(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, k_max: int) -> tup
     ``parent[k][j]``, the start of the last of them, for k <= ``k_max``.
 
     Bit-identical to the recurrence that takes, for each (k, j), the first
-    minimum of ``dp[k-1][p] + _segment_cost(p, j)`` over p = k-1 .. j-1.  It
-    runs over blocks of segment ends and evaluates only the starts it cannot
-    prove lose.  Cut the starts below the block's first end ``lo`` into start
-    blocks of ``_DP_START_BLOCK``.  Level k skips a start block P when
-    ``min(dp[k-1][P]) + cost(last of P, lo) - 4E - slack`` is strictly above
-    a computed candidate of every end of the block: the candidate of the
-    start that won end ``lo - 1``.  A segment's true SSE never falls as it
-    gains points, and a computed cost is within E of the true one
-    (``_cost_error_bound``), so every candidate from P is then strictly
-    larger than that candidate and never the first minimum, ties included.
-    The near-diagonal starts, from the first one outside those start blocks
-    up to ``hi - 2``, are always evaluated: the bound needs a start block
-    wholly below ``lo``, and ``dp[k-1]`` from ``lo`` on is computed in this
-    block.
+    minimum of the candidates ``dp[k-1][p] + _segment_cost(p, j)`` over
+    p = k-1 .. j-1.  It runs over blocks of at most ``_DP_BLOCK_ENDS`` segment
+    ends and evaluates only the starts that two cuts per level k keep.
+
+    Exact segment SSE of sorted data satisfies the quadrangle inequality
+    ``SSE(p, j) + SSE(q, j') <= SSE(p, j') + SSE(q, j)`` for p < q < j < j', so
+    with ``F(j, p) = dp[k-1][p] + SSE(p, j)`` the lead of q over p,
+    ``F(j, p) - F(j, q)``, never falls as j grows.  A computed candidate is
+    within E (``_cost_error_bound``) plus one rounding of F, so a start whose
+    candidate is more than M (``_cut_margin``) above another's at one end is
+    strictly above it at every end on the far side:
+
+    - lower cut, per level and permanent: the starts below the winner of a
+      block's last end whose candidates there are more than M above the
+      winner's lose at every later end;
+    - upper cut, per block: the starts above the winner r of the block's last
+      end whose candidates there are more than M above r's lose at every
+      earlier end of the block, and r, an earlier start, is a candidate there.
+
+    So each block evaluates its last end against every start from the lower
+    cut, then its other ends against the window from that cut up to the last
+    start within M of r.  The first minimum of a window is then the first
+    minimum over every start, ties included.  Window costs are built per
+    level; once a block's windows would cost as much as one shared matrix of
+    the block's ends against every start from its lowest cut, that matrix is
+    built, and the levels left read every end and start from the cut out of
+    it.
     """
     n = x.size
-    block = _DP_START_BLOCK
     dp = np.full((k_max + 1, n + 1), np.inf)
     dp[0][0] = 0.0
     parent = np.zeros((k_max + 1, n + 1), dtype=np.int64)
     err = _cost_error_bound(x, s2)
     # No true SSE exceeds the whole input's, and a computed dp or cost is within
-    # about k_max E of a true one: this bounds |dp| + |cost| for _lower_bounds.
+    # about k_max E of a true one: this bounds |dp| + |cost| for _cut_margin.
     scale = 2 * max(float(_segment_cost(s1, s2, 0, n)), 0.0) + (2 * k_max + 8) * err
-    block_min = np.full((max(k_max - 1, 0), n // block), np.inf)  # min of dp[k] over start block b, k < k_max
-    done = 0  # start blocks whose minimum is in block_min
-    rows = max(1, _DP_BLOCK_CELLS // n)
-    cost_buf, work_buf = np.empty(rows * n), np.empty(rows * n)  # work_buf: cost scratch, then candidates
+    margin = _cut_margin(err, scale)
+    cut = [k - 1 for k in range(k_max + 1)]  # cut[k]: the lowest start level k still evaluates
+    cells = min(_DP_BLOCK_CELLS, _DP_BLOCK_ENDS * n)
+    shared_buf, work_buf = np.empty(cells), np.empty(cells)
     index = np.arange(n + 1)
-    for lo in range(1, n + 1, rows):
-        # One block: segment ends lo .. hi-1.
-        hi = min(lo + rows, n + 1)
-        ends = index[lo:hi]
-        dp[1, lo:hi] = dp[0, 0] + _segment_cost(s1, s2, 0, ends)  # k = 1: start 0 is the only one
-        top = min(k_max, hi - 1)
-        if top < 2:
-            continue
-        whole = lo // block  # start blocks below lo
-        if whole > done:
-            block_min[:, done:whole] = dp[1:k_max, done * block : whole * block].reshape(
-                k_max - 1, -1, block).min(axis=2)
-            done = whole
-        # Level k evaluates starts [a, b), then [near, hi - 1), in one buffer; the gap may be empty.
-        levels = np.arange(2, top + 1)
-        near = np.maximum(whole * block, levels - 1)
-        a, b = levels - 1, near.copy()
-        probed = min(top, lo - 1) - 1  # levels 2 .. probed + 1 have a final parent at lo - 1
-        if whole and probed > 0:
-            # A computed candidate for each end: the start that won end lo - 1.
-            probe = parent[2 : probed + 2, lo - 1]
-            upper = dp[levels[:probed] - 1, probe][:, None] + _segment_cost(s1, s2, probe[:, None], ends)
-            upper = upper.max(axis=1)
-            last_cost = _segment_cost(s1, s2, index[block - 1 : whole * block : block], lo)
-            keep = _lower_bounds(block_min[:probed, :whole], last_cost, err, scale) <= upper[:, None]
-            kept = keep.any(axis=1)
-            first_kept = keep.argmax(axis=1) * block
-            last_kept = (whole - keep[:, ::-1].argmax(axis=1)) * block
-            a[:probed] = np.where(kept, np.maximum(first_kept, a[:probed]), near[:probed])
-            b[:probed] = np.where(kept, last_kept, near[:probed])
-        # Costs of the block against starts from the lowest kept one (never above lo).
-        low = int(a.min())
-        cost = cost_buf[: (hi - lo) * (hi - 1 - low)].reshape(hi - lo, hi - 1 - low)
-        tmp = work_buf[: cost.size].reshape(cost.shape)
-        with np.errstate(invalid="ignore"):  # the 0/0 of start == end, masked next
-            _segment_costs_into(s1, s2, index[low : hi - 1], ends, cost, tmp)
-        cost[:, lo - low :][index[lo : hi - 1] >= ends[:, None]] = np.inf
-        for k, a_k, b_k, near_k in zip(levels.tolist(), a.tolist(), b.tolist(), near.tolist()):
-            # Ends j >= k against the kept starts in the scalar recurrence's
-            # order, so argmin's first minimum picks the same split.  Level
-            # k-1 is complete here for every start below hi - 1.
-            first = max(lo, k)
-            kept_cost = cost[first - lo :]
-            if b_k == near_k:  # the runs touch: one run from a_k
-                b_k = near_k = a_k
-            span = b_k - a_k
-            cand = work_buf[: (hi - first) * (span + hi - 1 - near_k)].reshape(hi - first, -1)
-            np.add(dp[k - 1, a_k:b_k], kept_cost[:, a_k - low : b_k - low], out=cand[:, :span])
-            np.add(dp[k - 1, near_k : hi - 1], kept_cost[:, near_k - low :], out=cand[:, span:])
-            best = cand.argmin(axis=1)
-            dp[k, first:hi] = cand[index[: hi - first], best]
-            parent[k, first:hi] = np.concatenate((index[a_k:b_k], index[near_k : hi - 1]))[best]
+    places = index.astype(np.float64)
+    dp[1, 1:] = dp[0, 0] + _segment_cost(s1, s2, 0, index[1:])  # k = 1: start 0 is the only one
+    lo = 2  # the first end of level 2
+    while k_max > 1 and lo <= n:
+        # One block: segment ends lo .. last, few enough for its shared matrix to fit in ``cells``.
+        low = min(cut[2:])
+        rows = max(1, min(_DP_BLOCK_ENDS, cells // (lo - low + _DP_BLOCK_ENDS)))
+        last = min(lo + rows, n + 1) - 1
+        last_cost = _segment_cost(s1, s2, index[low:last], last)
+        shared, spent = None, 0
+        budget = (last - lo) * (last - 1 - low)  # the shared matrix's cells that windows would build
+        for k in range(2, min(k_max, last) + 1):
+            a, first = cut[k], max(lo, k)
+            if shared is None:
+                # The last end against every start from the cut gives both cuts; then
+                # ends first .. last-1 against the window a .. stop-1.
+                row = dp[k - 1, a:last] + last_cost[a - low :]
+                r = int(_first_minimum(row))
+                dp[k, last] = row[r]
+                parent[k, last] = a + r
+                kept = _kept(row, r, margin)
+                cut[k] = a + int(kept[0])
+                if first == last:
+                    continue
+                end, stop = last, min(a + int(kept[-1]) + 1, last - 1)
+                if spent + (end - first) * (stop - a) >= budget:
+                    shared = shared_buf[: (last + 1 - lo) * (last - low)].reshape(last + 1 - lo, last - low)
+                    _segment_costs_into(s1, s2, places, slice(low, last), slice(lo, last + 1), shared,
+                                        work_buf[: shared.size].reshape(shared.shape))
+            else:
+                end, stop = last + 1, last  # every end against every start from the cut
+            cand = work_buf[: (end - first) * (stop - a)].reshape(end - first, stop - a)
+            if shared is None:
+                spent += cand.size
+                _segment_costs_into(s1, s2, places, slice(a, stop), slice(first, end), cand,
+                                    shared_buf[: cand.size].reshape(cand.shape))
+                costs = cand
+            else:
+                costs = shared[first - lo : end - lo, a - low : stop - low]
+            np.add(dp[k - 1, a:stop], costs, out=cand)
+            best = _first_minimum(cand)
+            dp[k, first:end] = cand[index[: end - first], best]
+            np.add(best, a, out=parent[k, first:end])
+            if end > last:  # the last end's row came from the shared matrix
+                cut[k] = a + int(_kept(cand[-1], best[-1], margin)[0])
+        lo = last + 1
     return dp, parent
 
 
-def _segment_costs_into(s1, s2, starts, ends, out, tmp):
-    """``out[r, c] = _segment_cost(s1, s2, starts[c], ends[r])``, by the same operations."""
-    np.subtract(ends[:, None], starts, out=out)
-    np.subtract(s1[ends][:, None], s1[starts], out=tmp)
+def _segment_costs_into(s1, s2, places, starts: slice, ends: slice, out, tmp):
+    """``out[r, c] = _segment_cost(s1, s2, p, j)`` for the c-th start p of ``starts``
+    and the r-th end j of ``ends``, by the same operations, and inf where p >= j.
+
+    ``places`` holds 0.0 .. n.  Each operand that varies by row is copied out
+    first and the row subtracted in place, which numpy runs faster than one
+    subtraction of a column from a row.
+    """
+    np.copyto(out, places[ends, None])
+    np.subtract(out, places[starts], out=out)
+    np.copyto(tmp, s1[ends, None])
+    np.subtract(tmp, s1[starts], out=tmp)
     np.multiply(tmp, tmp, out=tmp)
-    np.divide(tmp, out, out=tmp)
-    np.subtract(s2[ends][:, None], s2[starts], out=out)
+    with np.errstate(invalid="ignore"):  # the 0/0 of p == j, masked below
+        np.divide(tmp, out, out=tmp)
+    np.copyto(out, s2[ends, None])
+    np.subtract(out, s2[starts], out=out)
     np.subtract(out, tmp, out=out)
+    near = ends.start - starts.start  # starts from here on reach the first end
+    if near < out.shape[1]:
+        out[:, near:][places[ends.start : starts.stop] >= places[ends, None]] = np.inf
 
 
 def dp_optimal_quantize(v, n_clusters: int) -> OptimalClustering:
     """Globally minimal-SSE partition of ``v`` into at most ``n_clusters`` clusters.
 
     Intended for modest sizes (n up to ~10^4): the DP is O(K n^2) arithmetic
-    at worst, done in blocks of segment ends whose cost matrix holds
-    ``_DP_BLOCK_CELLS`` float64, and most start blocks are proven to lose
-    and skipped (about 0.09 s at n=4000, K=16 on a 2-core Xeon, and 0.4 s at
-    n=10^4).  Deterministic; ties prefer fewer clusters and earlier split
-    points.
+    at worst, done in blocks of segment ends, and on most inputs each block
+    and cluster count evaluates only a narrow window of starts that the
+    quadrangle inequality cannot rule out (``_dp_tables``).  Deterministic;
+    ties prefer fewer clusters and earlier split points.
     """
     n_clusters = core._integer("cluster count", n_clusters, 1, 256, BadKError)
     x = _sorted_input(v)

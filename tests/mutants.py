@@ -8,12 +8,13 @@ band.  Lloyd on a shared value order rewrites only the labels that moved
 since the last step, in the uint8 labels and in the intp copy that its sums
 read, and a sweep starts each bit width from its prefix of one k-means++
 draw.  The exact DP of ``oracle._dp_tables`` takes the first minimum over
-the same candidates as the scalar recurrence, and skips a block of starts
-only when a lower bound, widened by the cost error bound and a rounding
-slack, is strictly above a computed candidate; the near-diagonal starts are
-always evaluated, in one run with the kept starts when the two touch;
-``oracle.partition_cost`` rejects a labeling in which one label forms two
-runs.  The CBQ reader and writer of ``tensorio`` walk labels in chunks, counting
+the same candidates as the scalar recurrence, masks each start that is not
+below its end, and drops a start only when its candidate at a block's last
+end is more than M above the winner's, M being four cost error bounds plus a
+rounding slack: below the winner for every later end (the lower cut), above
+it for the block's earlier ends (the upper cut), whose window reaches the
+starts next to those ends; ``oracle.partition_cost`` rejects a labeling in
+which one label forms two runs.  The CBQ reader and writer of ``tensorio`` walk labels in chunks, counting
 occupancy and unpacking pieces of rows at byte offsets, and check a blob's
 length before they allocate for it.
 The CLI's worker map puts each forked child's results back at that child's
@@ -181,29 +182,38 @@ MUTANTS = (
            "    np.zeros(n, dtype=np.uint8)\n    expected = cbq_size_bytes(n, rank, bits, group_count)\n",
            ("tests/test_fuzz.py::test_read_cbq_raises_only_cbq_errors",)),
     Mutant("dp-last-minimum", "oracle.py",
-           "best = cand.argmin(axis=1)", "best = cand.shape[1] - 1 - cand[:, ::-1].argmin(axis=1)",
+           "return cand.argmin(axis=-1)", "return cand.shape[-1] - 1 - cand[..., ::-1].argmin(axis=-1)",
            tuple(f"{DP_BLOCKS}[{case}]" for case in ("zeros", "duplicates", "offset"))),
     Mutant("dp-mask-start-above-end", "oracle.py",
-           "index[lo : hi - 1] >= ends[:, None]", "index[lo : hi - 1] > ends[:, None]",
+           "places[ends.start : starts.stop] >= places[ends, None]", "places[ends.start : starts.stop] > places[ends, None]",
            DP_FIXED),
     Mutant("dp-previous-level-one-ulp-up", "oracle.py",
-           "np.add(dp[k - 1, near_k : hi - 1],", "np.add(np.nextafter(dp[k - 1, near_k : hi - 1], np.inf),",
+           "np.add(dp[k - 1, a:stop],", "np.add(np.nextafter(dp[k - 1, a:stop], np.inf),",
            DP_FIXED),
     Mutant("dp-zero-slack", "oracle.py",
-           "lower -= 4 * err + 2.0**-50 * (scale + 4 * err)", "lower -= 4 * err",
-           ("tests/test_oracle.py::TestExclusionBound::test_bound_is_never_above_its_exact_value",)),
+           "return 4 * err + 2.0**-50 * (scale + 4 * err)", "return 4 * err",
+           ("tests/test_oracle.py::TestExclusionBound::test_margin_covers_four_errors_and_roundings",)),
+    # With M = 0 (all-zero input) a strict comparison keeps no start at all.
     Mutant("dp-non-strict-exclusion", "oracle.py",
-           "err, scale) <= upper[:, None]", "err, scale) < upper[:, None]",
+           "(row <= row[r] + margin)", "(row < row[r] + margin)",
            (f"{DP_BLOCKS}[zeros]",)),
     Mutant("dp-zero-error-bound", "oracle.py",
            "err = _cost_error_bound(x, s2)", "err = 0.0",
            (f"{DP_BLOCKS}[offset]",)),
+    # Below the normal range the relative error model alone gives E = 0.
+    Mutant("dp-error-bound-no-underflow-term", "oracle.py",
+           " + (2.0**-1074 if top else 0.0)", " + 0.0",
+           (f"{DP_BLOCKS}[tiny]", "tests/test_oracle.py::TestExclusionBound::test_error_bound_covers_every_segment_cost")),
     Mutant("dp-near-diagonal-run-dropped", "oracle.py",
-           "near = np.maximum(whole * block, levels - 1)", "near = np.full_like(levels, hi - 1)",
+           "+ 1, last - 1)", "+ 1, first)",
            (f"{DP_BLOCKS}[paper-eval]", "tests/test_oracle.py::TestDpPin")),
     Mutant("dp-joined-run-skips-its-first-start", "oracle.py",
-           "b_k = near_k = a_k\n", "b_k, near_k = a_k, a_k + 1\n",
+           "cut[k] = a + int(kept[0])\n", "cut[k] = a + int(kept[0]) + 1\n",
            DP_FIXED + (f"{DP_BLOCKS}[paper-eval]", f"{DP_BLOCKS}[n1000]")),
+    # Rounding can make an earlier end's first minimum lie above r, within M of it.
+    Mutant("dp-upper-cut-without-margin", "oracle.py",
+           "a + int(kept[-1]) + 1", "a + r + 1",
+           (f"{DP_BLOCKS}[offset]",)),
     Mutant("split-label-check-dropped", "oracle.py",
            "if cuts.size + 1 != _distinct_count(run):", "if False:",
            tuple(f"tests/test_oracle.py::TestPartitionCost::test_a_label_in_two_runs_is_rejected[{case}]"

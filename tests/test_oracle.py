@@ -128,14 +128,12 @@ def dp_inputs(draw):
 class TestDpAgainstScalarReference:
     @given(dp_inputs(),
            st.one_of(st.integers(min_value=1, max_value=70), st.just(256)),
-           st.sampled_from([1, 5, 64, oracle._DP_BLOCK_CELLS]),
-           st.sampled_from([1, 2, 5, oracle._DP_START_BLOCK]))
+           st.sampled_from([1, 2, 5, oracle._DP_BLOCK_ENDS]))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical(self, values, n_clusters, block_cells, start_block):
-        # Small budgets make even n=2 cross blocks of one or a few segment ends, and
-        # small start blocks let those blocks exclude starts.
-        with mock.patch.object(oracle, "_DP_BLOCK_CELLS", block_cells), \
-                mock.patch.object(oracle, "_DP_START_BLOCK", start_block):
+    def test_bit_identical(self, values, n_clusters, block_ends):
+        # Blocks of one or a few segment ends make inputs of up to 60 values cross
+        # many blocks and carry each level's lower cut from block to block.
+        with mock.patch.object(oracle, "_DP_BLOCK_ENDS", block_ends):
             assert_matches_scalar(values, n_clusters)
 
     def test_bit_identical_n1500(self):
@@ -161,6 +159,10 @@ BLOCK_CASES = {
     "n37": (_rng(10).normal(size=37), 16),
     "n1000": (_rng(12).normal(0.0, 0.02, size=1000), 16),  # the runs touch at 111 of 120 levels
     "n10000": (_rng(11).normal(0.0, 0.02, size=10_000), 16),
+    # Ten clusters of 15 to 1,200 values, 100 apart: each level's window jumps where an end crosses a gap.
+    "jumps": (np.concatenate([c * 100.0 + _rng(17 + c).normal(size=size) for c, size in
+                              enumerate([40, 900, 15, 300, 700, 60, 1200, 25, 180, 400])]), 16),
+    "tiny": (1e-162 * _rng(27).normal(size=400), 16),  # squares underflow: E rests on its absolute term
 }
 
 
@@ -185,7 +187,8 @@ def _exact_sse(x, a, b):
 
 
 class TestExclusionBound:
-    @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e-3, 0.0), (1.0, 1e6), (1.0, -3e9), (1e5, 1e5)])
+    @pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1e-3, 0.0), (1.0, 1e6), (1.0, -3e9), (1e5, 1e5),
+                                              (1e-162, 0.0), (1e-310, 0.0)])
     def test_error_bound_covers_every_segment_cost(self, scale, offset):
         x = np.sort(offset + scale * _rng(12).normal(size=40))
         s1, s2 = oracle._prefix_sums(x)
@@ -194,23 +197,71 @@ class TestExclusionBound:
             for b in range(a + 1, x.size + 1):
                 assert abs(Fraction(float(oracle._segment_cost(s1, s2, a, b))) - _exact_sse(x, a, b)) <= err
 
-    @given(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=-1e300, max_value=1e300),
-           st.floats(min_value=0.0, max_value=1e300))
-    @example(0.1, 0.2, 0.0)  # 0.1 + 0.2 rounds up
-    @example(1.0, 2.0**-53, 0.0)
+    # Each of the four candidates a cut compares (two at the end it reads, two at another
+    # end) is within E plus one rounding of its exact value; c + M rounds once more.  A
+    # candidate is a sum, so below the normal range, where every candidate lies once
+    # scale does, it is exact.
+    @given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300),
+           st.floats(min_value=-1.0, max_value=1.0))
+    @example(0.0, 1.0, 1.0)
+    @example(2.0**-60, 1.0, 1.0)  # 4E is below half an ulp of the candidate
+    @example(0.0, 0.0, 0.0)
+    @example(0.0, 5e-324, 1.0)  # the slack underflows to 0
+    @example(1e-320, 2.0**-1022, -1.0)
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_bound_is_never_above_its_exact_value(self, block_min, last_cost, err):
-        scale = abs(block_min + last_cost)
+    def test_margin_covers_four_errors_and_roundings(self, err, scale, position):
+        c = position * scale  # a candidate, which a cut compares against c + M
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lower = float(oracle._lower_bounds(np.array([block_min]), last_cost, err, scale)[0])
-        assert Fraction(lower) <= Fraction(block_min) + Fraction(last_cost) - 4 * Fraction(err)
+            bound = c + oracle._cut_margin(err, scale)
+        rounding = Fraction(scale) / 2**53 if scale >= np.finfo(np.float64).tiny else 0
+        assert Fraction(bound) - Fraction(c) >= 4 * (Fraction(err) + rounding)
 
-    def test_starts_below_the_cluster_count_bound_to_inf_without_a_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            lower = oracle._lower_bounds(np.array([np.inf, 1.0]), np.array([2.0, 2.0]), 1e-9, 4.0)
-        assert lower[0] == np.inf and lower[1] < 3.0
+    @pytest.mark.parametrize("offset", [0.0, 1e3, -1e6])
+    def test_a_start_each_cut_drops_loses_at_every_other_end(self, offset):
+        # In exact arithmetic, for every level and every end J read as a block's last end:
+        # a start below J's winner whose candidate exceeds the winner's by more than M
+        # trails the winner by more than the errors of two candidates at every later end,
+        # and a start above it does so at every earlier end that it can start.
+        x = np.sort(offset + _rng(13).normal(size=24))
+        n = x.size
+        s1, s2 = oracle._prefix_sums(x)
+        dp, _ = oracle._dp_tables(x, s1, s2, 4)
+        err = oracle._cost_error_bound(x, s2)
+        scale = 2 * max(float(oracle._segment_cost(s1, s2, 0, n)), 0.0) + (2 * 4 + 8) * err
+        margin = oracle._cut_margin(err, scale)
+        slack = 2 * (Fraction(err) + Fraction(scale) * Fraction(1, 2**53))
+        sse = {(a, b): _exact_sse(x, a, b) for a in range(n) for b in range(a + 1, n + 1)}
+        dropped = 0
+        for k in range(2, 5):
+            for last in range(k, n + 1):
+                starts = np.arange(k - 1, last)
+                row = dp[k - 1, starts] + oracle._segment_cost(s1, s2, starts, last)
+                r = int(starts[row.argmin()])
+                bound = row.min() + margin
+                for p in starts[row > bound].tolist():
+                    ends = range(last + 1, n + 1) if p < r else range(p + 1, last)
+                    for j in ends:
+                        gap = Fraction(dp[k - 1, p]) + sse[p, j] - Fraction(dp[k - 1, r]) - sse[r, j]
+                        assert gap > slack, (k, last, p, j)
+                    dropped += 1
+        assert dropped  # 10 starts at the offset -1e6, where E is near the gaps; hundreds at the others
+
+
+class TestQuadrangleInequality:
+    @pytest.mark.parametrize("values", [
+        _rng(14).normal(size=18),
+        _rng(15).choice([-1.5, 0.0, 0.25, 2.0], size=18),
+        _rng(16).uniform(-1.0, 1.0, size=18) ** 3,
+    ], ids=["free", "duplicates", "cubed-uniform"])
+    def test_exact_sse_of_sorted_values(self, values):
+        # SSE(a, c) + SSE(b, d) <= SSE(a, d) + SSE(b, c) for a < b < c < d: the inequality
+        # that makes a start which trails another by a margin keep trailing it.
+        x = np.sort(values)
+        n = x.size
+        sse = {(a, b): _exact_sse(x, a, b) for a in range(n) for b in range(a + 1, n + 1)}
+        for a, b, c, d in combinations(range(n + 1), 4):
+            assert sse[a, c] + sse[b, d] <= sse[a, d] + sse[b, c], (a, b, c, d)
 
 
 class TestDpExamples:
