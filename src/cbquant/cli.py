@@ -3,7 +3,10 @@
 Exit codes: 0 success, 2 usage error, 3 data/format error, 4 internal error.
 ``CBQUANT_THREADS`` caps the worker processes that share a command's jobs;
 results are bit-identical for any count because every (tensor, group) pair
-owns a derived RNG stream.  All numeric work happens through the library
+owns a derived RNG stream.  A quantize or reconstruct job writes its own
+output into the command's staging directory (one file, or one tensor at its
+offset of the payload), and the parent renames the outputs into place once
+every job has succeeded.  All numeric work happens through the library
 calls; the CLI only arranges inputs and formats reports.
 """
 
@@ -77,8 +80,9 @@ def _parallel_map(fn, items):
     """``[fn(item) for item in items]``, shared with forked worker processes.
 
     With W workers the parent runs jobs 0, W, 2W, ... and child w runs jobs
-    w, w + W, ...; each child pickles its results, or the exception that
-    stopped it, into a pipe and leaves with ``os._exit``, so nothing it
+    w, w + W, ...; each child pickles its results (small: the jobs write
+    their own outputs), or the exception that stopped it, into a pipe and
+    leaves with ``os._exit``, so nothing it
     inherited (stdio buffers, atexit hooks) runs twice.  A failure raises
     the exception of the first failing job, as a run in one process would;
     a child that ends without sending a result raises ``RuntimeError``
@@ -166,29 +170,50 @@ def cmd_quantize(args) -> int:
         raise EmptyInputError("bundle contains no tensors")
     cfg = core.QuantConfig(scheme=core.Scheme[args.scheme.upper()], bits=args.bits,
                            max_iterations=args.iters, seed=args.seed, group_count=args.groups)
-    names = sorted(tensors)
+    out = Path(args.output)
+    # Each file's name is fixed by its tensor's place in name order before any job starts.
+    manifest = tensorio._quantized_layout({name: tensors[name].shape if args.exclude and args.exclude.search(name)
+                                           else None for name in sorted(tensors)})
 
-    def work(name):
-        tensor = tensors[name]
-        if args.exclude and args.exclude.search(name):
-            return tensor, [name, tensor.size, "", "", "excluded"]
-        g = grouping.quantize_grouped(tensor, cfg, tensor_name=name)
-        mse = _grouped_sse(tensor, g) / tensor.size
-        blob = tensorio.write_cbq(g)
-        ratio = (32.0 * tensor.size) / (8.0 * len(blob))
-        return blob, [name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"]
+    with tensorio._staging(out) as stage:
+        def work(entry):
+            name, tensor = entry["name"], tensors[entry["name"]]
+            if entry["kind"] == "raw":
+                tensorio._stage_file(stage / entry["file"], [np.ascontiguousarray(tensor, dtype="<f4")])
+                return [name, tensor.size, "", "", "excluded"]
+            g = grouping.quantize_grouped(tensor, cfg, tensor_name=name)
+            mse = _grouped_sse(tensor, g) / tensor.size
+            blob = tensorio.write_cbq(g)
+            tensorio._stage_file(stage / entry["file"], [blob])
+            ratio = (32.0 * tensor.size) / (8.0 * len(blob))
+            return [name, tensor.size, f"{mse:.6g}", f"{ratio:.3f}", "quantized"]
 
-    results = _parallel_map(work, names)
-    tensorio.write_quantized(args.output, {name: out for name, (out, _) in zip(names, results)})
-    _emit(["tensor", "n", "mse", "ratio", "status"], [row for _, row in results], args.format)
+        rows = _parallel_map(work, manifest["tensors"])  # each job stages its own file
+        tensorio._commit(stage, out, tensorio._QUANTIZED_MANIFEST, manifest)
+    _emit(["tensor", "n", "mse", "ratio", "status"], rows, args.format)
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    tensors = {name: grouping.reconstruct_grouped(t) if isinstance(t, grouping.GroupedQuantizedTensor) else t
-               for name, t in tensorio.read_quantized(args.quantized).items()}
-    tensorio.write_bundle(args.output, tensors)
-    print(f"wrote {len(tensors)} tensors to {args.output}")
+    directory, entries = tensorio._quantized_entries(args.quantized)
+    out = Path(args.output)
+    # The payload's layout follows from the shapes, which the headers and the manifest give.
+    manifest = tensorio._bundle_layout(out, {e["name"]: tensorio._entry_shape(directory, e) for e in entries})
+
+    with tensorio._staging(out) as stage:
+        payload = stage / manifest["payload"]
+        tensorio._stage_file(payload, size=sum(slot["length"] for slot in manifest["tensors"]))
+
+        def work(job):  # reads and checks one file, and writes its tensor at its own offset
+            entry, slot = job
+            tensor = tensorio._read_entry(directory, entry, {})
+            if isinstance(tensor, grouping.GroupedQuantizedTensor):
+                tensor = grouping.reconstruct_grouped(tensor)
+            tensorio._write_slot(payload, slot, tensor)
+
+        _parallel_map(work, list(zip(entries, manifest["tensors"])))
+        tensorio._commit(stage, out.parent, out.name, manifest)
+    print(f"wrote {len(entries)} tensors to {args.output}")
     return 0
 
 

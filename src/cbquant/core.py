@@ -12,7 +12,6 @@ group_index)``, so results never depend on scheduling or worker count.
 
 import bisect
 import enum
-import hashlib
 import math
 import operator
 import struct
@@ -197,6 +196,8 @@ def derive_stream_seed(seed: int, tensor_name: str = "", group_index: int = 0) -
     seed, group_index = _integer("seed", seed, 0, _U64_MAX), _integer("group_index", group_index, 0, _U64_MAX)
     if not isinstance(tensor_name, str):
         raise BadConfigError(f"tensor_name must be a str, got {tensor_name!r}")
+    import hashlib  # on first use: it loads OpenSSL, which commands that draw no stream skip
+
     h = hashlib.blake2b(digest_size=8)
     h.update(struct.pack("<Q", seed))
     h.update(tensor_name.encode("utf-8"))
@@ -322,7 +323,7 @@ def _padded(chosen: list, n_clusters: int) -> np.ndarray:
     return out
 
 
-def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def kmeanspp_init(v, n_clusters: int, rng: "np.random.Generator") -> np.ndarray:
     """Pick ``n_clusters`` initial centroids from ``v`` by squared-distance weighting.
 
     The first centroid is drawn uniformly from the elements of ``v``; each
@@ -375,7 +376,7 @@ def kmeanspp_init(v, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
     return _kmeanspp_full_pass(arr, n_clusters, rng)
 
 
-def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator") -> np.ndarray:
     """``kmeanspp_init`` on float64 ``arr`` with one full pass over ``d2`` per pick."""
     n = arr.size
     d2 = np.full(n, np.inf)
@@ -403,7 +404,7 @@ def _kmeanspp_full_pass(arr: np.ndarray, n_clusters: int, rng: np.random.Generat
     return _padded(chosen, n_clusters)
 
 
-def _draw(rng: np.random.Generator, n: int, ends: np.ndarray, size: int, depth: float, fill) -> int:
+def _draw(rng: "np.random.Generator", n: int, ends: np.ndarray, size: int, depth: float, fill) -> int:
     """One k-means++ pick from ``d2`` of ``n`` elements: the sequential
     draw's index (``kmeanspp_init``), or -1, with nothing drawn, when every
     ``d2`` is 0.  Both loops of ``kmeanspp_init`` pick through this one rule.
@@ -472,7 +473,7 @@ def _neighbour_d2(x: np.ndarray, picks: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: np.random.Generator, order=None) -> np.ndarray:
+def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator", order=None) -> np.ndarray:
     """``kmeanspp_init`` on float64 ``arr`` with ``d2`` in value order, each
     pick updating only the sorted range it can move.
 
@@ -892,7 +893,7 @@ def kmeans_cluster(v, cfg: QuantConfig, tensor_name: str = "", group_index: int 
     return LloydState(centroids, labels, _state_sse(arr, labels, centroids), iterations)
 
 
-def _kmeans_stream(cfg: QuantConfig, tensor_name: str, group_index: int) -> np.random.Generator:
+def _kmeans_stream(cfg: QuantConfig, tensor_name: str, group_index: int) -> "np.random.Generator":
     """The k-means++ stream of one group, once ``cfg`` is checked to be a k-means config."""
     if cfg.scheme is not Scheme.KMEANS:
         raise BadConfigError("k-means operations require cfg.scheme == Scheme.KMEANS")

@@ -22,8 +22,12 @@ little-endian float32 blobs; unknown manifest fields are ignored.  A quantized
 directory is ``manifest.json`` plus one ``tNNNNN.cbq`` (CBQ blob) or
 ``tNNNNN.f32`` (raw float32) file per tensor.  In both formats every file a
 manifest names must be a bare name in the manifest's directory, and writes
-are all or nothing: files are staged under temporary names, then renamed
-into place with the manifest last.
+are all or nothing: files are staged in one hidden directory beside the
+output (``_staging``), then renamed into place with the manifest last
+(``_commit``).  The writers here and the CLI's worker jobs share those steps
+and the layouts (``_bundle_layout``, ``_quantized_layout``): a job stages its
+own file, or writes its tensor into a staged payload at the offset that the
+layout gives it, so no process holds every output at once.
 """
 
 import contextlib
@@ -72,12 +76,34 @@ _HEADER_TAIL = struct.Struct("<QI")  # seed, max_iterations
 _QUANTIZED_MANIFEST = "manifest.json"
 
 
+# Bits 1, 2, 4 and 8 fill whole bytes: byte ``c`` of a stream holds the ``8 // bits``
+# labels of word ``_BYTE_WORDS[bits][c]``, one a byte, the first in the lowest.
+_BYTE_WORDS = {bits: ((np.arange(256)[:, None] >> (bits * np.arange(8 // bits))) & ((1 << bits) - 1))
+               .astype(np.uint8).view(f"<u{8 // bits}").reshape(256) for bits in (1, 2, 4, 8)}
+
+
 def _pack_rows(labels: np.ndarray, bits: int) -> np.ndarray:
     """Pack each row of 2-D uint8 labels into its own zero-padded byte stream.
 
-    Eight labels fill ``bits`` bytes: each run of eight is shifted into one
-    little-endian u64, whose low ``bits`` bytes are the stream.
+    At a width that fills whole bytes, the ``8 // bits`` labels of a byte are
+    shifted into it; at any other, eight labels fill ``bits`` bytes: each run
+    of eight is shifted into one little-endian u64, whose low ``bits`` bytes
+    are the stream.
     """
+    if bits not in _BYTE_WORDS:
+        return _pack_words(labels, bits)
+    rows, length = labels.shape
+    per_byte = 8 // bits
+    lanes = np.zeros((rows, -(-length // per_byte), per_byte), dtype=np.uint8)
+    lanes.reshape(rows, -1)[:, :length] = labels
+    stream = lanes[..., 0].copy()
+    for k in range(1, per_byte):
+        stream |= lanes[..., k] << np.uint8(k * bits)
+    return stream
+
+
+def _pack_words(labels: np.ndarray, bits: int) -> np.ndarray:
+    """``_pack_rows`` through u64 words, at any width."""
     rows, length = labels.shape
     lanes = np.zeros((rows, -(-length // 8), 8), dtype=np.uint8)
     lanes.reshape(rows, -1)[:, :length] = labels
@@ -101,21 +127,30 @@ def _unpack_rows(packed: np.ndarray, out: np.ndarray, bits: int) -> None:
         raise NonzeroPaddingError("pad bits beyond the last label are not zero")
     if length == 0:
         return
+    words = _BYTE_WORDS.get(bits)
     for chunk_rows, cols in _label_chunks(rows, length):
         dest = out[chunk_rows, cols]
-        lanes = np.zeros((len(dest), -(-dest.shape[1] // 8), 8), dtype=np.uint8)
-        stream = np.zeros((len(dest), lanes.shape[1] * bits), dtype=np.uint8)
         start = cols.start * bits // 8  # a piece of a row starts on a whole byte
-        src = packed[chunk_rows, start : start + stream.shape[1]]
-        stream[:, : src.shape[1]] = src
-        lanes[..., :bits] = stream.reshape(len(dest), -1, bits)
-        words = lanes.view("<u8")[..., 0]
-        labels = np.empty_like(lanes)
-        field = np.empty_like(words)  # one scratch buffer for every shift
-        for k in range(8):
-            np.right_shift(words, k * bits, out=field)
-            labels[..., k] = np.bitwise_and(field, (1 << bits) - 1, out=field)
-        dest[...] = labels.reshape(len(dest), -1)[:, : dest.shape[1]]
+        src = packed[chunk_rows, start : start + (dest.shape[1] * bits + 7) // 8]
+        if words is None:
+            _decode_words(src, dest, bits)
+        else:  # one table lookup a byte
+            dest[...] = np.take(words, src).view(np.uint8)[:, : dest.shape[1]]
+
+
+def _decode_words(src: np.ndarray, dest: np.ndarray, bits: int) -> None:
+    """Decode the packed rows ``src`` into the label rows ``dest`` through u64 words, at any width."""
+    lanes = np.zeros((len(dest), -(-dest.shape[1] // 8), 8), dtype=np.uint8)
+    stream = np.zeros((len(dest), lanes.shape[1] * bits), dtype=np.uint8)
+    stream[:, : src.shape[1]] = src
+    lanes[..., :bits] = stream.reshape(len(dest), -1, bits)
+    words = lanes.view("<u8")[..., 0]
+    labels = np.empty_like(lanes)
+    field = np.empty_like(words)  # one scratch buffer for every shift
+    for k in range(8):
+        np.right_shift(words, k * bits, out=field)
+        labels[..., k] = np.bitwise_and(field, (1 << bits) - 1, out=field)
+    dest[...] = labels.reshape(len(dest), -1)[:, : dest.shape[1]]
 
 
 def pack_indices(labels, bits: int) -> bytes:
@@ -193,11 +228,12 @@ def _label_counts(labels: np.ndarray, n_levels: int) -> np.ndarray:
     return counts
 
 
-def read_cbq(data) -> GroupedQuantizedTensor:
-    """Parse CBQ bytes (or a uint8 array) back into a grouped quantized tensor.
+def _cbq_header(data, size: int) -> tuple[core.QuantConfig, tuple, int]:
+    """Parse the header at the start of ``data``, the first bytes of a CBQ blob of
+    ``size`` bytes: its config, its shape and the header's length.
 
-    Validates the magic, version, rank and total length before reading any
-    group, then the occupancy counts and pad bits of every group.
+    Checks the magic, version, scheme and rank, and that ``size`` is the size
+    the header describes, before anything is allocated for the groups.
     """
     if bytes(data[:4]) != CBQ_MAGIC:
         raise BadMagicError("not a CBQ blob")
@@ -226,15 +262,26 @@ def read_cbq(data) -> GroupedQuantizedTensor:
     )
     n = math.prod(shape)
     expected = cbq_size_bytes(n, rank, bits, group_count)
-    if len(data) != expected:
-        raise LengthMismatchError(f"CBQ data is {len(data)} bytes; its header describes {expected}")
+    if size != expected:
+        raise LengthMismatchError(f"CBQ data is {size} bytes; its header describes {expected}")
+    return cfg, shape, _HEADER_FIXED.size + 8 * rank + _HEADER_TAIL.size
 
-    m = cfg.n_levels
-    pos = _HEADER_FIXED.size + 8 * rank + _HEADER_TAIL.size
-    centroids = np.empty((group_count, m), dtype=np.float32)
-    occupancy = np.empty((group_count, m), dtype=np.uint32)
+
+_CBQ_HEADER_MAX = _HEADER_FIXED.size + 8 * 255 + _HEADER_TAIL.size  # rank is a u8
+
+
+def read_cbq(data) -> GroupedQuantizedTensor:
+    """Parse CBQ bytes (or a uint8 array) back into a grouped quantized tensor.
+
+    Validates the magic, version, rank and total length before reading any
+    group, then the occupancy counts and pad bits of every group.
+    """
+    cfg, shape, pos = _cbq_header(data, len(data))
+    n, m, bits = math.prod(shape), cfg.n_levels, cfg.bits
+    centroids = np.empty((cfg.group_count, m), dtype=np.float32)
+    occupancy = np.empty((cfg.group_count, m), dtype=np.uint32)
     labels = np.empty(n, dtype=np.uint8)
-    for groups, elements, length in group_blocks(n, group_count):
+    for groups, elements, length in group_blocks(n, cfg.group_count):
         width = _group_row_bytes(bits, length)
         rows = np.frombuffer(data, np.uint8, (groups.stop - groups.start) * width, pos).reshape(-1, width)
         pos += rows.size
@@ -268,22 +315,27 @@ def _check_names(names: list) -> None:
         raise ManifestMismatchError("manifest tensor names must be distinct strings")
 
 
-def _read_member(directory: Path, name) -> np.ndarray:
-    """The bytes of file ``name`` in ``directory``, read once into one uint8 array.
-
-    ``name`` must be a bare file name: no separators, no ``..``, not absolute.
-    """
+def _member(directory: Path, name) -> Path:
+    """The path of file ``name`` in ``directory``, which must be a bare file name:
+    no separators, no ``..``, not absolute."""
     if not (isinstance(name, str) and name.isprintable() and name not in ("", ".", "..")
             and "/" not in name and "\\" not in name):
         raise ManifestMismatchError(f"file name {name!r} is not a bare name inside {directory}")
+    return directory / name
+
+
+def _read_member(directory: Path, name) -> np.ndarray:
+    """The bytes of file ``name`` in ``directory``, read once into one uint8 array."""
+    path = _member(directory, name)
     try:
-        return np.fromfile(directory / name, dtype=np.uint8)
+        return np.fromfile(path, dtype=np.uint8)
     except OSError as exc:
-        raise IOFailureError(f"cannot read {directory / name}: {exc}") from exc
+        raise IOFailureError(f"cannot read {path}: {exc}") from exc
 
 
-def _tensor_view(data: np.ndarray, offset, length, entry: dict) -> np.ndarray:
-    """The float32 tensor ``entry`` describes, stored in ``data[offset:offset + length]``, as a view."""
+def _blob_shape(entry: dict, offset, length, size: int) -> tuple[list, int, int]:
+    """The shape, offset and length of the float32 tensor ``entry`` describes,
+    stored at ``[offset, offset + length)`` of ``size`` bytes, all checked."""
     name, shape = entry["name"], entry.get("shape")
     if not isinstance(shape, list):
         raise ManifestMismatchError(f"shape of {name!r} is not a list of non-negative integers")
@@ -294,63 +346,131 @@ def _tensor_view(data: np.ndarray, offset, length, entry: dict) -> np.ndarray:
     shape, offset, length = [count("shape entry", d) for d in shape], count("offset", offset), count("length", length)
     if length != 4 * math.prod(shape):
         raise ManifestMismatchError(f"length of {name!r} disagrees with its shape")
-    if offset + length > len(data):
+    if offset + length > size:
         raise ManifestMismatchError(f"blob of {name!r} extends past the payload")
+    return shape, offset, length
+
+
+def _tensor_view(data: np.ndarray, offset, length, entry: dict) -> np.ndarray:
+    """The float32 tensor ``entry`` describes, stored in ``data[offset:offset + length]``, as a view."""
+    shape, offset, length = _blob_shape(entry, offset, length, len(data))
     try:
         return data[offset : offset + length].view("<f4").reshape(shape)
     except ValueError as exc:
-        raise ManifestMismatchError(f"shape of {name!r} is not a valid array shape: {exc}") from exc
+        raise ManifestMismatchError(f"shape of {entry['name']!r} is not a valid array shape: {exc}") from exc
 
 
-def _publish(directory: Path, files: dict, manifest_name: str, manifest: dict) -> None:
-    """Write ``{file name: buffers}`` and then the manifest into ``directory``, all or nothing.
+@contextlib.contextmanager
+def _staging(target: Path):
+    """A fresh hidden directory beside ``target`` to stage its files in, before ``_commit``.
 
-    Every file is written to a temporary name first, then renamed into place,
-    the manifest last, so a manifest appears only once all its files have.
-    On any failure, every file this call staged or renamed is removed.
+    It is ``.NAME.PID.stage`` in ``target``'s parent, which is created if
+    missing.  On exit, success or failure, it is removed with whatever is left
+    in it, so a failed write leaves nothing staged.
     """
-    files = {**files, manifest_name: [(json.dumps(manifest, indent=2) + "\n").encode()]}
-    touched = []
+    stage = target.parent / f".{target.name}.{os.getpid()}.stage"
+    try:
+        stage.parent.mkdir(parents=True, exist_ok=True)
+        stage.mkdir()
+    except OSError as exc:
+        raise IOFailureError(f"cannot stage beside {target}: {exc}") from exc
+    try:
+        yield stage
+    finally:
+        with contextlib.suppress(OSError):
+            for name in os.listdir(stage):
+                os.unlink(stage / name)
+            stage.rmdir()
+
+
+def _stage_file(path: Path, chunks=(), size: int = 0) -> None:
+    """Write the buffers ``chunks`` to the staged file ``path``, zero-filled up to ``size`` bytes."""
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            if size:
+                fh.truncate(size)
+    except OSError as exc:
+        raise IOFailureError(f"cannot write {path}: {exc}") from exc
+
+
+def _commit(stage: Path, directory: Path, manifest_name: str, manifest: dict) -> None:
+    """Publish every file in ``stage``, and then ``manifest``, into ``directory``, all or nothing.
+
+    The manifest is staged too, then each file is renamed into place, the
+    manifest last, so a manifest appears only once all its files have.
+    ``directory`` is created if missing.  On any failure, every file this
+    call renamed is removed, and ``directory`` if this call created it.
+    """
+    _stage_file(stage / manifest_name, [(json.dumps(manifest, indent=2) + "\n").encode()])
+    names = sorted(os.listdir(stage), key=lambda name: (name == manifest_name, name))
+    created = not directory.exists()
+    renamed = []
     done = False
     try:
-        for name, chunks in files.items():
-            touched.append(directory / f".{name}.tmp")
-            with open(touched[-1], "wb") as fh:
-                for chunk in chunks:
-                    fh.write(chunk)
-        for name in files:
-            os.replace(directory / f".{name}.tmp", directory / name)
-            touched.append(directory / name)
+        directory.mkdir(exist_ok=True)
+        for name in names:
+            os.replace(stage / name, directory / name)
+            renamed.append(directory / name)
         done = True
     except OSError as exc:
         raise IOFailureError(f"cannot write into {directory}: {exc}") from exc
     finally:
         if not done:
-            for path in touched:
+            for path in renamed:
                 with contextlib.suppress(OSError):
                     path.unlink()
+            if created:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+
+
+def _bundle_layout(manifest_path: Path, shapes: dict) -> dict:
+    """The manifest of a bundle of float32 tensors of ``shapes`` (``{name: shape}``),
+    stored back to back in order in the payload, the manifest path with suffix ``.bin``."""
+    _check_names(list(shapes))
+    payload_path = manifest_path.with_suffix(".bin")
+    if payload_path == manifest_path:
+        raise ManifestMismatchError(f"manifest {manifest_path} would be its own payload; name it other than *.bin")
+    entries = []
+    offset = 0
+    for name, shape in shapes.items():
+        length = 4 * math.prod(shape)
+        entries.append({"name": name, "shape": [int(d) for d in shape], "dtype": "f4",
+                        "offset": offset, "length": length})
+        offset += length
+    return {"format": "tensor-bundle", "version": 1, "payload": payload_path.name, "tensors": entries}
+
+
+def _write_slot(payload: Path, entry: dict, tensor) -> None:
+    """Write ``tensor`` as float32 into the staged ``payload`` at the place its
+    manifest ``entry`` lays out.
+
+    Opens the file itself, so writers in several processes share no file
+    position.
+    """
+    if [int(d) for d in np.shape(tensor)] != entry["shape"]:
+        raise ShapeMismatchError(f"{entry['name']!r} does not have the shape it was laid out with")
+    try:
+        with open(payload, "r+b") as fh:
+            fh.seek(entry["offset"])
+            fh.write(np.ascontiguousarray(tensor, dtype="<f4"))
+    except OSError as exc:
+        raise IOFailureError(f"cannot write {payload}: {exc}") from exc
 
 
 def write_bundle(manifest_path, tensors: dict) -> None:
     """Write named float32 tensors as a JSON manifest plus a raw payload file.
 
     The payload is the manifest path with the suffix ``.bin``, so a manifest
-    path ending in ``.bin`` is rejected.
+    path ending in ``.bin`` is rejected.  Missing parent directories are created.
     """
-    _check_names(list(tensors))
     manifest_path = Path(manifest_path)
-    payload_path = manifest_path.with_suffix(".bin")
-    if payload_path == manifest_path:
-        raise ManifestMismatchError(f"manifest {manifest_path} would be its own payload; name it other than *.bin")
-    entries = []
-    blobs = [np.ascontiguousarray(tensor, dtype="<f4") for tensor in tensors.values()]
-    offset = 0
-    for (name, tensor), blob in zip(tensors.items(), blobs):
-        entries.append({"name": name, "shape": [int(d) for d in np.shape(tensor)], "dtype": "f4",
-                        "offset": offset, "length": blob.nbytes})
-        offset += blob.nbytes
-    manifest = {"format": "tensor-bundle", "version": 1, "payload": payload_path.name, "tensors": entries}
-    _publish(manifest_path.parent, {payload_path.name: blobs}, manifest_path.name, manifest)
+    manifest = _bundle_layout(manifest_path, {name: np.shape(tensor) for name, tensor in tensors.items()})
+    with _staging(manifest_path) as stage:
+        _stage_file(stage / manifest["payload"], (np.ascontiguousarray(t, dtype="<f4") for t in tensors.values()))
+        _commit(stage, manifest_path.parent, manifest_path.name, manifest)
 
 
 def read_bundle(manifest_path) -> dict:
@@ -370,6 +490,19 @@ def read_bundle(manifest_path) -> dict:
     return tensors
 
 
+def _quantized_layout(shapes: dict) -> dict:
+    """The manifest of a quantized directory: a ``tNNNNN.cbq`` file for each name of
+    ``shapes`` whose shape is None, else a raw ``tNNNNN.f32`` of that shape, numbered in order."""
+    _check_names(list(shapes))
+    entries = []
+    for i, (name, shape) in enumerate(shapes.items()):
+        if shape is None:
+            entries.append({"name": name, "file": f"t{i:05d}.cbq", "kind": "cbq"})
+        else:
+            entries.append({"name": name, "file": f"t{i:05d}.f32", "kind": "raw", "shape": [int(d) for d in shape]})
+    return {"format": "cbq-bundle", "version": 1, "tensors": entries}
+
+
 def write_quantized(out_dir, tensors: dict) -> None:
     """Write ``{name: CBQ bytes | float32 array}`` as a quantized directory.
 
@@ -377,29 +510,57 @@ def write_quantized(out_dir, tensors: dict) -> None:
     ``tNNNNN.f32`` file per tensor, numbered in the dict's order.  It is
     created if missing, and removed again if the write fails.
     """
-    _check_names(list(tensors))
     out_dir = Path(out_dir)
-    entries = []
-    files = {}
-    for i, (name, value) in enumerate(tensors.items()):
-        if isinstance(value, bytes):
-            entries.append({"name": name, "file": f"t{i:05d}.cbq", "kind": "cbq"})
-            files[entries[-1]["file"]] = [value]
-        else:
-            entries.append({"name": name, "file": f"t{i:05d}.f32", "kind": "raw",
-                            "shape": [int(d) for d in np.shape(value)]})
-            files[entries[-1]["file"]] = [np.ascontiguousarray(value, dtype="<f4")]
-    created = not out_dir.exists()
+    manifest = _quantized_layout({name: None if isinstance(value, bytes) else np.shape(value)
+                                  for name, value in tensors.items()})
+    with _staging(out_dir) as stage:
+        for entry, value in zip(manifest["tensors"], tensors.values()):
+            _stage_file(stage / entry["file"],
+                        [value if isinstance(value, bytes) else np.ascontiguousarray(value, dtype="<f4")])
+        _commit(stage, out_dir, _QUANTIZED_MANIFEST, manifest)
+
+
+def _quantized_entries(path) -> tuple[Path, list]:
+    """The directory and the entries of a quantized directory (or of its manifest),
+    the format and each entry's kind checked."""
+    path = Path(path)
+    manifest_path = path / _QUANTIZED_MANIFEST if path.is_dir() else path
+    manifest, entries = _manifest_entries(manifest_path)
+    if manifest.get("format") != "cbq-bundle":
+        raise ManifestMismatchError("not a quantized-bundle manifest")
+    for entry in entries:
+        if entry.get("kind") not in ("cbq", "raw"):
+            raise ManifestMismatchError(f"unknown kind {entry.get('kind')!r} for {entry['name']!r}")
+    return manifest_path.parent, entries
+
+
+def _entry_shape(directory: Path, entry: dict) -> list:
+    """The shape of the tensor a quantized entry names, from its CBQ header or the
+    entry, checked against the size of its file without reading the rest of it."""
+    path = _member(directory, entry.get("file"))
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _publish(out_dir, files, _QUANTIZED_MANIFEST, {"format": "cbq-bundle", "version": 1, "tensors": entries})
-    except BaseException as exc:
-        if created:
-            with contextlib.suppress(OSError):
-                out_dir.rmdir()
-        if isinstance(exc, OSError):
-            raise IOFailureError(f"cannot create {out_dir}: {exc}") from exc
-        raise
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_CBQ_HEADER_MAX if entry["kind"] == "cbq" else 0)
+    except OSError as exc:
+        raise IOFailureError(f"cannot read {path}: {exc}") from exc
+    if entry["kind"] == "cbq":
+        return list(_cbq_header(head, size)[1])
+    return _blob_shape(entry, 0, size, size)[0]
+
+
+def _read_entry(directory: Path, entry: dict, loaded: dict):
+    """The tensor of a quantized entry: a ``GroupedQuantizedTensor``, or a float32 view.
+
+    ``loaded`` maps each ``(file, kind)`` read so far to its parsed CBQ
+    tensor or its raw bytes, so entries that name one file read it once.
+    """
+    file, kind = entry.get("file"), entry["kind"]
+    if not isinstance(file, str) or (file, kind) not in loaded:
+        data = _read_member(directory, file)  # rejects a file that is not a bare name
+        loaded[file, kind] = read_cbq(data) if kind == "cbq" else data
+    value = loaded[file, kind]
+    return value if kind == "cbq" else _tensor_view(value, 0, len(value), entry)
 
 
 def read_quantized(path) -> dict:
@@ -408,20 +569,6 @@ def read_quantized(path) -> dict:
     Each distinct file is read once: entries that name the same file (tied
     weights) get the same parsed tensor, or views of the same raw bytes.
     """
-    path = Path(path)
-    manifest_path = path / _QUANTIZED_MANIFEST if path.is_dir() else path
-    manifest, entries = _manifest_entries(manifest_path)
-    if manifest.get("format") != "cbq-bundle":
-        raise ManifestMismatchError("not a quantized-bundle manifest")
-    tensors = {}
-    loaded = {}  # (file, kind) -> the parsed CBQ tensor or the raw bytes
-    for entry in entries:
-        name, kind, file = entry["name"], entry.get("kind"), entry.get("file")
-        if kind not in ("cbq", "raw"):
-            raise ManifestMismatchError(f"unknown kind {kind!r} for {name!r}")
-        if not isinstance(file, str) or (file, kind) not in loaded:
-            data = _read_member(manifest_path.parent, file)  # rejects a file that is not a bare name
-            loaded[file, kind] = read_cbq(data) if kind == "cbq" else data
-        value = loaded[file, kind]
-        tensors[name] = value if kind == "cbq" else _tensor_view(value, 0, len(value), entry)
-    return tensors
+    directory, entries = _quantized_entries(path)
+    loaded = {}
+    return {entry["name"]: _read_entry(directory, entry, loaded) for entry in entries}

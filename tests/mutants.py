@@ -15,8 +15,11 @@ rounding slack: below the winner for every later end (the lower cut), above
 it for the block's earlier ends (the upper cut), whose window reaches the
 starts next to those ends; ``oracle.partition_cost`` rejects a labeling in
 which one label forms two runs.  The CBQ reader and writer of ``tensorio`` walk labels in chunks, counting
-occupancy and unpacking pieces of rows at byte offsets, and check a blob's
-length before they allocate for it.
+occupancy and unpacking pieces of rows at byte offsets, decode whole-byte
+widths through a table of lanes, and check a blob's length before they
+allocate for it.  Its writers stage files in a hidden directory that every
+exit removes, rename the manifest into place last, and a reconstruct job
+writes its tensor at its own offset of the staged payload.
 The CLI's worker map puts each forked child's results back at that child's
 jobs, passes on the exception that stopped a child, and stops a child whose
 parent has died.
@@ -177,6 +180,18 @@ MUTANTS = (
     Mutant("row-piece-offset-dropped", "tensorio.py",
            "start = cols.start * bits // 8", "start = 0",
            (CBQ_CHUNKS,)),
+    Mutant("byte-table-lanes-reversed", "tensorio.py",
+           "(bits * np.arange(8 // bits))", "(bits * np.arange(8 // bits)[::-1])",
+           ("tests/test_tensorio.py::TestCbqFormat::test_whole_byte_widths_match_the_word_path", CBQ_CHUNKS)),
+    Mutant("manifest-renamed-first", "tensorio.py",
+           "key=lambda name: (name == manifest_name, name)", "key=lambda name: (name != manifest_name, name)",
+           ("tests/test_tensorio.py::TestDirectoryWrites::test_the_manifest_is_renamed_into_place_last",)),
+    Mutant("failure-keeps-the-staging-directory", "tensorio.py",
+           "        yield stage\n    finally:\n", "        yield stage\n    except BaseException:\n        raise\n    else:\n",
+           (f"{WORKERS}::test_a_reconstruct_child_that_fails_leaves_no_output",)),
+    Mutant("reconstruct-writes-at-the-next-offset", "tensorio.py",
+           'fh.seek(entry["offset"])', 'fh.seek(entry["offset"] + entry["length"])',
+           (f"{WORKERS}::test_reconstruct_writes_the_same_bytes_for_any_worker_count",)),
     Mutant("labels-allocated-before-length-check", "tensorio.py",
            "    expected = cbq_size_bytes(n, rank, bits, group_count)\n",
            "    np.zeros(n, dtype=np.uint8)\n    expected = cbq_size_bytes(n, rank, bits, group_count)\n",

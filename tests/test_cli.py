@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cbquant import cli, core, grouping, tensorio
-from cbquant.errors import BadConfigError, NonFiniteInputError
+from cbquant.errors import BadConfigError, CorruptIndexError, NonFiniteInputError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -567,6 +567,80 @@ class TestWorkerProcesses:
         assert not out.exists()
         self.assert_no_child_left()
 
+    def test_quantize_files_keep_their_sorted_index_names(self, gaussian_bundle, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CBQUANT_THREADS", "2")
+        q = tmp_path / "q"
+        assert cli.main(["quantize", str(gaussian_bundle), "-o", str(q), "--bits", "2", "--exclude", "layer.1"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((q / "manifest.json").read_text())
+        assert [(e["name"], e["file"]) for e in manifest["tensors"]] == [
+            ("classifier.weight", "t00000.cbq"), ("layer.0.weight", "t00001.cbq"), ("layer.1.weight", "t00002.f32")]
+        assert sorted(os.listdir(q)) == ["manifest.json", "t00000.cbq", "t00001.cbq", "t00002.f32"]
+        assert sorted(os.listdir(tmp_path)) == ["model.bin", "model.json", "q"]  # nothing left staged
+        self.assert_no_child_left()
+
+    @staticmethod
+    def tied_quantized(bundle, tmp_path):
+        """A quantized directory of ``bundle``: ``classifier.weight`` passed through raw,
+        and a fourth name, ``tied.weight``, that shares the CBQ file of ``layer.0.weight``."""
+        q = tmp_path / "q"
+        assert cli.main(["quantize", str(bundle), "-o", str(q), "--bits", "3", "--groups", "2",
+                         "--exclude", "classifier"]) == 0
+        manifest = json.loads((q / "manifest.json").read_text())
+        manifest["tensors"].append({**manifest["tensors"][1], "name": "tied.weight"})
+        (q / "manifest.json").write_text(json.dumps(manifest))
+        return q
+
+    def test_reconstruct_writes_the_same_bytes_for_any_worker_count(self, gaussian_bundle, tmp_path, monkeypatch,
+                                                                    capsys):
+        q = self.tied_quantized(gaussian_bundle, tmp_path)
+        library = tmp_path / "library" / "rebuilt.json"
+        tensorio.write_bundle(library, {name: grouping.reconstruct_grouped(t) if isinstance(t, grouping.GroupedQuantizedTensor)
+                                        else t for name, t in tensorio.read_quantized(q).items()})
+        expected = [library.read_bytes(), library.with_suffix(".bin").read_bytes()]
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("CBQUANT_THREADS", threads)
+            out = tmp_path / f"threads{threads}" / "rebuilt.json"
+            out.parent.mkdir()
+            assert cli.main(["reconstruct", str(q), "-o", str(out)]) == 0
+            assert sorted(os.listdir(out.parent)) == ["rebuilt.bin", "rebuilt.json"]
+            assert [out.read_bytes(), out.with_suffix(".bin").read_bytes()] == expected
+        capsys.readouterr()
+        rebuilt = tensorio.read_bundle(out)
+        assert list(rebuilt) == ["classifier.weight", "layer.0.weight", "layer.1.weight", "tied.weight"]
+        np.testing.assert_array_equal(rebuilt["classifier.weight"], tensorio.read_bundle(gaussian_bundle)["classifier.weight"])
+        # Each name that shares a file is still written at its own offset.
+        np.testing.assert_array_equal(rebuilt["tied.weight"], rebuilt["layer.0.weight"])
+        assert not np.shares_memory(rebuilt["tied.weight"], rebuilt["layer.0.weight"])
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["error", "death"])
+    def test_a_reconstruct_child_that_fails_leaves_no_output(self, gaussian_bundle, tmp_path, monkeypatch, capsys,
+                                                             failure):
+        q = self.tied_quantized(gaussian_bundle, tmp_path)
+        monkeypatch.setenv("CBQUANT_THREADS", "2")
+        parent, read_cbq = os.getpid(), tensorio.read_cbq
+
+        def failing(data):  # jobs 1 and 3, which read CBQ files, run in the child
+            if os.getpid() != parent:
+                if failure == "death":
+                    os._exit(1)
+                raise CorruptIndexError("failed in a child")
+            return read_cbq(data)
+
+        monkeypatch.setattr(tensorio, "read_cbq", failing)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()  # the quantize report
+        code = cli.main(["reconstruct", str(q), "-o", str(tmp_path / "rebuilt.json")])
+        captured = capsys.readouterr()
+        if failure == "error":
+            assert (code, captured.out, captured.err) == (3, "", "cbquant: error: failed in a child\n")
+        else:
+            assert (code, captured.out) == (4, "")
+            assert "ended without a result (exit status 1)" in captured.err
+        assert sorted(os.listdir(tmp_path)) == before  # no output and no staging directory
+        self.assert_no_child_left()
+
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                         reason="needs os.fork and /proc")
     def test_a_child_whose_parent_is_killed_stops_after_its_job(self, tmp_path):
@@ -658,6 +732,22 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env={**self.ENV, "CBQUANT_THREADS": "1"},
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "False"), proc.stderr
+
+    @pytest.mark.parametrize("case", ["reconstruct", "quantize-linear"])
+    def test_commands_that_draw_no_stream_load_no_random_and_no_hashlib(self, case, gaussian_bundle, tmp_path):
+        bundle, quantized = str(gaussian_bundle), str(tmp_path / "q")
+        if case == "reconstruct":
+            assert cli.main(["quantize", bundle, "-o", quantized, "--bits", "2", "--exclude", "classifier"]) == 0
+        run = {
+            "reconstruct": f"cli.main(['reconstruct', {quantized!r}, '-o', {str(tmp_path / 'r.json')!r}])",
+            "quantize-linear": f"cli.main(['quantize', {bundle!r}, '-o', {quantized!r}, '--scheme', 'linear', "
+                               "'--bits', '4', '--groups', '2'])",
+        }[case]
+        code = (f"import sys; from cbquant import cli; {run}; "
+                "print([m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env={**self.ENV, "CBQUANT_THREADS": "2"},
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "[]"), proc.stderr
 
     def test_help_still_imports_numpy_and_core(self):
         # What every real command imports, so that a --help launch times the same start-up.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import struct
 import tracemalloc
 
@@ -252,6 +253,22 @@ class TestCbqFormat:
         packed = tensorio.pack_indices(g.labels, bits)
         assert np.array_equal(tensorio.unpack_indices(packed, g.n, bits), g.labels)
 
+    @pytest.mark.parametrize("bits", [1, 2, 4, 8])
+    @pytest.mark.parametrize("length", [1, 7, 63, 64, 65, 201])
+    def test_whole_byte_widths_match_the_word_path(self, monkeypatch, bits, length):
+        # 64-label chunks: rows of 65 and 201 labels are split across chunks, and
+        # every length but 64 leaves a padded tail at some width.
+        monkeypatch.setattr(core, "_ASSIGN_CHUNK", 64)
+        labels = np.random.default_rng(length).integers(0, 1 << bits, size=(5, length)).astype(np.uint8)
+        packed = tensorio._pack_rows(labels, bits)
+        by_bytes = np.empty_like(labels)
+        tensorio._unpack_rows(packed, by_bytes, bits)
+        monkeypatch.setattr(tensorio, "_BYTE_WORDS", {})  # every width through u64 words
+        assert np.array_equal(tensorio._pack_rows(labels, bits), packed)
+        by_words = np.empty_like(labels)
+        tensorio._unpack_rows(packed, by_words, bits)
+        assert np.array_equal(by_bytes, labels) and np.array_equal(by_words, labels)
+
     @pytest.mark.parametrize("groups", [1, 3, 16])
     def test_occupancy_mismatch_is_found_in_any_chunk(self, monkeypatch, groups):
         monkeypatch.setattr(core, "_ASSIGN_CHUNK", 64)
@@ -325,6 +342,20 @@ class TestDirectoryWrites:
             else:
                 tensorio.write_quantized(tmp_path / "q", {2: tensorio.write_cbq(golden_tensor())})
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("writer", ["bundle", "quantized"])
+    def test_the_manifest_is_renamed_into_place_last(self, tmp_path, monkeypatch, writer):
+        renamed, replace = [], os.replace
+        monkeypatch.setattr(tensorio.os, "replace", lambda src, dst: (renamed.append(os.path.basename(dst)),
+                                                                      replace(src, dst)))
+        raw = np.ones(3, np.float32)
+        if writer == "bundle":
+            tensorio.write_bundle(tmp_path / "b.json", {"w": raw, "v": raw})
+            assert renamed == ["b.bin", "b.json"]
+        else:
+            tensorio.write_quantized(tmp_path / "q", {"w": tensorio.write_cbq(golden_tensor()), "v": raw})
+            assert renamed == ["t00000.cbq", "t00001.f32", "manifest.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["b.bin", "b.json"] if writer == "bundle" else ["q"])
 
     def test_bundle_payload_is_held_once(self, tmp_path):
         tensor = np.random.default_rng(0).normal(size=1 << 20).astype(np.float32)  # 4 MiB
