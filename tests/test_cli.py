@@ -155,6 +155,27 @@ class TestPipelineIdentity:
         assert len(outputs[0]) == 4  # three CBQ files and the manifest
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_benchmark_quantize_keeps_its_bytes(self, tmp_path, capsys, monkeypatch):
+        # The attn-kmeans8 workload's full-size, seed-0 quantize, with the benchmark's
+        # bundle, arguments and thread count; its CBQ digests are read from perfbench.
+        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        wl = bench.make_workloads()["attn-kmeans8"]
+        rng = np.random.default_rng(bench.DEFAULT_SEED)
+        source = {name: rng.normal(0.0, 0.02, size=shape).astype(np.float32) for name, shape in wl.tensors}
+        bench.write_bundle(tmp_path / "source.json", source)
+        monkeypatch.setenv("CBQUANT_THREADS", str(bench.MAX_THREADS))
+        out = tmp_path / "q"
+        code, _ = run_cli(capsys, "quantize", str(tmp_path / "source.json"), "-o", str(out), "--scheme", wl.scheme,
+                          "--bits", str(wl.bits), "--groups", str(wl.groups), "--format", "csv")
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        found = {f"cbq:{e['name']}": hashlib.sha256((out / e["file"]).read_bytes()).hexdigest()
+                 for e in manifest["tensors"]}
+        expected = json.loads((ROOT / "perfbench" / "digests.json").read_text())["attn-kmeans8"]
+        assert found == {key: digest for key, digest in expected.items() if key.startswith("cbq:")}
+
     def test_cli_reconstruction_matches_library_path(self, gaussian_bundle, tmp_path, capsys):
         out = tmp_path / "q"
         rebuilt = tmp_path / "rebuilt.json"

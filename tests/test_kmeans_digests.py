@@ -6,7 +6,8 @@ these digests.  The inputs cover distinct Gaussian values, heavy duplication
 (fewer distinct values than clusters, so k-means++ pads the codebook with
 copies), points exactly midway between integer-valued centroids (which are
 exactly on linear bin edges), constant spans that make whole groups
-constant, and one vector long enough for k-means++'s value-order loop.
+constant, and vectors long enough for k-means++'s value-order loop, in float64
+and float32 values.
 """
 
 import hashlib
@@ -41,6 +42,11 @@ def small_weights():
 def large_weights():
     # Just above core._SORTED_MIN_SIZE, so 6 and 8 bits take the value-order k-means++ loop.
     return np.random.default_rng(4).normal(0.0, 0.02, size=2**17 + 3)
+
+
+def large_float32_weights():
+    # The same size in float32 values, as every tensor of a bundle holds.
+    return large_weights().astype(np.float32)
 
 
 # id -> (tensor, bits, seed, group_count, max_iterations, leaves padded centroids, sha256)
@@ -81,6 +87,15 @@ CASES = {
                        "5b124140add219f0e89bb502e4c95a8d97d1da639e42e9011d919ac76c3d8c23"),
     "large-b8-s1-g1": (large_weights(), 8, 1, 1, 3, False,
                        "bb2b15189e35aec878f1aba07e15f4eec6929a73e34317592576b65e8b837fb5"),
+    # At 6 bits and seed 0 the float32 values give the float64 case's bytes.
+    "large32-b6-s0-g1": (large_float32_weights(), 6, 0, 1, 3, False,
+                         "2ee85677b34fd53a9debd05a149764d4c815804efdc4040b4893a56827287403"),
+    "large32-b6-s1-g1": (large_float32_weights(), 6, 1, 1, 3, False,
+                         "8ef107a714593d8803fd861bc4b3322536ae39bdcecf79748e98b02a21a77a2c"),
+    "large32-b8-s0-g1": (large_float32_weights(), 8, 0, 1, 3, False,
+                         "32d447abd8000256db6af67768159aff0b6f5df67b72027769a78143792da469"),
+    "large32-b8-s1-g1": (large_float32_weights(), 8, 1, 1, 3, False,
+                         "0a71a093285d76eae7fdc3fdba5fc85d6bed743cc0c3cd502283eb115d5af283"),
 }
 
 
