@@ -367,7 +367,14 @@ def kmeanspp_init(v, n_clusters: int, rng: "np.random.Generator") -> np.ndarray:
     pick, is the smaller rounded square distance to its two neighbouring
     picks, so the sorted loop recomputes a chunk of ``d2`` in element order
     from the input rather than keeping a map back from elements to sorted
-    positions.
+    positions.  The sorted loop orders the input in one of two ways: when
+    every value is exactly a float32, as in every tensor of a bundle, by
+    one sort of 64-bit (float32 bits, element) keys, and otherwise by
+    ``argsort``.  It then holds 14 bytes an element on float32 values (4
+    for the sorted values, 2 for a chunk id, 8 for ``d2``) and 12 otherwise
+    (4 for the permutation, 8 for ``d2``).  The two sorts order equal
+    values differently, which only changes the order of the terms that a
+    block estimate sums, so the picks are the same.
     """
     arr = _validate_input(v)
     n_clusters = _integer("n_clusters", n_clusters, 1, 256)
@@ -464,12 +471,17 @@ def _neighbour_d2(x: np.ndarray, picks: np.ndarray, out: np.ndarray) -> np.ndarr
     its two neighbouring values among the sorted ``picks``, which is the
     minimum over all of them (``kmeanspp_init``).  An element beyond the
     picks on one side takes the outermost pick twice."""
-    rank = picks.searchsorted(x, "right")
-    # picks[rank - 1] and picks[rank], each clipped into range.
-    np.subtract(x, np.append(picks[:1], picks).take(rank, mode="clip"), out=out)
-    np.square(out, out=out)
-    above = np.subtract(x, picks.take(rank, mode="clip"))
-    np.minimum(out, np.square(above, out=above), out=out)
+    below = np.append(picks[:1], picks)
+    # A piece at a time, so that a chunk of the sequential cumsum adds little to the loop's arrays.
+    for s in range(0, x.size, _KEY_CHUNK):
+        piece, dest = x[s : s + _KEY_CHUNK], out[s : s + _KEY_CHUNK]
+        rank = picks.searchsorted(piece, "right")
+        # picks[rank - 1] and picks[rank], each clipped into range.
+        below.take(rank, out=dest, mode="clip")
+        np.square(np.subtract(piece, dest, out=dest), out=dest)
+        above = picks.take(rank, mode="clip")
+        np.square(np.subtract(piece, above, out=above), out=above)
+        np.minimum(dest, above, out=dest)
     return out
 
 
@@ -479,50 +491,42 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
 
     ``order`` is ``(perm, values)``: ``perm`` maps sorted positions to
     elements and ``values`` is ``arr[perm]``, ascending.  Without it the
-    loop sorts ``arr`` itself.  Either way one reader serves the loop: a
-    chunk of sorted values is the order's, or gathered through ``perm``,
-    and a value's sorted position comes from every 64th sorted value and
-    one short gather, exact for both.  Each pick goes through ``_draw``,
-    the one copy of the draw rule, which the full pass uses too.  Layout:
-    ``perm``, int32 below 2**31 elements, and ``d2`` in sorted
-    order: 12 bytes an element, 8 with a given order.  To locate a pick,
-    ``table[row, chunk]`` sums ``d2`` over the sorted positions of one row
-    (``side`` consecutive ones) whose elements lie in one chunk (``width``
-    consecutive elements, a 32nd of ``side``); a pick recomputes the
-    rows its range touched.  The column totals are the chunk sums of ``d2``
-    in element order, so ``_certified_pick`` finds the pick's chunk from
-    them and accumulates that chunk, recomputed in element order from the
-    input and the picks so far (``_neighbour_d2``).  That is the loop's one
-    reader of ``d2`` in element order: a pick that falls back to the
-    sequential ``cumsum`` recomputes every chunk the same way, so the loop
-    keeps no map from elements back to sorted positions.  ``d2`` starts at
-    ``+inf`` and the first pick, drawn uniformly, updates all of it, as
-    every later pick updates its own range.  A term passes through at most ``side`` additions in its cell, one per
-    row and chunk in the totals and ``width + 1`` in the chunk, which sets
-    the margin.  When the input's span squared overflows, some squared
-    distance warns in the definition on every pick; the full pass then runs
-    instead, so that every warning is the definition's.  Nothing overflows
-    here otherwise, so ``d2`` is not updated after the last pick.
+    loop sorts ``arr`` itself, in one of two ways.  When every value is
+    exactly a float32, as every tensor of a bundle is, one ``ndarray.sort``
+    of 64-bit (value, element) keys (``_float32_order``) gives the sorted
+    values as float32 and the chunk of each sorted position; otherwise
+    ``argsort`` gives ``perm``, through which the loop gathers the sorted
+    values.  Whichever it holds, a chunk of sorted values is read from the
+    sorted values or through ``perm``, and subtracted in float64, so every
+    squared distance rounds as in the definition; a value's sorted position
+    comes from every 64th sorted value and one short search, both compared
+    in float64.  Each pick goes through ``_draw``, the one copy of the draw
+    rule, which the full pass uses too.  Layout, with ``d2`` in sorted
+    order: on float32 values, the sorted values, a uint16 chunk id below
+    2**16 chunks and ``d2``, 14 bytes an element; otherwise ``perm``, int32
+    below 2**31 elements, and ``d2``, 12 bytes an element; 8 with a given
+    order.  To locate a pick, ``table[row, chunk]`` sums ``d2`` over the
+    sorted positions of one row (``side`` consecutive ones) whose elements
+    lie in one chunk (``width`` consecutive elements, a 32nd of ``side``);
+    a pick recomputes the rows its range touched.  The column totals are
+    the chunk sums of ``d2`` in element order, so ``_certified_pick`` finds
+    the pick's chunk from them and accumulates that chunk, recomputed in
+    element order from the input and the picks so far (``_neighbour_d2``).
+    That is the loop's one reader of ``d2`` in element order: a pick that
+    falls back to the sequential ``cumsum`` recomputes every chunk the same
+    way, so the loop keeps no map from elements back to sorted positions.
+    The order of equal values differs between the sorts, which only
+    reorders the terms of a cell.  ``d2`` starts at ``+inf`` and the first
+    pick, drawn uniformly, updates all of it, as every later pick updates
+    its own range.  A term passes through at most ``side`` additions in its
+    cell, one per row and chunk in the totals and ``width + 1`` in the
+    chunk, which sets the margin.  When the input's span squared overflows,
+    some squared distance warns in the definition on every pick; the full
+    pass then runs instead, so that every warning is the definition's.
+    Nothing overflows here otherwise, so ``d2`` is not updated after the
+    last pick.
     """
     n = arr.size
-    perm, values = order or (np.argsort(arr).astype(np.int32 if n < 2**31 else np.int64), None)
-    # Python floats: the span squared may overflow to inf without a warning.
-    lo, hi = float(arr[perm[0]]), float(arr[perm[-1]])
-    if not (hi - lo) * (hi - lo) < math.inf:
-        return _kmeanspp_full_pass(arr, n_clusters, rng)
-    # Every 64th sorted value, to find a value's sorted position with one short gather.
-    step = 64
-    coarse = arr[perm[::step]]
-
-    def shifted(s: int, e: int, c: float) -> np.ndarray:
-        """Sorted values s to e minus c, in a new array."""
-        return np.subtract(arr.take(perm[s:e], mode="clip") if values is None else values[s:e], c)
-
-    def rank(x: float, side: str) -> int:
-        """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
-        s = step * max(int(coarse.searchsorted(x, side)) - 1, 0)
-        return s + int(arr.take(perm[s : s + step]).searchsorted(x, side))
-
     # Rows of `side` sorted positions and chunks of `width` elements, a
     # 32nd as long: the table holds at most n/8 cells, and the chunk that
     # each pick reads in element order stays short.
@@ -531,6 +535,32 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
         side *= 2
     width = side // 32
     rows, cols = -(-n // side), -(-n // width)
+    perm, values = order or (None, None)
+    chunk = None  # each sorted position's chunk, when no perm is kept
+    if order is None:
+        found = _float32_order(arr, width)
+        if found is None:
+            perm = np.argsort(arr).astype(np.int32 if n < 2**31 else np.int64)
+        else:
+            values, chunk = found
+
+    def ascending(s: int, e: int) -> np.ndarray:
+        """Sorted values s to e."""
+        return arr.take(perm[s:e], mode="clip") if values is None else values[s:e]
+
+    # Python floats: the span squared may overflow to inf without a warning.
+    lo, hi = float(ascending(0, 1)[0]), float(ascending(n - 1, n)[0])
+    if not (hi - lo) * (hi - lo) < math.inf:
+        return _kmeanspp_full_pass(arr, n_clusters, rng)
+    # Every 64th sorted value, to find a value's sorted position with one short search.
+    step = 64
+    coarse = np.asarray(arr[perm[::step]] if values is None else values[::step], dtype=np.float64)
+
+    def rank(x: float, side: str) -> int:
+        """The number of values below ``x`` (``side="left"``) or at most ``x`` (``"right"``)."""
+        s = step * max(int(coarse.searchsorted(x, side)) - 1, 0)
+        return s + int(np.asarray(ascending(s, s + step), dtype=np.float64).searchsorted(x, side))
+
     # Zeros, though the first pick writes every row: a row that an update
     # wrongly skipped would read the same on every run, not whatever the heap
     # held (NaN there hides the fault by sending each pick to the cumsum).
@@ -552,9 +582,9 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
         start = 0 if i == 0 else rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right")
         stop = n if i == len(picked) else rank(_two_ulps(0.5 * c + 0.5 * picked[i], math.inf), "left")
         picked.insert(i, c)
-        for s in range(start, stop, _ASSIGN_CHUNK):
-            e = min(stop, s + _ASSIGN_CHUNK)
-            x = shifted(s, e, c)
+        for s in range(start, stop, _KEY_CHUNK):
+            e = min(stop, s + _KEY_CHUNK)
+            x = np.subtract(ascending(s, e), c, dtype=np.float64)
             np.square(x, out=x)
             np.minimum(d2[s:e], x, out=d2[s:e])
             del x  # before the next chunk is gathered
@@ -562,12 +592,80 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
         with np.errstate(over="ignore"):
             for row in range(start // side, -(-stop // side)):
                 s = row * side
-                table[row] = np.bincount(perm[s : s + side] // width, weights=d2[s : s + side], minlength=cols)
+                cells = chunk[s : s + side] if perm is None else perm[s : s + side] // width
+                table[row] = np.bincount(cells, weights=d2[s : s + side], minlength=cols)
             np.add.reduce(table, axis=0, out=sums)
             np.add.accumulate(sums, out=ends)
         picks = np.array(picked)
         idx = _draw(rng, n, ends, width, depth, lambda s, out: _neighbour_d2(arr[s : s + out.size], picks, out))
     return _padded(chosen, n_clusters)
+
+
+# Sort keys are built and split this many elements at a time.
+_KEY_CHUNK = 1 << 13
+_SIGN_BIT = np.uint32(1 << 31)
+_LOW_HALF = np.uint64(_U32_MAX)
+
+
+def _sorted_keys(rows: np.ndarray):
+    """Each row of the 2-D ``rows`` sorted by value, as uint64 keys, or None
+    when some value is not exactly a float32 or a row has 2**32 values.
+
+    A key holds its value's float32 bits in the high half, the sign bit set
+    when it was clear and every bit flipped when it was set, so that keys
+    order as their values do (-0.0 just below +0.0); the low half holds the
+    value's column.  One ``ndarray.sort`` of the keys gives each row's
+    sorted values and the column of each sorted position (``_split_keys``),
+    equal values by column.  Each chunk is cast to float32 and compared
+    with its float64 values before its keys are built, so most other
+    inputs stop at the first chunk.
+    """
+    n_rows, length = rows.shape
+    if length >= 2**32:
+        return None
+    keys = np.empty(rows.shape, dtype=np.uint64)
+    step_r, step_c = max(1, _KEY_CHUNK // length), min(length, _KEY_CHUNK)
+    for r in range(0, n_rows, step_r):
+        for c in range(0, length, step_c):
+            x = np.asarray(rows[r : r + step_r, c : c + step_c], dtype=np.float64)
+            with np.errstate(over="ignore"):  # a value beyond the float32 range casts to inf
+                f = x.astype(np.float32)
+            if not (f == x).all():
+                return None
+            bits = f.view(np.uint32)
+            k = keys[r : r + step_r, c : c + step_c]
+            np.bitwise_xor(bits, (bits >> np.uint32(31)) * np.uint32(_U32_MAX) | _SIGN_BIT, out=k)
+            k <<= np.uint64(32)
+            k |= np.arange(c, c + k.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    return keys
+
+
+def _split_keys(keys: np.ndarray):
+    """Walk ``_sorted_keys`` in flat order, a chunk at a time: yields
+    ``(start, values, columns)``, the chunk's float32 values and its uint64
+    columns."""
+    flat = keys.reshape(-1)
+    for s in range(0, flat.size, _KEY_CHUNK):
+        k = flat[s : s + _KEY_CHUNK]
+        high = (k >> np.uint64(32)).astype(np.uint32)
+        high ^= ((high >> np.uint32(31)) - np.uint32(1)) | _SIGN_BIT
+        yield s, high.view(np.float32), k & _LOW_HALF
+
+
+def _float32_order(arr: np.ndarray, width: int):
+    """``_kmeanspp_sorted``'s own order of ``arr`` when every value is a
+    float32: its sorted values as float32 and the chunk of ``width``
+    elements of each sorted position, uint16 below 2**16 chunks; else None."""
+    keys = _sorted_keys(arr.reshape(1, -1))
+    if keys is None:
+        return None
+    values = np.empty(arr.size, dtype=np.float32)
+    chunk = np.empty(arr.size, dtype=np.uint16 if arr.size <= width << 16 else np.uint32)
+    for s, v, columns in _split_keys(keys):
+        values[s : s + v.size] = v
+        chunk[s : s + v.size] = columns // np.uint64(width)
+    return values, chunk
 
 
 def _two_ulps(x: float, toward: float) -> float:

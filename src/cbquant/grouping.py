@@ -154,18 +154,31 @@ def _value_order(tensor, group_count: int) -> tuple[np.ndarray, np.ndarray]:
     Over each group's span, ``perm`` lists the group's element offsets by
     ascending value (int32 below 2**31 elements a group) and ``values`` the
     float64 values in that order: 12 bytes an element, both read-only.
-    Rejects empty or non-finite input as ``quantize_grouped`` does.
+    A block of groups whose values are all float32 values, as every
+    tensor of a bundle is, is sorted as 64-bit (value, offset) keys
+    (``core._sorted_keys``), which puts equal values in offset order; any
+    other block by ``argsort``.  Rejects empty or non-finite input as
+    ``quantize_grouped`` does.
     """
     flat = np.asarray(tensor).reshape(-1)
     blocks = group_blocks(flat.size, group_count)
     perm = np.empty(flat.size, dtype=np.int32 if blocks[0][2] < 2**31 else np.int64)
     values = np.empty(flat.size)
     for _, elements, length in blocks:
-        rows = np.asarray(flat[elements], dtype=np.float64).reshape(-1, length)
-        order = np.argsort(rows, axis=1)
-        perm[elements] = order.reshape(-1)
-        order += length * np.arange(len(rows))[:, None]
-        ascending = np.take(rows, order, out=values[elements].reshape(-1, length))
+        rows = flat[elements].reshape(-1, length)
+        ascending = values[elements].reshape(-1, length)
+        keys = core._sorted_keys(rows)
+        if keys is None:
+            rows = np.asarray(rows, dtype=np.float64)
+            order = np.argsort(rows, axis=1)
+            perm[elements] = order.reshape(-1)
+            order += length * np.arange(len(rows))[:, None]
+            np.take(rows, order, out=ascending)
+        else:
+            block_perm, block_values = perm[elements], values[elements]
+            for s, v, columns in core._split_keys(keys):
+                block_values[s : s + v.size] = v
+                block_perm[s : s + v.size] = columns
         # NaN sorts last, so each row's ends show any non-finite value.
         if not np.isfinite(ascending[:, [0, -1]]).all():
             raise NonFiniteInputError("input contains NaN or infinity")

@@ -2,7 +2,9 @@
 
 The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
 margins, block sums that cover every element, widened update ranges and strict
-comparisons, and the nearest-centroid labels of ``core._assign`` on its
+comparisons, and, on float32 values, on sort keys that order as the values do,
+chunk ids of the right chunk and squared distances taken in float64; the
+nearest-centroid labels of ``core._assign`` on its
 threshold table's tie rule and the dense assignment of values outside its
 band.  Lloyd on a shared value order rewrites only the labels that moved
 since the last step, in the uint8 labels and in the intp copy that its sums
@@ -79,6 +81,11 @@ def sorted_loops(case: str) -> tuple:
                  for loop in ("sorted", "shared_order"))
 
 
+def own_sort(*cases: str) -> tuple:
+    """The sorted loop's same-bytes test on each of ``cases``, on its own sort only."""
+    return tuple(f"{LOOPS}::test_sorted_loop_same_bytes_as_sequential_cumsum[{case}]" for case in cases)
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -104,11 +111,15 @@ MUTANTS = (
     Mutant("no-fallback-carry", "core.py",
            "part[0] = carried[s // _ASSIGN_CHUNK]", "part[0] = 0.0",
            tuple(f"{CHUNKED}[normal-{loop}]" for loop in ("_kmeanspp_full_pass", "_kmeanspp_sorted",
-                                                          "kmeanspp_shared_order"))),
+                                                          "kmeanspp_shared_order"))
+           + (f"{CHUNKED}[f32_normal-_kmeanspp_sorted]",)),
     Mutant("only-the-last-chunk-scanned", "core.py",
            "for s in reversed(range(0, n, _ASSIGN_CHUNK)):", "for s in reversed(range(0, n, _ASSIGN_CHUNK))[:1]:",
            tuple(f"{CHUNKED}[normal-{loop}]" for loop in ("_kmeanspp_full_pass", "_kmeanspp_sorted",
-                                                          "kmeanspp_shared_order"))),
+                                                          "kmeanspp_shared_order"))
+           + (f"{CHUNKED}[f32_normal-_kmeanspp_sorted]",)),
+    # No float32 kind kills this one: the midpoint of two float32 values is
+    # exact in float64, so no widening is needed there.
     Mutant("no-two-ulp-widening", "core.py",
            "return math.nextafter(math.nextafter(x, toward), toward)", "return x",
            sorted_loops("offset_noise-256-131073")),
@@ -123,14 +134,14 @@ MUTANTS = (
     Mutant("update-start-one-short", "core.py",
            'rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right")',
            'rank(_two_ulps(0.5 * picked[i - 1] + 0.5 * c, -math.inf), "right") + 1',
-           sorted_loops("mixed_scales-256-131073")),
+           sorted_loops("mixed_scales-256-131073") + own_sort("f32_mixed_scales-256-131073")),
     Mutant("update-stop-one-short", "core.py",
            'rank(_two_ulps(0.5 * c + 0.5 * picked[i], math.inf), "left")',
            'rank(_two_ulps(0.5 * c + 0.5 * picked[i], math.inf), "left") - 1',
-           sorted_loops("mixed_scales-256-131073")),
+           sorted_loops("mixed_scales-256-131073") + own_sort("f32_mixed_scales-256-131073")),
     Mutant("last-table-row-skipped", "core.py",
            "range(start // side, -(-stop // side))", "range(start // side, -(-stop // side) - 1)",
-           sorted_loops("mixed_scales-256-131073")),
+           sorted_loops("mixed_scales-256-131073") + own_sort("f32_normal-256-131073")),
     Mutant("no-overflow-hand-off", "core.py",
            "if not (hi - lo) * (hi - lo) < math.inf:", "if False:",
            sorted_loops("d2_overflows-256-131073")
@@ -148,7 +159,28 @@ MUTANTS = (
            (f"{PICKS}::test_same_bytes_as_sequential_cumsum[normal-2-100000]",)),
     Mutant("sorted-d2-starts-at-zero", "core.py",
            "d2 = np.full(n, np.inf)\n    picked", "d2 = np.full(n, 0.0)\n    picked",
-           sorted_loops("normal-256-131073")),
+           sorted_loops("normal-256-131073") + own_sort("f32_normal-256-131073")),
+    # On float32 values the subtraction would round in float32: the extremes'
+    # differences overflow and warn, and tiny ones square to 0.
+    Mutant("sorted-values-subtracted-in-float32", "core.py",
+           "x = np.subtract(ascending(s, e), c, dtype=np.float64)", "x = np.subtract(ascending(s, e), c)",
+           own_sort("f32_extremes-256-131073", "f32_mixed_scales-256-131073")),
+    # Float64 values rounded to float32 keys: a lone 1e-160 among zeros rounds to 0.0.
+    Mutant("float32-check-skipped", "core.py",
+           "if not (f == x).all():", "if False:",
+           tuple(f"{LOOPS}::test_one_value_that_is_not_a_float32_takes_argsort[{case}-70001]"
+                 for case in ("lone_subnormal_distance", "last_nudged"))),
+    # Negative values keep their bits, so they sort above the positive ones and split back as |x|.
+    Mutant("key-sign-flip-on-non-negatives-only", "core.py",
+           "(bits >> np.uint32(31)) * np.uint32(_U32_MAX) | _SIGN_BIT",
+           "np.where(bits >> np.uint32(31), np.uint32(0), _SIGN_BIT)",
+           own_sort("f32_normal-256-131073", "f32_signed_zeros-256-131073")
+           + (f"{LOOPS}::test_float32_values_are_sorted_without_argsort[70001]",)),
+    # Each table cell lands in the next chunk's column, the last in the first.
+    Mutant("chunk-ids-one-chunk-off", "core.py",
+           "columns // np.uint64(width)",
+           "(columns // np.uint64(width) + np.uint64(1)) % np.uint64(-(-arr.size // width))",
+           own_sort("f32_normal-256-131073", "f32_extremes-256-131073")),
     Mutant("tie-to-higher-index", "core.py",
            "rep[1:] < rep[:-1]", "rep[1:] > rep[:-1]",
            ("tests/test_properties.py::test_assign_between_subnormal_centroids",

@@ -70,6 +70,14 @@ def sequential_kmeanspp_init(v, n_clusters, rng):
     return np.array(chosen + [chosen[-1]] * (n_clusters - len(chosen)))
 
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def float32_values(x):
+    """``x`` rounded to float32 values, held in float64 as ``kmeanspp_init`` holds its input."""
+    return x.astype(np.float32).astype(np.float64)
+
+
 PICK_INPUTS = {
     "normal": lambda rng, n: rng.normal(size=n),
     # Fewer distinct values than clusters: the init pads with the last pick.
@@ -83,6 +91,17 @@ PICK_INPUTS = {
     "sums_overflow": lambda rng, n: rng.normal(size=n) * 1e153,
     "offset_noise": lambda rng, n: 1e6 + 1e-6 * rng.normal(size=n),
     "mixed_scales": lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n),
+    # Float32 values, as every tensor of a bundle holds: the sorted loop sorts them as keys.
+    "f32_normal": lambda rng, n: float32_values(rng.normal(size=n)),
+    # Magnitudes from float32 subnormals (and zeros that underflow) to 1e30.
+    "f32_mixed_scales": lambda rng, n: float32_values(rng.normal(size=n) * 10.0 ** rng.integers(-46, 30, n)),
+    "f32_signed_zeros": lambda rng, n: np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0], n),
+                                                float32_values(rng.normal(size=n))),
+    # The float32 extremes: their differences overflow float32, not float64.
+    "f32_extremes": lambda rng, n: np.where(rng.random(n) < 0.01, rng.choice([-1.0, 1.0], n) * FLOAT32_MAX,
+                                            float32_values(rng.normal(size=n))),
+    # Five distinct values: the init pads with the last pick.
+    "f32_duplicates": lambda rng, n: rng.choice(float32_values(rng.normal(size=5)), n),
 }
 
 
@@ -221,16 +240,21 @@ def kmeanspp_shared_order(v, n_clusters, rng):
     return core._kmeanspp_sorted(np.asarray(v, dtype=np.float64), n_clusters, rng, grouping._value_order(v, 1))
 
 
+@pytest.mark.parametrize("values", ["float64", "float32"])
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("falls_back", [False, True])
-def test_sorted_loop_holds_its_distances_and_one_permutation(monkeypatch, shared, falls_back):
+def test_sorted_loop_holds_its_distances_and_one_permutation(monkeypatch, values, shared, falls_back):
     # d2 (8 bytes an element) and one int32 permutation (4), which the argsort's
-    # int64 output briefly precedes; a shared order brings both the permutation
-    # and the sorted values, so the loop adds only d2.  A pick that falls back
-    # to the sequential cumsum recomputes d2 a chunk at a time and adds at most
-    # 1 MiB of that chunk's transients.  The table and the transients of a
-    # chunk or two of 2**16 fit in the constant.
+    # int64 output briefly precedes; on float32 values, the sorted values (4)
+    # and a uint16 chunk id (2), which the 64-bit sort keys (8) precede.  A
+    # shared order brings both the permutation and the sorted values, so the
+    # loop adds only d2.  A pick that falls back to the sequential cumsum
+    # recomputes d2 a chunk at a time and adds at most 1 MiB of that chunk's
+    # transients.  The table and the transients of a chunk or two of 2**16
+    # fit in the constant.
     v = np.random.default_rng(8).normal(size=589_824)
+    if values == "float32":
+        v = float32_values(v)
     loop_args = (v, 256 if not falls_back else 16, np.random.default_rng(0))
     loop_args += (grouping._value_order(v, 1),) if shared else ()
     if falls_back:
@@ -321,6 +345,38 @@ class TestKmeansppLoops:
         rng, reference = np.random.default_rng(5), np.random.default_rng(5)
         assert loop(v, 8, rng).tobytes() == sequential_kmeanspp_init(v, 8, reference).tobytes()
         assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("n", [70_001, core._SORTED_MIN_SIZE + 1])
+    def test_float32_values_are_sorted_without_argsort(self, monkeypatch, n):
+        # One sort of 64-bit keys orders them, in the loop and in a shared order.
+        v = PICK_INPUTS["f32_normal"](np.random.default_rng(n), n)
+        expected = picks_and_warnings(sequential_kmeanspp_init, v, 256, np.random.default_rng(2))
+
+        def no_argsort(*args, **kwargs):
+            raise AssertionError("float32 values went through argsort")
+
+        monkeypatch.setattr(np, "argsort", no_argsort)
+        for loop in (core.kmeanspp_init, *LOOPS[1:]):
+            assert picks_and_warnings(loop, v, 256, np.random.default_rng(2)) == expected, loop.__name__
+
+    # One value that is not a float32 sends the whole input to argsort: at the
+    # end of a float32 input, whose earlier chunks already took keys, and among
+    # zeros, where its float32 rounding, 0.0, would leave every distance 0.
+    @pytest.mark.parametrize("n", [70_001, core._SORTED_MIN_SIZE + 1])
+    @pytest.mark.parametrize("case", ["last_nudged", "lone_subnormal_distance"])
+    def test_one_value_that_is_not_a_float32_takes_argsort(self, monkeypatch, n, case):
+        if case == "last_nudged":
+            v = PICK_INPUTS["f32_normal"](np.random.default_rng(n), n)
+            v[-1] = np.nextafter(v[-1], np.inf)
+        else:
+            v = np.zeros(n)
+            v[n // 3] = 1e-160
+        argsort, calls = np.argsort, []
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: calls.append(1) or argsort(*args, **kwargs))
+        for loop in (core.kmeanspp_init, core._kmeanspp_sorted):
+            assert (picks_and_warnings(loop, v, 256, np.random.default_rng(2))
+                    == picks_and_warnings(sequential_kmeanspp_init, v, 256, np.random.default_rng(2))), loop.__name__
+        assert len(calls) == 1 + (n >= core._SORTED_MIN_SIZE)
 
     @pytest.mark.parametrize("n,n_clusters,v_scale,chosen", [
         (core._SORTED_MIN_SIZE, core._SORTED_MIN_CLUSTERS, 1.0, "_kmeanspp_sorted"),
@@ -559,19 +615,23 @@ class TestKmeansQuantize:
         assert not hasattr(core, "lloyd_step")
         assert [name for name in core.__all__ if "lloyd" in name.lower()] == ["LloydState"]
 
+    @pytest.mark.parametrize("values", ["float64", "float32"])
     @pytest.mark.parametrize("bits,call,factor,extra", [
         (2, "kmeans_cluster", 2.25, 0),
         (8, "kmeans_cluster", 2, 1 << 20),
         (8, "quantize_grouped", 2, 1 << 20),
         (8, "_kmeans_widths of a shared order", 1.5, 1 << 20),
     ])
-    def test_float64_input_is_held_about_twice(self, bits, call, factor, extra):
+    def test_float64_input_is_held_about_twice(self, bits, call, factor, extra, values):
         # k-means++ holds two float64 buffers, more than any Lloyd step holds;
         # at 8 bits its sorted loop holds the distances, one int32 permutation
-        # and a table.  An order built beforehand brings the permutation and
-        # the sorted values, so the call adds the distances, then a Lloyd
-        # step's intp buffer and uint8 labels.
+        # and a table, or on float32 values the distances, the sorted float32
+        # values, a uint16 chunk id and a table.  An order built beforehand
+        # brings the permutation and the sorted values, so the call adds the
+        # distances, then a Lloyd step's intp buffer and uint8 labels.
         v = np.random.default_rng(6).normal(size=589_824)
+        if values == "float32":
+            v = float32_values(v)
         cfg = kcfg(bits, seed=0)
         order = grouping._value_order(v, 1) if call.endswith("shared order") else None
         tracemalloc.start()

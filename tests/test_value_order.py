@@ -7,6 +7,7 @@ k-means state (centroids, labels, iterations and SSE) and the warnings,
 must match the element-order path exactly.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -207,9 +208,16 @@ class TestValueOrder:
         assert type(order) is tuple and len(order) == 2
         assert not hasattr(grouping, "ValueOrder") and "ValueOrder" not in cbquant.__all__
 
-    @pytest.mark.parametrize("n,groups", [(1, 1), (10, 3), (1000, 7), (1000, 1000)])
-    def test_each_group_in_ascending_order(self, n, groups):
-        tensor = np.random.default_rng(n).normal(size=n).astype(np.float32)
+    # float32 tensors are sorted as keys, other values by argsort; a float32 chunk
+    # of 2**13 elements is followed by one that is not.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, "float32 then float64"])
+    @pytest.mark.parametrize("n,groups", [(1, 1), (10, 3), (1000, 7), (1000, 1000), (10_000, 1)])
+    def test_each_group_in_ascending_order(self, n, groups, dtype):
+        tensor = np.random.default_rng(n).normal(size=n)
+        if dtype == "float32 then float64":
+            tensor[: core._KEY_CHUNK] = tensor[: core._KEY_CHUNK].astype(np.float32)
+        else:
+            tensor = tensor.astype(dtype)
         perm, values = grouping._value_order(tensor, groups)
         assert perm.dtype == np.int32 and values.dtype == np.float64
         for offset, length in grouping.split_groups(n, groups):
@@ -218,14 +226,22 @@ class TestValueOrder:
             np.testing.assert_array_equal(values[span], tensor[span][perm[span]])
             assert (np.diff(values[span]) >= 0).all()
 
+    def test_equal_values_keep_their_offsets_in_float32(self):
+        # The keys sort -0.0 below +0.0, and equal values by offset.
+        tensor = np.array([0.5, 0.0, -0.0, 0.5, -1.0, 0.0, -0.0], dtype=np.float32)
+        perm, values = grouping._value_order(tensor, 1)
+        assert perm.tolist() == [4, 2, 6, 1, 5, 0, 3]
+        assert [math.copysign(1.0, x) for x in values[1:5]] == [-1.0, -1.0, 1.0, 1.0]
+
     def test_arrays_are_read_only(self):
         perm, values = grouping._value_order(gaussian(), 1)
         with pytest.raises(ValueError):
             values[0] = 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_is_rejected(self, bad):
-        tensor = gaussian()
+    def test_non_finite_input_is_rejected(self, bad, dtype):
+        tensor = gaussian().astype(dtype)
         tensor[3, 7] = bad
         with pytest.raises(NonFiniteInputError):
             grouping._value_order(tensor, 3)
