@@ -601,7 +601,9 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
     return _padded(chosen, n_clusters)
 
 
-# Sort keys are built and split this many elements at a time.
+# Sort keys are built and split, and the sorted loop's distances updated,
+# this many elements at a time, so that their transients stay small beside
+# the loop's own arrays (the tracemalloc pins).
 _KEY_CHUNK = 1 << 13
 _SIGN_BIT = np.uint32(1 << 31)
 _LOW_HALF = np.uint64(_U32_MAX)
