@@ -369,12 +369,13 @@ def kmeanspp_init(v, n_clusters: int, rng: "np.random.Generator") -> np.ndarray:
     from the input rather than keeping a map back from elements to sorted
     positions.  The sorted loop orders the input in one of two ways: when
     every value is exactly a float32, as in every tensor of a bundle, by
-    one sort of 64-bit (float32 bits, element) keys, and otherwise by
-    ``argsort``.  It then holds 14 bytes an element on float32 values (4
-    for the sorted values, 2 for a chunk id, 8 for ``d2``) and 12 otherwise
-    (4 for the permutation, 8 for ``d2``).  The two sorts order equal
-    values differently, which only changes the order of the terms that a
-    block estimate sums, so the picks are the same.
+    one sort of 64-bit (float32 bits, element) keys (``_sorted_keys``, read
+    back by ``_split_keys``), and otherwise by ``argsort``.  It then holds
+    14 bytes an element on float32 values (4 for the sorted values, 2 for a
+    chunk id, 8 for ``d2``) and 12 otherwise (4 for the permutation, 8 for
+    ``d2``).  The two sorts order equal values differently, which only
+    changes the order of the terms that a block estimate sums, so the picks
+    are the same.
     """
     arr = _validate_input(v)
     n_clusters = _integer("n_clusters", n_clusters, 1, 256)
@@ -493,8 +494,9 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
     elements and ``values`` is ``arr[perm]``, ascending.  Without it the
     loop sorts ``arr`` itself, in one of two ways.  When every value is
     exactly a float32, as every tensor of a bundle is, one ``ndarray.sort``
-    of 64-bit (value, element) keys (``_float32_order``) gives the sorted
-    values as float32 and the chunk of each sorted position; otherwise
+    of 64-bit (value, element) keys (``_sorted_keys``) gives the sorted
+    values as float32 and the chunk of each sorted position, which
+    ``_split_keys`` writes into the loop's own arrays; otherwise
     ``argsort`` gives ``perm``, through which the loop gathers the sorted
     values.  Whichever it holds, a chunk of sorted values is read from the
     sorted values or through ``perm``, and subtracted in float64, so every
@@ -538,11 +540,14 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
     perm, values = order or (None, None)
     chunk = None  # each sorted position's chunk, when no perm is kept
     if order is None:
-        found = _float32_order(arr, width)
-        if found is None:
+        keys = _sorted_keys(arr.reshape(1, -1))
+        if keys is None:
             perm = np.argsort(arr).astype(np.int32 if n < 2**31 else np.int64)
         else:
-            values, chunk = found
+            values = np.empty(n, dtype=np.float32)
+            chunk = np.empty(n, dtype=np.uint16 if n <= width << 16 else np.uint32)
+            _split_keys(keys, values, chunk, width)
+        del keys  # 8 bytes an element, freed before the loop allocates its own
 
     def ascending(s: int, e: int) -> np.ndarray:
         """Sorted values s to e."""
@@ -603,10 +608,23 @@ def _kmeanspp_sorted(arr: np.ndarray, n_clusters: int, rng: "np.random.Generator
 
 # Sort keys are built and split, and the sorted loop's distances updated,
 # this many elements at a time, so that their transients stay small beside
-# the loop's own arrays (the tracemalloc pins).
+# the loop's own arrays (the tracemalloc pins).  A Lloyd step on a value
+# order also widens this many indices at a time for each scatter: a scatter
+# through intp indices runs faster than through int32.
 _KEY_CHUNK = 1 << 13
 _SIGN_BIT = np.uint32(1 << 31)
-_LOW_HALF = np.uint64(_U32_MAX)
+
+
+def _chunks(rows: int, length: int, size: int):
+    """Walk a (rows, length) block in row-major order, ``size`` cells at a
+    time: whole rows, as many as fit in ``size`` cells (at least one), or
+    pieces of ``size`` columns of a longer row, so a piece starts at a
+    multiple of ``size``.  Yields ``(rows, cols)`` slices of the block.
+    """
+    rows_per_chunk, cols_per_chunk = max(1, size // length), min(length, size)
+    for r in range(0, rows, rows_per_chunk):
+        for c in range(0, length, cols_per_chunk):
+            yield slice(r, r + rows_per_chunk), slice(c, c + cols_per_chunk)
 
 
 def _sorted_keys(rows: np.ndarray):
@@ -618,56 +636,43 @@ def _sorted_keys(rows: np.ndarray):
     order as their values do (-0.0 just below +0.0); the low half holds the
     value's column.  One ``ndarray.sort`` of the keys gives each row's
     sorted values and the column of each sorted position (``_split_keys``),
-    equal values by column.  Each chunk is cast to float32 and compared
-    with its float64 values before its keys are built, so most other
-    inputs stop at the first chunk.
+    equal values by column.  The keys are built a ``_chunks`` piece of
+    ``_KEY_CHUNK`` values at a time, each cast to float32 and compared with
+    its float64 values first, so most other inputs stop at the first piece.
     """
-    n_rows, length = rows.shape
-    if length >= 2**32:
+    if rows.shape[1] >= 2**32:
         return None
     keys = np.empty(rows.shape, dtype=np.uint64)
-    step_r, step_c = max(1, _KEY_CHUNK // length), min(length, _KEY_CHUNK)
-    for r in range(0, n_rows, step_r):
-        for c in range(0, length, step_c):
-            x = np.asarray(rows[r : r + step_r, c : c + step_c], dtype=np.float64)
-            with np.errstate(over="ignore"):  # a value beyond the float32 range casts to inf
-                f = x.astype(np.float32)
-            if not (f == x).all():
-                return None
-            bits = f.view(np.uint32)
-            k = keys[r : r + step_r, c : c + step_c]
-            np.bitwise_xor(bits, (bits >> np.uint32(31)) * np.uint32(_U32_MAX) | _SIGN_BIT, out=k)
-            k <<= np.uint64(32)
-            k |= np.arange(c, c + k.shape[1], dtype=np.uint64)
+    for r, c in _chunks(*rows.shape, _KEY_CHUNK):
+        x = np.asarray(rows[r, c], dtype=np.float64)
+        with np.errstate(over="ignore"):  # a value beyond the float32 range casts to inf
+            f = x.astype(np.float32)
+        if not (f == x).all():
+            return None
+        bits = f.view(np.uint32)
+        k = keys[r, c]
+        np.bitwise_xor(bits, (bits >> np.uint32(31)) * np.uint32(_U32_MAX) | _SIGN_BIT, out=k)
+        k <<= np.uint64(32)
+        k |= np.arange(c.start, c.start + k.shape[1], dtype=np.uint64)
     keys.sort(axis=1)
     return keys
 
 
-def _split_keys(keys: np.ndarray):
-    """Walk ``_sorted_keys`` in flat order, a chunk at a time: yields
-    ``(start, values, columns)``, the chunk's float32 values and its uint64
-    columns."""
+def _split_keys(keys: np.ndarray, values: np.ndarray, index: np.ndarray, width: int) -> None:
+    """Split ``_sorted_keys`` in flat order into the flat ``values`` and
+    ``index``, a chunk at a time: ``values`` takes each key's float32 value
+    and ``index`` its column shifted right by log2(``width``), a power of
+    two, which is the column's chunk of ``width`` columns."""
     flat = keys.reshape(-1)
+    shift = np.uint32(width.bit_length() - 1)
     for s in range(0, flat.size, _KEY_CHUNK):
         k = flat[s : s + _KEY_CHUNK]
         high = (k >> np.uint64(32)).astype(np.uint32)
         high ^= ((high >> np.uint32(31)) - np.uint32(1)) | _SIGN_BIT
-        yield s, high.view(np.float32), k & _LOW_HALF
-
-
-def _float32_order(arr: np.ndarray, width: int):
-    """``_kmeanspp_sorted``'s own order of ``arr`` when every value is a
-    float32: its sorted values as float32 and the chunk of ``width``
-    elements of each sorted position, uint16 below 2**16 chunks; else None."""
-    keys = _sorted_keys(arr.reshape(1, -1))
-    if keys is None:
-        return None
-    values = np.empty(arr.size, dtype=np.float32)
-    chunk = np.empty(arr.size, dtype=np.uint16 if arr.size <= width << 16 else np.uint32)
-    for s, v, columns in _split_keys(keys):
-        values[s : s + v.size] = v
-        chunk[s : s + v.size] = columns // np.uint64(width)
-    return values, chunk
+        values[s : s + k.size] = high.view(np.float32)
+        low = k.astype(np.uint32)  # the cast keeps the low half, the column
+        low >>= shift
+        index[s : s + k.size] = low
 
 
 def _two_ulps(x: float, toward: float) -> float:
@@ -688,9 +693,6 @@ def _dense_assign(arr: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 _ASSIGN_CHUNK = 1 << 16
-# A Lloyd step on a value order widens this many indices at a time for each
-# scatter: a scatter through intp indices runs faster than through int32.
-_SCATTER_CHUNK = 1 << 13
 # Calls with at most this many (element, centroid) pairs go to _dense_assign,
 # which is then cheaper than building the threshold table.
 _DENSE_PAIRS = 12288
@@ -963,8 +965,8 @@ def _sorted_lloyd_update(arr: np.ndarray, order):
         moved = np.flatnonzero(old_labels[old_starts.searchsorted(bounds, "right") - 1] != new)
         stops = np.append(bounds[1:], n)
         for start, stop, label in zip(bounds[moved].tolist(), stops[moved].tolist(), new[moved].tolist()):
-            for s in range(start, stop, _SCATTER_CHUNK):
-                index = perm[s : min(stop, s + _SCATTER_CHUNK)].astype(np.intp)
+            for s in range(start, stop, _KEY_CHUNK):
+                index = perm[s : min(stop, s + _KEY_CHUNK)].astype(np.intp)
                 labels[index] = label
                 if not first:
                     wide[index] = label

@@ -125,11 +125,10 @@ def quantize_grouped(tensor, cfg: core.QuantConfig, tensor_name: str = "") -> Gr
     if cfg.scheme is core.Scheme.LINEAR:
         for groups, elements, length in blocks:
             rows, out = flat[elements].reshape(-1, length), labels[elements].reshape(-1, length)
-            step = _chunk_shape(length)[0]
-            for r in range(0, len(rows), step):
-                chunk = slice(r, r + step)
-                out[chunk], centroids[groups][chunk], occupancy[groups][chunk] = core.linear_quantize_rows(
-                    rows[chunk], cfg.n_levels)
+            for chunk, cols in core._chunks(len(rows), length, core._ASSIGN_CHUNK):
+                if cols.start == 0:  # a longer row comes in pieces: quantize it whole, at its first
+                    out[chunk], centroids[groups][chunk], occupancy[groups][chunk] = core.linear_quantize_rows(
+                        rows[chunk], cfg.n_levels)
     else:
         for i, (offset, length) in enumerate(split_groups(flat.size, cfg.group_count)):
             span = slice(offset, offset + length)
@@ -156,9 +155,10 @@ def _value_order(tensor, group_count: int) -> tuple[np.ndarray, np.ndarray]:
     float64 values in that order: 12 bytes an element, both read-only.
     A block of groups whose values are all float32 values, as every
     tensor of a bundle is, is sorted as 64-bit (value, offset) keys
-    (``core._sorted_keys``), which puts equal values in offset order; any
-    other block by ``argsort``.  Rejects empty or non-finite input as
-    ``quantize_grouped`` does.
+    (``core._sorted_keys``), which puts equal values in offset order, and
+    ``core._split_keys`` writes the keys' values and offsets straight into
+    ``values`` and ``perm``; any other block is sorted by ``argsort``.
+    Rejects empty or non-finite input as ``quantize_grouped`` does.
     """
     flat = np.asarray(tensor).reshape(-1)
     blocks = group_blocks(flat.size, group_count)
@@ -175,10 +175,7 @@ def _value_order(tensor, group_count: int) -> tuple[np.ndarray, np.ndarray]:
             order += length * np.arange(len(rows))[:, None]
             np.take(rows, order, out=ascending)
         else:
-            block_perm, block_values = perm[elements], values[elements]
-            for s, v, columns in core._split_keys(keys):
-                block_values[s : s + v.size] = v
-                block_perm[s : s + v.size] = columns
+            core._split_keys(keys, values[elements], perm[elements], 1)
         # NaN sorts last, so each row's ends show any non-finite value.
         if not np.isfinite(ascending[:, [0, -1]]).all():
             raise NonFiniteInputError("input contains NaN or infinity")
@@ -218,37 +215,21 @@ def _kmeans_widths(tensor, order, cfgs, tensor_name: str = ""):
         yield GroupedQuantizedTensor(np.shape(tensor), cfg, centroids, occupancy, labels)
 
 
-def _chunk_shape(length: int) -> tuple[int, int]:
-    """Rows and columns of one chunk of a block of labels with ``length`` labels a
-    row: whole rows of at most ``core._ASSIGN_CHUNK`` labels in all, or one
-    piece of a longer row."""
-    return max(1, core._ASSIGN_CHUNK // length), min(length, core._ASSIGN_CHUNK)
-
-
-def _label_chunks(rows: int, length: int):
-    """Walk a (rows, length) block of labels, one group per row, in chunks of
-    ``_chunk_shape(length)``; a piece of a long row starts at a multiple of
-    ``core._ASSIGN_CHUNK``.  Yields ``(rows, cols)`` slices of the block.
-    """
-    rows_per_chunk, cols_per_chunk = _chunk_shape(length)
-    for r in range(0, rows, rows_per_chunk):
-        for c in range(0, length, cols_per_chunk):
-            yield slice(r, r + rows_per_chunk), slice(c, c + cols_per_chunk)
-
-
 def _codebook_index(labels: np.ndarray, n_levels: int):
-    """Walk a 2-D block of labels by ``_label_chunks``.
+    """Walk a 2-D block of labels by ``core._chunks``, ``core._ASSIGN_CHUNK``
+    labels at a time.
 
     Yields ``(rows, cols, index)``: ``index`` is ``labels[rows, cols]`` plus
     ``n_levels`` times each label's row within ``rows``, so it indexes the
     flattened codebooks of those rows.  ``index`` is one buffer, rewritten on
     the next step.
     """
-    rows_per_chunk, cols_per_chunk = _chunk_shape(labels.shape[1])
-    buf = np.empty(min(labels.size, rows_per_chunk * cols_per_chunk), dtype=np.intp)
-    row_base = n_levels * np.arange(min(len(labels), rows_per_chunk), dtype=np.intp)[:, None]
-    for rows, cols in _label_chunks(*labels.shape):
+    buf = None
+    for rows, cols in core._chunks(*labels.shape, core._ASSIGN_CHUNK):
         block = labels[rows, cols]
+        if buf is None:  # the first chunk is the largest
+            buf = np.empty(block.size, dtype=np.intp)
+            row_base = n_levels * np.arange(len(block), dtype=np.intp)[:, None]
         index = buf[: block.size].reshape(block.shape)
         np.add(block, row_base[: len(block)], out=index)
         yield rows, cols, index

@@ -51,7 +51,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedVersionError,
 )
-from .grouping import GroupedQuantizedTensor, _codebook_index, _label_chunks, group_blocks
+from .grouping import GroupedQuantizedTensor, _codebook_index, group_blocks
 
 __all__ = [
     "CBQ_MAGIC",
@@ -118,8 +118,9 @@ def _unpack_rows(packed: np.ndarray, out: np.ndarray, bits: int) -> None:
     """Inverse of ``_pack_rows``: decodes each row of ``packed`` into the same row
     of the uint8 (rows, length) array ``out``; rejects nonzero pad bits.
 
-    Decodes one chunk of ``grouping._label_chunks`` at a time, so besides
-    ``out`` it holds about four label-sized buffers of one chunk.
+    Decodes one ``core._chunks`` chunk of ``core._ASSIGN_CHUNK`` labels at a
+    time, so besides ``out`` it holds about four label-sized buffers of one
+    chunk.
     """
     rows, length = out.shape
     tail = length * bits % 8
@@ -128,7 +129,7 @@ def _unpack_rows(packed: np.ndarray, out: np.ndarray, bits: int) -> None:
     if length == 0:
         return
     words = _BYTE_WORDS.get(bits)
-    for chunk_rows, cols in _label_chunks(rows, length):
+    for chunk_rows, cols in core._chunks(rows, length, core._ASSIGN_CHUNK):
         dest = out[chunk_rows, cols]
         start = cols.start * bits // 8  # a piece of a row starts on a whole byte
         src = packed[chunk_rows, start : start + (dest.shape[1] * bits + 7) // 8]

@@ -2,8 +2,9 @@
 
 The exact k-means++ picks of ``core.kmeanspp_init`` rest on rounding-error
 margins, block sums that cover every element, widened update ranges and strict
-comparisons, and, on float32 values, on sort keys that order as the values do,
-chunk ids of the right chunk and squared distances taken in float64; the
+comparisons, and, on float32 values, on sort keys that order as the values do
+and hold each value's own column, chunk ids of the right chunk and squared
+distances taken in float64; the
 nearest-centroid labels of ``core._assign`` on its
 threshold table's tie rule and the dense assignment of values outside its
 band.  Lloyd on a shared value order rewrites only the labels that moved
@@ -178,9 +179,15 @@ MUTANTS = (
            + (f"{LOOPS}::test_float32_values_are_sorted_without_argsort[70001]",)),
     # Each table cell lands in the next chunk's column, the last in the first.
     Mutant("chunk-ids-one-chunk-off", "core.py",
-           "columns // np.uint64(width)",
-           "(columns // np.uint64(width) + np.uint64(1)) % np.uint64(-(-arr.size // width))",
+           "        low >>= shift\n",
+           "        low >>= shift\n        low += np.uint32(1)\n        low %= np.uint32(-(-flat.size // width))\n",
            own_sort("f32_normal-256-131073", "f32_extremes-256-131073")),
+    # Every piece of a row longer than a key chunk numbers its columns from 0.
+    Mutant("key-columns-drop-the-piece-offset", "core.py",
+           "np.arange(c.start, c.start + k.shape[1], dtype=np.uint64)",
+           "np.arange(0, 0 + k.shape[1], dtype=np.uint64)",
+           tuple(f"tests/test_value_order.py::TestSortKeys::test_chunked_keys_match_a_one_shot_reference[{shape}]"
+                 for shape in ("5x37", "1x100"))),
     Mutant("tie-to-higher-index", "core.py",
            "rep[1:] < rep[:-1]", "rep[1:] > rep[:-1]",
            ("tests/test_properties.py::test_assign_between_subnormal_centroids",

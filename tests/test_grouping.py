@@ -210,3 +210,23 @@ def test_small_chunks_give_the_same_bytes(monkeypatch, n, groups, scheme, bits):
     assert tensorio.write_cbq(chunked) == blob
     assert grouping.reconstruct_grouped(chunked).tobytes() == rebuilt.tobytes()
     assert tensorio.write_cbq(tensorio.read_cbq(blob)) == blob
+
+
+# Lengths one below, at and one past a chunk, past two, and a short row.
+@pytest.mark.parametrize("size", [64, 1 << 13])
+@pytest.mark.parametrize("length", ["third", "one below", "at", "one past", "past two"])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_chunks_walk_every_cell_once_in_order(size, length, rows):
+    length = {"third": size // 3, "one below": size - 1, "at": size, "one past": size + 1,
+              "past two": 2 * size + 3}[length]
+    block = np.arange(rows * length).reshape(rows, length)
+    pieces = []
+    for r, c in core._chunks(rows, length, size):
+        piece = block[r, c]
+        assert piece.size > 0
+        if length <= size:  # whole rows, as many as fit
+            assert (c.start, piece.shape) == (0, (min(rows - r.start, size // length), length))
+        else:  # one piece of one row, at a multiple of the size
+            assert c.start % size == 0 and piece.shape == (1, min(size, length - c.start))
+        pieces.append(piece.reshape(-1))
+    np.testing.assert_array_equal(np.concatenate(pieces), np.arange(rows * length))

@@ -202,6 +202,34 @@ def test_span_squared_overflow_gives_the_same_state_and_warnings(bits):
         next(grouping._kmeans_widths(tensor, grouping._value_order(tensor, 1), (cfg,)))
 
 
+def one_shot_keys(rows: np.ndarray) -> np.ndarray:
+    """``core._sorted_keys`` of float32-valued ``rows``, built in one pass."""
+    bits = np.asarray(rows, dtype=np.float32).view(np.uint32).astype(np.uint64)
+    high = np.where(bits >> np.uint64(31), bits ^ np.uint64(0xFFFFFFFF), bits | np.uint64(1 << 31))
+    return np.sort(high << np.uint64(32) | np.arange(rows.shape[1], dtype=np.uint64), axis=1)
+
+
+class TestSortKeys:
+    # Rows longer than a key chunk of 16 come in pieces; shorter ones several at a time.
+    @pytest.mark.parametrize("shape", [(5, 37), (9, 5), (1, 100), (3, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_chunked_keys_match_a_one_shot_reference(self, monkeypatch, shape):
+        rows = np.random.default_rng(shape[1]).integers(-4, 5, size=shape) * np.float32(0.375)
+        rows[:, ::3] = -0.0  # ties, and -0.0 beside 0.0
+        monkeypatch.setattr(core, "_KEY_CHUNK", 16)
+        np.testing.assert_array_equal(core._sorted_keys(rows), one_shot_keys(rows))
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_split_keys_write_values_and_column_chunks(self, monkeypatch, width):
+        rows = np.random.default_rng(width).normal(size=(3, 37)).astype(np.float32)
+        monkeypatch.setattr(core, "_KEY_CHUNK", 16)
+        keys = core._sorted_keys(rows)
+        values, index = np.empty(rows.size, dtype=np.float32), np.empty(rows.size, dtype=np.uint16)
+        core._split_keys(keys, values, index, width)
+        columns = np.argsort(rows, axis=1, kind="stable")
+        np.testing.assert_array_equal(values, np.take_along_axis(rows, columns, axis=1).reshape(-1))
+        np.testing.assert_array_equal(index, columns.reshape(-1) // width)
+
+
 class TestValueOrder:
     def test_an_order_is_the_plain_pair_that_core_reads(self):
         order = grouping._value_order(gaussian(), 2)
